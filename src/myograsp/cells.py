@@ -23,10 +23,13 @@ SRU:      xhat_t = W x_t
           h_t = r_t * tanh(c_t) + (1 - r_t) * xh_t
 
 where xh_t is x_t itself when D_in == hidden, else a learned projection
-W_p x_t.  The SRU gates depend only on x_t, so the three matrix products for
-every timestep are computed as single (B*T) x D GEMMs before the light
-sequential scan over c_t; :func:`sru_forward_naive` keeps the step-by-step
-variant as an equivalence oracle.
+W_p x_t.  The SRU gates depend only on x_t, so the matrix products for every
+timestep are one (B*T) x D GEMM over the stacked W|W_f|W_r(|W_p) before the
+light sequential scan over c_t (Lei et al., 2018);
+:func:`sru_forward_naive` keeps the step-by-step variant as an equivalence
+oracle.  The GRU likewise stacks W_z|W_r|W_h for the input side and U_z|U_r
+for the per-step recurrent gate product.  Stacks are built per call with
+``np.concatenate``; the parameter dataclasses keep one array per matrix.
 
 Backward passes return exact gradients of the forward map and were written
 to be checked against central finite differences (see tests); the
@@ -61,7 +64,6 @@ __all__ = [
     "sru_backward",
     "cell_forward",
     "cell_backward",
-    "zeros_like_params",
 ]
 
 
@@ -109,11 +111,6 @@ class SruParams(_ArrayFields):
 
 # gradient containers share the parameter structure
 CellParams = VanillaParams | GruParams | SruParams
-
-
-def zeros_like_params(params: CellParams) -> CellParams:
-    kwargs = {name: np.zeros_like(arr) for name, arr in params.named()}
-    return type(params)(**kwargs)
 
 
 def init_vanilla(input_dim: int, hidden: int, output_dim: int,
@@ -260,37 +257,44 @@ class GruTrace(_ArrayFields):
 
 
 def gru_forward(params: GruParams, x: np.ndarray, h0=None):
-    """GRU over a sequence batch; returns (hidden states (B,T,H), trace)."""
+    """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
+
+    The input side of all three gates is one GEMM over the stacked
+    W_z|W_r|W_h for every timestep, and each step computes both recurrent
+    gate products with one ``h @ [U_z;U_r].T``.
+    """
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
-    B, T, _ = x.shape
+    B, T, D = x.shape
     H = params.W_z.shape[0]
     h = _init_state(h0, B, H, "gru_forward")
 
-    x2 = x.reshape(B * T, -1)
-    xz = (x2 @ params.W_z.T).reshape(B, T, H) + params.b_z
-    xr = (x2 @ params.W_r.T).reshape(B, T, H) + params.b_r
-    xh = (x2 @ params.W_h.T).reshape(B, T, H) + params.b_h
+    xg = x.reshape(B * T, D) @ np.concatenate([params.W_z, params.W_r, params.W_h]).T
+    xg = xg.reshape(B, T, 3 * H)
+    xg += np.concatenate([params.b_z, params.b_r, params.b_h], axis=1)
+    U_zr = np.concatenate([params.U_z, params.U_r]).T
+    U_h = params.U_h.T
 
     hs = np.empty((B, T + 1, H))
     hs[:, 0] = h
-    z = np.empty((B, T, H))
-    r = np.empty((B, T, H))
+    zr = np.empty((B, T, 2 * H))   # z_t | r_t
     hc = np.empty((B, T, H))
     for t in range(T):
-        z_t = sigmoid(xz[:, t] + h @ params.U_z.T)
-        r_t = sigmoid(xr[:, t] + h @ params.U_r.T)
-        hc_t = np.tanh(xh[:, t] + (r_t * h) @ params.U_h.T)
+        zr_t = np.add(xg[:, t, :2 * H], h @ U_zr, out=zr[:, t])
+        sigmoid(zr_t, out=zr_t)
+        z_t, r_t = zr_t[:, :H], zr_t[:, H:]
+        hc_t = np.tanh(xg[:, t, 2 * H:] + (r_t * h) @ U_h, out=hc[:, t])
         h = (1.0 - z_t) * h + z_t * hc_t
-        z[:, t], r[:, t], hc[:, t] = z_t, r_t, hc_t
         hs[:, t + 1] = h
 
-    return hs[:, 1:].copy(), GruTrace(x=x, hs=hs, z=z, r=r, hc=hc)
+    return hs[:, 1:].copy(), GruTrace(x=x, hs=hs, z=zr[..., :H], r=zr[..., H:], hc=hc)
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
     """BPTT through the GRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
-    Returns (grads, dx, dh0).
+    Returns (grads, dx, dh0).  The gate pre-activation gradients of every
+    step land in one (B, T, 3H) buffer, so the weight gradients and ``dx``
+    are three stacked GEMMs after the loop.
     """
     x, hs, z, r, hc = trace.x, trace.hs, trace.z, trace.r, trace.hc
     B, T, D = x.shape
@@ -299,44 +303,43 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
     if dh_up.shape != (B, T, H):
         raise ValueError(f"gru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
 
-    da_z = np.empty((B, T, H))
-    da_r = np.empty((B, T, H))
-    da_h = np.empty((B, T, H))
+    U_zr = np.concatenate([params.U_z, params.U_r])
+    da = np.empty((B, T, 3 * H))   # da_z | da_r | da_h
     dh_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
         h_prev = hs[:, t]
         z_t, r_t, hc_t = z[:, t], r[:, t], hc[:, t]
+        da_t = da[:, t]
         dh = dh_up[:, t] + dh_next
 
-        dhc = dh * z_t
         dz = dh * (hc_t - h_prev)
         dh_prev = dh * (1.0 - z_t)
 
-        da_h_t = dhc * (1.0 - hc_t ** 2)
+        da_h_t = np.multiply(dh * z_t, 1.0 - hc_t ** 2, out=da_t[:, 2 * H:])
         drh = da_h_t @ params.U_h          # grad w.r.t. (r_t * h_prev)
         dr = drh * h_prev
-        dh_prev = dh_prev + drh * r_t
+        dh_prev += drh * r_t
 
-        da_z_t = dz * z_t * (1.0 - z_t)
-        da_r_t = dr * r_t * (1.0 - r_t)
-        dh_prev = dh_prev + da_z_t @ params.U_z + da_r_t @ params.U_r
-
-        da_z[:, t], da_r[:, t], da_h[:, t] = da_z_t, da_r_t, da_h_t
+        np.multiply(dz * z_t, 1.0 - z_t, out=da_t[:, :H])
+        np.multiply(dr * r_t, 1.0 - r_t, out=da_t[:, H:2 * H])
+        dh_prev += da_t[:, :2 * H] @ U_zr
         dh_next = dh_prev
     dh0 = dh_next
 
     x2 = x.reshape(B * T, D)
     hp2 = hs[:, :-1].reshape(B * T, H)
     rh2 = (r * hs[:, :-1]).reshape(B * T, H)
-    dz2, dr2, dc2 = (da_z.reshape(B * T, H), da_r.reshape(B * T, H),
-                     da_h.reshape(B * T, H))
+    da2 = da.reshape(B * T, 3 * H)
+    dW = da2.T @ x2
+    dU_zr = da2[:, :2 * H].T @ hp2
+    db = da2.sum(axis=0, keepdims=True)
     grads = GruParams(
-        W_z=dz2.T @ x2, U_z=dz2.T @ hp2, b_z=dz2.sum(axis=0, keepdims=True),
-        W_r=dr2.T @ x2, U_r=dr2.T @ hp2, b_r=dr2.sum(axis=0, keepdims=True),
-        W_h=dc2.T @ x2, U_h=dc2.T @ rh2, b_h=dc2.sum(axis=0, keepdims=True),
+        W_z=dW[:H], U_z=dU_zr[:H], b_z=db[:, :H],
+        W_r=dW[H:2 * H], U_r=dU_zr[H:], b_r=db[:, H:2 * H],
+        W_h=dW[2 * H:], U_h=da2[:, 2 * H:].T @ rh2, b_h=db[:, 2 * H:],
     )
-    dx = (dz2 @ params.W_z + dr2 @ params.W_r + dc2 @ params.W_h).reshape(B, T, D)
-    return grads, dx, dh0
+    dx = da2 @ np.concatenate([params.W_z, params.W_r, params.W_h])
+    return grads, dx.reshape(B, T, D), dh0
 
 
 # ---------------------------------------------------------------------------
@@ -354,43 +357,44 @@ class SruTrace(_ArrayFields):
     tanh_c: np.ndarray  # (B, T, H)
 
 
-def _sru_highway(params: SruParams, x2: np.ndarray, B: int, T: int) -> np.ndarray:
-    H = params.W.shape[0]
-    if params.W_p is not None:
-        return (x2 @ params.W_p.T).reshape(B, T, H)
-    if x2.shape[1] != H:
-        raise ValueError(
-            f"sru: highway needs input dim == hidden dim ({x2.shape[1]} != {H}) "
-            "or a projection matrix W_p")
-    return x2.reshape(B, T, H)
-
-
 def sru_forward(params: SruParams, x: np.ndarray, c0=None):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
-    The three matrix products W x_t, W_f x_t, W_r x_t for all timesteps are
-    computed up front as single GEMMs; only the elementwise c_t scan is
-    sequential.
+    W x_t, W_f x_t, W_r x_t (and W_p x_t) for all timesteps are one GEMM
+    over the stacked matrices; the gate biases and sigmoids are applied in
+    place in that slab, whose blocks the trace keeps as views.  Only the
+    elementwise c_t scan is sequential.
     """
     x = _check_seq(x, params.W.shape[1], "sru_forward")
-    B, T, _ = x.shape
+    B, T, D = x.shape
     H = params.W.shape[0]
     c = _init_state(c0, B, H, "sru_forward")
 
-    x2 = x.reshape(B * T, -1)
-    xhat = (x2 @ params.W.T).reshape(B, T, H)
-    f = sigmoid((x2 @ params.W_f.T).reshape(B, T, H) + params.b_f)
-    r = sigmoid((x2 @ params.W_r.T).reshape(B, T, H) + params.b_r)
-    xh = _sru_highway(params, x2, B, T)
+    weights = [params.W, params.W_f, params.W_r]
+    if params.W_p is not None:
+        weights.append(params.W_p)
+    elif D != H:
+        raise ValueError(
+            f"sru: highway needs input dim == hidden dim ({D} != {H}) "
+            "or a projection matrix W_p")
+    slab = (x.reshape(B * T, D) @ np.concatenate(weights).T).reshape(B, T, len(weights) * H)
+    gates = slab[..., H:3 * H]
+    gates += np.concatenate([params.b_f, params.b_r], axis=1)
+    sigmoid(gates, out=gates)
+    xhat, f, r = slab[..., :H], slab[..., H:2 * H], slab[..., 2 * H:3 * H]
+    xh = slab[..., 3 * H:] if params.W_p is not None else x
 
+    # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs
     cs = np.empty((B, T + 1, H))
     cs[:, 0] = c
+    np.multiply(1.0 - f, xhat, out=cs[:, 1:])
     for t in range(T):
-        c = f[:, t] * c + (1.0 - f[:, t]) * xhat[:, t]
-        cs[:, t + 1] = c
+        cs[:, t + 1] += f[:, t] * cs[:, t]
 
     tanh_c = np.tanh(cs[:, 1:])
-    h = r * tanh_c + (1.0 - r) * xh
+    h = np.subtract(1.0, r)
+    h *= xh
+    h += r * tanh_c
     return h, SruTrace(x=x, xhat=xhat, f=f, r=r, cs=cs, xh=xh, tanh_c=tanh_c)
 
 
@@ -427,23 +431,24 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
     if dh_up.shape != (B, T, H):
         raise ValueError(f"sru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
 
-    dr = dh_up * (tanh_c - xh)
-    dxh = dh_up * (1.0 - r)
-    dc_direct = dh_up * r * (1.0 - tanh_c ** 2)
+    one_minus_r = 1.0 - r
+    dxh = dh_up * one_minus_r
+    da_r = dh_up * (tanh_c - xh)
+    da_r *= r
+    da_r *= one_minus_r
 
-    # reverse scan: gc_t = dc_direct_t + f_{t+1} * gc_{t+1}
-    gc = np.empty((B, T, H))
-    carry = np.zeros((B, H))
-    for t in range(T - 1, -1, -1):
-        carry = dc_direct[:, t] + carry
-        gc[:, t] = carry
-        carry = f[:, t] * carry
-    dc0 = carry
+    # reverse scan, in place: gc_t = dc_direct_t + f_{t+1} * gc_{t+1}
+    gc = dh_up * r
+    gc *= 1.0 - tanh_c ** 2
+    for t in range(T - 2, -1, -1):
+        gc[:, t] += f[:, t + 1] * gc[:, t + 1]
+    dc0 = f[:, 0] * gc[:, 0]
 
-    df = gc * (cs[:, :-1] - xhat)
-    dxhat = gc * (1.0 - f)
-    da_f = df * f * (1.0 - f)
-    da_r = dr * r * (1.0 - r)
+    one_minus_f = 1.0 - f
+    dxhat = gc * one_minus_f
+    da_f = gc * (cs[:, :-1] - xhat)
+    da_f *= f
+    da_f *= one_minus_f
 
     x2 = x.reshape(B * T, D)
     dxhat2 = dxhat.reshape(B * T, H)
@@ -457,11 +462,10 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
         W_r=dar2.T @ x2, b_r=dar2.sum(axis=0, keepdims=True),
         W_p=dxh2.T @ x2 if params.W_p is not None else None,
     )
-    dx2 = dxhat2 @ params.W + daf2 @ params.W_f + dar2 @ params.W_r
-    if params.W_p is not None:
-        dx2 = dx2 + dxh2 @ params.W_p
-    else:
-        dx2 = dx2 + dxh2
+    dx2 = dxhat2 @ params.W
+    dx2 += daf2 @ params.W_f
+    dx2 += dar2 @ params.W_r
+    dx2 += dxh2 @ params.W_p if params.W_p is not None else dxh2
     return grads, dx2.reshape(B, T, D), dc0
 
 

@@ -196,6 +196,17 @@ class TrainRunConfig:
     batch_size: int = 64
     disc_loss_weight: float = 1.0
 
+    def __post_init__(self):
+        # ValueError becomes ConfigError (exit 2) in resolve_config
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("hidden", "layers", "predictor_hidden", "batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience > self.max_epochs:
+            raise ValueError(f"patience ({self.patience}) must be <= max_epochs "
+                             f"({self.max_epochs})")
+
 
 def _canonical_protocol(name: str) -> str:
     if name in ("intra", "intra-session"):

@@ -29,7 +29,6 @@ __all__ = [
     "HeadParams",
     "Network",
     "NetworkTrace",
-    "gradient_reversal_forward",
     "gradient_reversal_backward",
     "save_checkpoint",
     "load_checkpoint",
@@ -95,11 +94,6 @@ def init_head(feat_dim: int, hidden: int, out_dim: int, rng) -> HeadParams:
         W2=init_params(out_dim, hidden, "uniform-scaled", rng),
         b2=init_params(1, out_dim, "zeros", rng),
     )
-
-
-def gradient_reversal_forward(x: np.ndarray) -> np.ndarray:
-    """Identity; kept explicit so the forward/backward pair reads as a unit."""
-    return x
 
 
 def gradient_reversal_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
@@ -175,11 +169,13 @@ class Network:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, windows: np.ndarray):
+    def forward(self, windows: np.ndarray, keep_trace: bool = True):
         """Map (B, T, C) input windows to angle predictions.
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
-        or None, trace).
+        or None, trace).  With ``keep_trace=False`` (inference) the trace is
+        None and each layer's cell trace is dropped before the next layer
+        runs, so only one layer's activations are alive at a time.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim == 2:
@@ -193,7 +189,9 @@ class Network:
         seq = x
         for layer in self.layers:
             seq, tr = cells.cell_forward(layer, seq)
-            traces.append(tr)
+            if keep_trace:
+                traces.append(tr)
+            del tr
 
         if self.config.feature_reduction == "global-average-pool":
             feat = seq.mean(axis=1)
@@ -207,13 +205,15 @@ class Network:
         domain_logits = None
         disc_a1 = None
         if self.discriminator is not None:
+            # the gradient reversal layer is the identity going forward
             d = self.discriminator
-            rev = gradient_reversal_forward(feat)
-            disc_a1 = relu(rev @ d.W1.T + d.b1)
+            disc_a1 = relu(feat @ d.W1.T + d.b1)
             domain_logits = disc_a1 @ d.W2.T + d.b2
 
-        trace = NetworkTrace(cell_traces=traces, features=feat,
-                             seq_len=x.shape[1], pred_a1=pred_a1, disc_a1=disc_a1)
+        trace = None
+        if keep_trace:
+            trace = NetworkTrace(cell_traces=traces, features=feat,
+                                 seq_len=x.shape[1], pred_a1=pred_a1, disc_a1=disc_a1)
         return angles, domain_logits, trace
 
     def _head_backward(self, head: HeadParams, a1: np.ndarray, feat: np.ndarray,

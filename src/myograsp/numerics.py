@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra primitives, activations and seeded RNG.
+"""Float64 activations, parameter initialisation and seeded RNG.
 
 Matrices are plain 2-d ``numpy.ndarray`` objects in C (row-major) order with
 dtype float64; biases are kept as 1 x n row vectors so they broadcast over
@@ -13,11 +13,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
-    "matmul",
     "sigmoid",
-    "tanh",
     "relu",
     "init_params",
     "make_rng",
@@ -26,33 +25,13 @@ __all__ = [
 ]
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check.
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise logistic function, ``scipy.special.expit``.
 
-    Raises ValueError naming both shapes when the inner dimensions differ.
+    Saturates to exactly 0 or 1 without overflow warnings.  With ``out``
+    the result is written there; ``out`` may be ``x`` itself.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable elementwise logistic function."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(np.asarray(x, dtype=np.float64))
+    return expit(x, out=out)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -254,11 +254,13 @@ class TrainReport:
 
 
 def predict(net: Network, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Batched inference over (N, T, C) windows; returns (N, angles)."""
-    outs = []
-    for lo in range(0, len(x), chunk):
-        angles, _, _ = net.forward(x[lo:lo + chunk])
-        outs.append(angles)
+    """Batched inference over (N, T, C) windows; returns (N, angles).
+
+    Runs the training forward pass without traces, so peak memory is one
+    chunk through one layer whatever the number of chunks.
+    """
+    outs = [net.forward(x[lo:lo + chunk], keep_trace=False)[0]
+            for lo in range(0, len(x), chunk)]
     return np.concatenate(outs, axis=0)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_cells
 from fdcheck import TOL, max_array_rel_err, max_param_rel_err
 from myograsp import cells
 from myograsp.numerics import derive_rng, make_rng
@@ -230,3 +231,54 @@ def test_upstream_shape_mismatch():
     _, trace = cells.gru_forward(p, np.zeros((1, 4, 2)))
     with pytest.raises(ValueError):
         cells.gru_backward(trace, p, np.zeros((1, 5, 3)))
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the unstacked reference implementations
+# ---------------------------------------------------------------------------
+
+# float64 round-off over a few hundred operations, relative to the largest
+# entry of each compared array; fixed before the comparison was first run
+ORACLE_RTOL = 1e-12
+
+ORACLES = {
+    "gru": (cells.init_gru, cells.gru_forward, cells.gru_backward,
+            reference_cells.gru_forward, reference_cells.gru_backward),
+    "sru": (cells.init_sru, cells.sru_forward, cells.sru_backward,
+            reference_cells.sru_forward, reference_cells.sru_backward),
+}
+
+
+def assert_oracle_close(actual, expected, what):
+    scale = float(np.max(np.abs(expected))) if expected.size else 0.0
+    np.testing.assert_allclose(actual, expected, rtol=ORACLE_RTOL,
+                               atol=ORACLE_RTOL * scale, err_msg=what)
+
+
+@pytest.mark.parametrize("hidden", [16, 64])
+@pytest.mark.parametrize("wide_input", [False, True], ids=["d8", "dH"])
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_stacked_kernels_match_reference(kind, wide_input, hidden):
+    init_fn, fwd, bwd, ref_fwd, ref_bwd = ORACLES[kind]
+    input_dim = hidden if wide_input else 8
+    rng = derive_rng(0, "oracle", kind, input_dim, hidden)
+    params = randomized(init_fn(input_dim, hidden, rng), rng, scale=1.2 / np.sqrt(hidden))
+    x = rng.normal(size=(3, 9, input_dim))
+    s0 = rng.normal(size=(3, hidden)) * 0.5
+    upstream = rng.normal(size=(3, 9, hidden))
+
+    out, trace = fwd(params, x, s0)
+    ref_out, ref_trace = ref_fwd(params, x, s0)
+    assert_oracle_close(out, ref_out, "outputs")
+    for name, arr in ref_trace.named():
+        assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")
+
+    grads, dx, ds0 = bwd(trace, params, upstream)
+    ref_grads, ref_dx, ref_ds0 = ref_bwd(ref_trace, params, upstream)
+    assert_oracle_close(dx, ref_dx, "dx")
+    assert_oracle_close(ds0, ref_ds0, "initial-state gradient")
+    ref_named = dict(ref_grads.named())
+    assert [n for n, _ in grads.named()] == list(ref_named)
+    for name, arr in grads.named():
+        assert arr.shape == ref_named[name].shape
+        assert_oracle_close(arr, ref_named[name], f"grad {name}")

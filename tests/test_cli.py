@@ -130,6 +130,19 @@ class TestTrain:
                      "--protocol", "intra", "--ada"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--hidden", "0"],
+        ["--layers", "0"], ["--predictor-hidden", "0"], ["--batch-size", "0"],
+        ["--epochs", "0"], ["--epochs", "2", "--patience", "3"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_flag_values_exit_config(self, archive_path, tmp_path, capsys, flags):
+        code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
+                     "--model", "gru", "--protocol", "intra", "--hidden", "8",
+                     "--predictor-hidden", "8", "--epochs", "2", "--patience", "2"] + flags)
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_retrain_is_deterministic(self, archive_path, checkpoint_path,
                                       tmp_path):
         out_dir = tmp_path / "redo"

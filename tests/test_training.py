@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -251,3 +252,36 @@ class TestTrainLoop:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(patience=40, max_epochs=30)
+
+
+class TestPredict:
+    def net(self, cell, hidden):
+        cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=hidden,
+                            num_recurrent_layers=2, predictor_hidden=8,
+                            output_angles=15, use_discriminator=True, num_domains=2)
+        return Network.init(cfg, derive_rng(0, "predict", cell))
+
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_bit_identical_to_forward_chunk_by_chunk(self, cell):
+        net = self.net(cell, hidden=6)
+        x = make_rng(1).normal(size=(10, 7, 3))
+        expected = np.concatenate([net.forward(x[lo:lo + 4])[0] for lo in range(0, 10, 4)])
+        np.testing.assert_array_equal(predict(net, x, chunk=4), expected)
+
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_peak_memory_independent_of_chunk_count(self, cell):
+        # no chunk's activations may outlive it: four chunks peak where one does
+        net = self.net(cell, hidden=32)
+        x = make_rng(2).normal(size=(4 * 64, 48, 3))
+
+        def peak_bytes(n):
+            tracemalloc.start()
+            try:
+                predict(net, x[:n], chunk=64)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        predict(net, x[:64], chunk=64)   # warm-up outside the measurement
+        one, four = peak_bytes(64), peak_bytes(4 * 64)
+        assert four <= 1.1 * one, (one, four)
