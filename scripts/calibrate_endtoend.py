@@ -12,11 +12,10 @@ import warnings
 
 import numpy as np
 
-from myograsp import datapipe, splits, synthgen
+from myograsp import splits, synthgen
+from myograsp.experiment import TrainRunConfig, prepare_run, synthesize
 from myograsp.metrics import angle_ranges, nrmse
-from myograsp.network import Network, NetworkConfig
-from myograsp.numerics import derive_rng
-from myograsp.training import TargetStats, TrainConfig, predict, train
+from myograsp.training import predict, train
 
 
 def main():
@@ -34,51 +33,31 @@ def main():
     logging.disable(logging.INFO)
 
     t0 = time.perf_counter()
-    cfg = synthgen.SynthConfig(n_subjects=args.subjects,
-                               sessions_per_subject=args.sessions,
-                               session_seconds=args.seconds, seed=args.seed)
-    window_sets, sessions = [], []
-    floor = None
-    for subj in range(cfg.n_subjects):
-        for sess in range(cfg.sessions_per_subject):
-            emg, ang, _ = synthgen.generate_session(cfg, subj, sess)
-            if subj == 0 and sess == 0:
-                floor = synthgen.linear_baseline_nrmse(emg, ang)
-            ws, rec = datapipe.preprocess_session(emg, ang, stride=args.stride)
-            window_sets.append(ws)
-            sessions.append({"subject": subj, "session": sess,
-                             "t_start": float(rec.timestamps_ms[0]),
-                             "t_end": float(rec.timestamps_ms[-1])})
-    ws = datapipe.concat_windows(window_sets)
+    ws, sessions, floor = synthesize(synthgen.SynthConfig(
+        n_subjects=args.subjects, sessions_per_subject=args.sessions,
+        session_seconds=args.seconds, seed=args.seed), stride=args.stride)
     t_data = time.perf_counter() - t0
     print(f"data: {len(ws)} windows, floor {floor:.4f} ({t_data:.0f}s)")
 
-    plan = splits.intra_session_split(ws, sessions, args.seed)
-    tr, va, te = plan.indices(0), plan.indices(1), plan.indices(2)
-    stats = datapipe.channel_stats(ws, tr)
-    _, ytr = ws.materialize(tr)
-    tstats = TargetStats.fit(ytr)
-    xs, ys = ws.materialize(te)
-    xs = stats.apply(xs)
+    run = prepare_run(ws, sessions, TrainRunConfig(
+        model="sru", protocol="intra", seed=args.seed, hidden=args.hidden,
+        predictor_hidden=args.hidden, learning_rate=args.lr,
+        max_epochs=args.epochs, patience=args.epochs, batch_size=args.batch))
+    xs, ys = ws.materialize(run.plan.indices(splits.TEST))
+    xs = run.stats.apply(xs)
 
-    ncfg = NetworkConfig(cell_type="sru", hidden_size=args.hidden,
-                         predictor_hidden=args.hidden, output_angles=15)
-    net = Network.init(ncfg, derive_rng(args.seed, "init"))
-    untrained = nrmse(tstats.denormalize(predict(net, xs)), ys, angle_ranges(ys))
-    mean_pred = nrmse(np.tile(ytr.mean(axis=0), (len(ys), 1)), ys, angle_ranges(ys))
+    untrained = nrmse(run.target_stats.denormalize(predict(run.net, xs)), ys, angle_ranges(ys))
+    mean_pred = nrmse(np.tile(run.target_stats.mean, (len(ys), 1)), ys, angle_ranges(ys))
     print(f"untrained {untrained:.4f}, mean-predictor {mean_pred:.4f}, "
           f"targets 0.5*untrained={0.5 * untrained:.4f}, 1.2*floor={1.2 * floor:.4f}")
 
     t1 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        net, report = train(net, datapipe.WindowSource(ws, tr, stats),
-                            datapipe.WindowSource(ws, va, stats),
-                            TrainConfig(learning_rate=args.lr, max_epochs=args.epochs,
-                                        patience=args.epochs, batch_size=args.batch,
-                                        seed=args.seed), tstats)
+        net, report = train(run.net, run.train_src, run.val_src, run.train_config,
+                            run.target_stats)
     t_train = time.perf_counter() - t1
-    trained = nrmse(tstats.denormalize(predict(net, xs)), ys, angle_ranges(ys))
+    trained = nrmse(run.target_stats.denormalize(predict(net, xs)), ys, angle_ranges(ys))
     med_epoch = np.median([e.seconds for e in report.epochs])
     print(f"trained {trained:.4f} after {len(report.epochs)} epochs "
           f"({t_train:.0f}s, median epoch {med_epoch:.1f}s)")

@@ -11,57 +11,23 @@ import warnings
 
 import numpy as np
 
-from myograsp import datapipe, splits, synthgen
+from myograsp import splits, synthgen
+from myograsp.experiment import TrainRunConfig, prepare_run, synthesize
 from myograsp.metrics import angle_ranges, nrmse
-from myograsp.network import Network, NetworkConfig
-from myograsp.numerics import derive_rng
-from myograsp.training import TargetStats, TrainConfig, predict, train
+from myograsp.training import predict, train
 
 
-def build_dataset(seed, n_subjects=3, n_sessions=5, seconds=60.0, stride=64):
-    cfg = synthgen.SynthConfig(n_subjects=n_subjects, sessions_per_subject=n_sessions,
-                               session_seconds=seconds, seed=seed)
-    window_sets, sessions = [], []
-    floor = None
-    for subj in range(cfg.n_subjects):
-        for sess in range(cfg.sessions_per_subject):
-            emg, ang, _ = synthgen.generate_session(cfg, subj, sess)
-            if subj == 0 and sess == 0:
-                floor = synthgen.linear_baseline_nrmse(emg, ang)
-            ws, rec = datapipe.preprocess_session(emg, ang, stride=stride)
-            window_sets.append(ws)
-            sessions.append({"subject": subj, "session": sess,
-                             "t_start": float(rec.timestamps_ms[0]),
-                             "t_end": float(rec.timestamps_ms[-1])})
-    return datapipe.concat_windows(window_sets), sessions, floor
-
-
-def run_one(ws, sessions, model, protocol, ada, seed, epochs, hidden=32,
-            pred_hidden=64, batch=128, fold=0, lr=0.001):
-    plan = splits.make_split(protocol, ws, sessions, fold, seed)
-    tr, va, te = plan.indices(0), plan.indices(1), plan.indices(2)
-    stats = datapipe.channel_stats(ws, tr)
-    _, ytr = ws.materialize(tr)
-    target_stats = TargetStats.fit(ytr)
-    domains = plan.domain_labels[tr] if ada else None
-    train_src = datapipe.WindowSource(ws, tr, stats, domains)
-    val_src = datapipe.WindowSource(ws, va, stats)
-    ncfg = NetworkConfig(cell_type=model, hidden_size=hidden,
-                         predictor_hidden=pred_hidden, output_angles=15,
-                         use_discriminator=ada,
-                         num_domains=plan.num_domains if ada else 0)
-    net = Network.init(ncfg, derive_rng(seed, "init"))
+def run_one(ws, sessions, cfg):
+    """Train one grid cell; returns (test NRMSE, training seconds)."""
+    run = prepare_run(ws, sessions, cfg)
     t0 = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        net, report = train(net, train_src, val_src,
-                            TrainConfig(learning_rate=lr, max_epochs=epochs,
-                                        patience=epochs, batch_size=batch, seed=seed),
-                            target_stats)
-    xs, ys = ws.materialize(te)
-    preds = target_stats.denormalize(predict(net, stats.apply(xs)))
-    value = nrmse(preds, ys, angle_ranges(ys))
-    return value, time.perf_counter() - t0, [e.seconds for e in report.epochs]
+        net, _ = train(run.net, run.train_src, run.val_src, run.train_config,
+                       run.target_stats)
+    xs, ys = ws.materialize(run.plan.indices(splits.TEST))
+    preds = run.target_stats.denormalize(predict(net, run.stats.apply(xs)))
+    return nrmse(preds, ys, angle_ranges(ys)), time.perf_counter() - t0
 
 
 def main():
@@ -81,12 +47,15 @@ def main():
                   ("sru", "inter-subject", True), ("gru", "inter-subject", True)]
     results = {k: [] for k in cells_grid}
     for seed in args.seeds:
-        ws, sessions, floor = build_dataset(seed, seconds=args.seconds,
-                                            stride=args.stride)
+        ws, sessions, floor = synthesize(synthgen.SynthConfig(
+            n_subjects=3, sessions_per_subject=5, session_seconds=args.seconds,
+            seed=seed), stride=args.stride)
         print(f"seed {seed}: {len(ws)} windows, floor {floor:.4f}")
         for model, protocol, ada in cells_grid:
-            value, elapsed, _ = run_one(ws, sessions, model, protocol, ada,
-                                        seed, args.epochs, hidden=args.hidden)
+            value, elapsed = run_one(ws, sessions, TrainRunConfig(
+                model=model, protocol=protocol, ada=ada, seed=seed, hidden=args.hidden,
+                predictor_hidden=64, max_epochs=args.epochs, patience=args.epochs,
+                batch_size=128))
             results[(model, protocol, ada)].append(value)
             print(f"  {model:4s} {protocol:14s} ada={int(ada)}: "
                   f"nrmse {value:.4f} ({elapsed:.0f}s)")

@@ -15,6 +15,7 @@ import sys
 import tempfile
 
 from myograsp.cli import main as cli
+from myograsp.experiment import checkpoint_name
 
 
 def run(argv):
@@ -69,8 +70,7 @@ def main():
                     if ada:
                         train_args.append("--ada")
                     run(train_args)
-                    name = f"{model}_{'intra-session' if protocol == 'intra' else protocol}" \
-                           f"_fold{fold}_seed{seed}{'_ada' if ada else ''}.ckpt"
+                    name = checkpoint_name(model, protocol, fold, seed, ada) + ".ckpt"
                     run(["evaluate", "--checkpoint", os.path.join(ckpt_dir, name),
                          "--archive", archive, "--results", results])
 

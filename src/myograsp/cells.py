@@ -473,28 +473,29 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
 # dispatch helpers used by the network module
 # ---------------------------------------------------------------------------
 
+# parameter type -> (forward, backward, trace type)
+_CELLS = {
+    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace),
+    GruParams: (gru_forward, gru_backward, GruTrace),
+    SruParams: (sru_forward, sru_backward, SruTrace),
+}
+
+
+def _cell(params: CellParams):
+    try:
+        return _CELLS[type(params)]
+    except KeyError:
+        raise TypeError(f"unknown cell parameter type {type(params)}") from None
+
+
 def cell_forward(params: CellParams, x: np.ndarray, state0=None):
-    if isinstance(params, VanillaParams):
-        return vanilla_forward(params, x, state0)
-    if isinstance(params, GruParams):
-        return gru_forward(params, x, state0)
-    if isinstance(params, SruParams):
-        return sru_forward(params, x, state0)
-    raise TypeError(f"unknown cell parameter type {type(params)}")
+    return _cell(params)[0](params, x, state0)
 
 
 def cell_backward(trace, params: CellParams, upstream: np.ndarray):
     """Dispatch to the matching backward pass; trace and params must pair up."""
-    if isinstance(params, VanillaParams):
-        if not isinstance(trace, VanillaTrace):
-            raise TypeError("trace/params mismatch: vanilla params need a VanillaTrace")
-        return vanilla_backward(trace, params, upstream)
-    if isinstance(params, GruParams):
-        if not isinstance(trace, GruTrace):
-            raise TypeError("trace/params mismatch: GRU params need a GruTrace")
-        return gru_backward(trace, params, upstream)
-    if isinstance(params, SruParams):
-        if not isinstance(trace, SruTrace):
-            raise TypeError("trace/params mismatch: SRU params need an SruTrace")
-        return sru_backward(trace, params, upstream)
-    raise TypeError(f"unknown cell parameter type {type(params)}")
+    _, backward, trace_type = _cell(params)
+    if not isinstance(trace, trace_type):
+        raise TypeError(f"trace/params mismatch: {type(params).__name__} "
+                        f"need a {trace_type.__name__}")
+    return backward(trace, params, upstream)

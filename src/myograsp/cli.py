@@ -23,10 +23,10 @@ import numpy as np
 
 from . import datapipe, splits, synthgen
 from .errors import ConfigError, DataError, NumericError
+from .experiment import TrainRunConfig, checkpoint_name, prepare_run
 from .metrics import angle_ranges, nrmse, rmse
-from .network import Network, NetworkConfig, load_checkpoint, save_checkpoint
-from .numerics import derive_rng
-from .training import TargetStats, TrainConfig, predict, train
+from .network import CELL_TYPES, load_checkpoint, save_checkpoint
+from .training import TargetStats, predict, train
 
 log = logging.getLogger("myograsp.cli")
 
@@ -75,8 +75,12 @@ def read_config_file(path) -> dict:
     return out
 
 
-def resolve_config(cls, args: argparse.Namespace, flag_names: dict):
-    """Layer defaults, config file, MYOGRASP_* environment and flags."""
+def resolve_config(cls, args: argparse.Namespace, renames: dict | None = None):
+    """Layer defaults, config file, MYOGRASP_* environment and flags.
+
+    A flag sets the field its dest is named after; ``renames`` maps the
+    fields whose flag is named differently to that flag's dest.
+    """
     field_types = {f.name: f.type for f in dataclasses.fields(cls)}
     type_map = {"int": int, "float": float, "str": str, "bool": bool}
     values = {}
@@ -99,10 +103,10 @@ def resolve_config(cls, args: argparse.Namespace, flag_names: dict):
         t = type_map.get(t, t) if isinstance(t, str) else t
         coerced[name] = _coerce(raw, t) if isinstance(raw, str) else raw
 
-    for field_name, flag in flag_names.items():
-        val = getattr(args, flag, None)
+    for name in field_types:
+        val = getattr(args, (renames or {}).get(name, name), None)
         if val is not None:
-            coerced[field_name] = val
+            coerced[name] = val
 
     try:
         return cls(**coerced)
@@ -115,12 +119,9 @@ def resolve_config(cls, args: argparse.Namespace, flag_names: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    flags = {"n_subjects": "subjects", "sessions_per_subject": "sessions",
-             "session_seconds": "seconds", "mode": "mode", "seed": "seed",
-             "noise_std": "noise_std", "emg_rate": "emg_rate",
-             "angle_rate": "angle_rate",
-             "subject_mixing_perturbation": "perturbation"}
-    cfg = resolve_config(synthgen.SynthConfig, args, flags)
+    cfg = resolve_config(synthgen.SynthConfig, args, {
+        "n_subjects": "subjects", "sessions_per_subject": "sessions",
+        "session_seconds": "seconds", "subject_mixing_perturbation": "perturbation"})
     manifest = synthgen.write_dataset(cfg, args.out)
     n = len(manifest["recordings"])
     log.info("generated %d recordings (%d stream files) under %s",
@@ -141,14 +142,26 @@ class PreprocessConfig:
     angle_cutoff: float = datapipe.ANGLE_CUTOFF_HZ
     target_margin: int = datapipe.EDGE_MARGIN_ROWS
 
+    def __post_init__(self):
+        # ValueError becomes ConfigError (exit 2) in resolve_config; a zero
+        # max_gap is legal (exact pairing) and fails on the data if nothing pairs
+        rules = {"stride >= 1": self.stride >= 1, "target_margin >= 0": self.target_margin >= 0,
+                 "max_gap >= 0": self.max_gap >= 0, "emg_cutoff > 0": self.emg_cutoff > 0,
+                 "angle_cutoff > 0": self.angle_cutoff > 0}
+        for rule, ok in rules.items():
+            if not ok:
+                raise ValueError(f"need {rule}, got {getattr(self, rule.split()[0])}")
+
 
 def cmd_preprocess(args) -> int:
-    flags = {"stride": "stride", "max_gap": "max_gap",
-             "emg_cutoff": "emg_cutoff", "angle_cutoff": "angle_cutoff",
-             "target_margin": "target_margin"}
-    cfg = resolve_config(PreprocessConfig, args, flags)
+    cfg = resolve_config(PreprocessConfig, args)
     manifest = datapipe.read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
+    # both columns are filtered at the emg rate once the streams are aligned
+    nyquist = manifest["emg_rate"] / 2
+    if max(cfg.emg_cutoff, cfg.angle_cutoff) >= nyquist:
+        raise ConfigError(f"cutoffs must lie below the {nyquist} Hz Nyquist "
+                          f"frequency of the emg stream")
 
     window_sets = []
     for entry in manifest["recordings"]:
@@ -158,10 +171,7 @@ def cmd_preprocess(args) -> int:
         ang = datapipe.read_stream_csv(os.path.join(base, entry["angles"]),
                                        entry["subject"], entry["session"],
                                        "angles", manifest["angle_rate"])
-        ws, _ = datapipe.preprocess_session(
-            emg, ang, stride=cfg.stride, max_gap=cfg.max_gap,
-            emg_cutoff=cfg.emg_cutoff, angle_cutoff=cfg.angle_cutoff,
-            target_margin=cfg.target_margin)
+        ws, _ = datapipe.preprocess_session(emg, ang, **dataclasses.asdict(cfg))
         window_sets.append(ws)
     combined = datapipe.concat_windows(window_sets)
 
@@ -180,106 +190,29 @@ def cmd_preprocess(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
-class TrainRunConfig:
-    model: str = "gru"
-    protocol: str = "intra"
-    fold: int = 0
-    ada: bool = False
-    seed: int = 0
-    hidden: int = 256
-    layers: int = 2
-    predictor_hidden: int = 256
-    learning_rate: float = 0.001
-    max_epochs: int = 30
-    patience: int = 8
-    batch_size: int = 64
-    disc_loss_weight: float = 1.0
-
-    def __post_init__(self):
-        # ValueError becomes ConfigError (exit 2) in resolve_config
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("hidden", "layers", "predictor_hidden", "batch_size", "max_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.patience > self.max_epochs:
-            raise ValueError(f"patience ({self.patience}) must be <= max_epochs "
-                             f"({self.max_epochs})")
-
-
-def _canonical_protocol(name: str) -> str:
-    if name in ("intra", "intra-session"):
-        return "intra-session"
-    if name in ("inter-session", "inter-subject"):
-        return name
-    raise ConfigError(f"unknown protocol {name!r}")
-
-
-def checkpoint_name(model: str, protocol: str, fold: int, seed: int, ada: bool) -> str:
-    tag = "_ada" if ada else ""
-    return f"{model}_{protocol}_fold{fold}_seed{seed}{tag}"
-
-
 def cmd_train(args) -> int:
-    flags = {"model": "model", "protocol": "protocol", "fold": "fold",
-             "ada": "ada", "seed": "seed", "hidden": "hidden",
-             "layers": "layers", "predictor_hidden": "predictor_hidden",
-             "learning_rate": "lr", "max_epochs": "epochs",
-             "patience": "patience", "batch_size": "batch_size",
-             "disc_loss_weight": "disc_weight"}
-    cfg = resolve_config(TrainRunConfig, args, flags)
-    protocol = _canonical_protocol(cfg.protocol)
-    if cfg.ada and protocol == "intra-session":
-        raise ConfigError("--ada requires a multi-domain protocol "
-                          "(inter-session or inter-subject)")
-    if cfg.model not in ("vanilla", "gru", "sru"):
-        raise ConfigError(f"unknown model {cfg.model!r}")
-
+    cfg = resolve_config(TrainRunConfig, args, {
+        "learning_rate": "lr", "max_epochs": "epochs", "disc_loss_weight": "disc_weight"})
     window_set, meta = datapipe.load_archive(args.archive)
-    plan = splits.make_split(protocol, window_set, meta["sessions"],
-                             cfg.fold, cfg.seed)
-    train_idx = plan.indices(splits.TRAIN)
-    val_idx = plan.indices(splits.VALIDATION)
-    if len(train_idx) == 0 or len(val_idx) == 0:
-        raise DataError(f"split produced empty train ({len(train_idx)}) or "
-                        f"validation ({len(val_idx)}) set")
-    log.info("split %s fold %d: %s", protocol, cfg.fold, plan.counts())
-
-    stats = datapipe.channel_stats(window_set, train_idx)
-    _, train_targets = window_set.materialize(train_idx)
-    target_stats = TargetStats.fit(train_targets)
-    domains = plan.domain_labels[train_idx] if cfg.ada else None
-    train_src = datapipe.WindowSource(window_set, train_idx, stats, domains)
-    val_src = datapipe.WindowSource(window_set, val_idx, stats)
-
-    net_cfg = NetworkConfig(
-        cell_type=cfg.model, input_channels=8, hidden_size=cfg.hidden,
-        num_recurrent_layers=cfg.layers, predictor_hidden=cfg.predictor_hidden,
-        output_angles=int(meta["n_angles"]), use_discriminator=cfg.ada,
-        num_domains=plan.num_domains if cfg.ada else 0)
-    net = Network.init(net_cfg, derive_rng(cfg.seed, "init"))
-    train_cfg = TrainConfig(learning_rate=cfg.learning_rate,
-                            max_epochs=cfg.max_epochs, patience=cfg.patience,
-                            batch_size=cfg.batch_size,
-                            disc_loss_weight=cfg.disc_loss_weight,
-                            seed=cfg.seed)
-    net, report = train(net, train_src, val_src, train_cfg, target_stats)
+    run = prepare_run(window_set, meta["sessions"], cfg)
+    log.info("split %s fold %d: %s", run.plan.protocol, cfg.fold, run.plan.counts())
+    net, report = train(run.net, run.train_src, run.val_src, run.train_config,
+                        run.target_stats)
 
     os.makedirs(args.out_dir, exist_ok=True)
-    stem = checkpoint_name(cfg.model, protocol, cfg.fold, cfg.seed, cfg.ada)
+    stem = checkpoint_name(cfg.model, cfg.protocol, cfg.fold, cfg.seed, cfg.ada)
     ckpt_path = os.path.join(args.out_dir, stem + ".ckpt")
     save_checkpoint(ckpt_path, net, meta={
-        "model": cfg.model, "protocol": protocol, "fold": cfg.fold,
+        "model": cfg.model, "protocol": run.plan.protocol, "fold": cfg.fold,
         "seed": cfg.seed, "ada": cfg.ada, "mode": meta["mode"],
-        "norm_mean": stats.mean.tolist(), "norm_std": stats.std.tolist(),
-        "target_mean": target_stats.mean.tolist(),
-        "target_std": target_stats.std.tolist(),
+        "norm_mean": run.stats.mean.tolist(), "norm_std": run.stats.std.tolist(),
+        "target_mean": run.target_stats.mean.tolist(),
+        "target_std": run.target_stats.std.tolist(),
         "best_epoch": report.best_epoch,
         "best_val_nrmse": report.best_val_nrmse})
     report.to_csv(os.path.join(args.out_dir, stem + "_report.csv"))
     if args.split_audit:
-        plan.to_csv(args.split_audit, window_set)
+        run.plan.to_csv(args.split_audit, window_set)
     log.info("best epoch %d (val NRMSE %.4f), stopped at epoch %d",
              report.best_epoch, report.best_val_nrmse, report.stopping_epoch)
     print(ckpt_path)
@@ -302,17 +235,20 @@ def append_results(path, rows) -> None:
 
 def cmd_evaluate(args) -> int:
     net, meta = load_checkpoint(args.checkpoint)
+    missing = [key for key in ("model", "protocol", "fold", "seed", "ada", "norm_mean",
+                               "norm_std", "target_mean", "target_std") if key not in meta]
+    if missing:
+        raise DataError(f"checkpoint {args.checkpoint} misses meta keys {missing}")
     window_set, archive_meta = datapipe.load_archive(args.archive)
     if int(archive_meta["n_angles"]) != net.config.output_angles:
         raise ConfigError(
             f"checkpoint predicts {net.config.output_angles} angles but archive "
             f"holds {archive_meta['n_angles']} ({archive_meta['mode']} mode)")
 
-    protocol = _canonical_protocol(args.protocol or meta["protocol"])
     fold = meta["fold"] if args.fold is None else args.fold
     seed = int(meta["seed"])
-    plan = splits.make_split(protocol, window_set, archive_meta["sessions"],
-                             fold, seed)
+    plan = splits.make_split(args.protocol or meta["protocol"], window_set,
+                             archive_meta["sessions"], fold, seed)
     test_idx = plan.indices(splits.TEST)
     if len(test_idx) == 0:
         raise DataError("split produced an empty test set")
@@ -320,19 +256,18 @@ def cmd_evaluate(args) -> int:
     stats = datapipe.NormStats(mean=np.asarray(meta["norm_mean"]),
                                std=np.asarray(meta["norm_std"]))
     xs, ys = window_set.materialize(test_idx)
-    preds = predict(net, stats.apply(xs))
-    if "target_mean" in meta:
-        preds = TargetStats(mean=np.asarray(meta["target_mean"]),
-                            std=np.asarray(meta["target_std"])).denormalize(preds)
+    target_stats = TargetStats(mean=np.asarray(meta["target_mean"]),
+                               std=np.asarray(meta["target_std"]))
+    preds = target_stats.denormalize(predict(net, stats.apply(xs)))
     test_rmse = rmse(preds, ys)
     test_nrmse = nrmse(preds, ys, angle_ranges(ys))
 
     ada = "true" if meta["ada"] else "false"
-    rows = [["rmse", meta["model"], protocol, ada, fold, seed, f"{test_rmse:.10g}"],
-            ["nrmse", meta["model"], protocol, ada, fold, seed, f"{test_nrmse:.10g}"]]
+    rows = [["rmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_rmse:.10g}"],
+            ["nrmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_nrmse:.10g}"]]
     append_results(args.results, rows)
     log.info("%s fold %d: rmse=%.4f nrmse=%.4f on %d test windows",
-             protocol, fold, test_rmse, test_nrmse, len(test_idx))
+             plan.protocol, fold, test_rmse, test_nrmse, len(test_idx))
 
     if args.dump_trajectories:
         order = np.argsort(window_set.end_ts[test_idx], kind="stable")
@@ -467,9 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--archive", required=True)
     t.add_argument("--out-dir", required=True)
     t.add_argument("--config", help="key = value config file")
-    t.add_argument("--model", choices=["vanilla", "gru", "sru"])
-    t.add_argument("--protocol",
-                   choices=["intra", "intra-session", "inter-session", "inter-subject"])
+    t.add_argument("--model", choices=CELL_TYPES)
+    t.add_argument("--protocol", choices=splits.PROTOCOLS)
     t.add_argument("--fold", type=int)
     t.add_argument("--ada", action="store_const", const=True, default=None,
                    help="adversarial domain adaptation")
@@ -489,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--archive", required=True)
     e.add_argument("--results", required=True, help="append-only results CSV")
-    e.add_argument("--protocol",
-                   choices=["intra", "intra-session", "inter-session", "inter-subject"])
+    e.add_argument("--protocol", choices=splits.PROTOCOLS)
     e.add_argument("--fold", type=int)
     e.add_argument("--dump-trajectories",
                    help="write predicted vs true angle time series CSV")

@@ -17,11 +17,11 @@ batch, which avoids duplicating overlapping window data in memory.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import logging
 import warnings
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +34,6 @@ log = logging.getLogger("myograsp.datapipe")
 __all__ = [
     "RawStream",
     "AlignedRecording",
-    "Sample",
     "WindowSet",
     "NormStats",
     "WindowSource",
@@ -47,6 +46,7 @@ __all__ = [
     "read_stream_csv",
     "write_stream_csv",
     "read_manifest",
+    "session_table",
     "save_archive",
     "load_archive",
     "preprocess_session",
@@ -109,17 +109,6 @@ class AlignedRecording:
 
     def __len__(self):
         return len(self.timestamps_ms)
-
-
-@dataclass
-class Sample:
-    window: np.ndarray        # (window_size, 8)
-    target: np.ndarray        # (A,)
-    domain_label: int
-    subject_id: int
-    session_id: int
-    start_timestamp: float
-    end_timestamp: float
 
 
 def align(emg: RawStream, angles: RawStream, max_gap: float = MAX_GAP_MS) -> AlignedRecording:
@@ -203,7 +192,15 @@ class WindowSet:
         self.rec_index = np.asarray(rec_index, dtype=np.int32)
         self.start_row = np.asarray(start_row, dtype=np.int64)
         self.window = int(window)
+        self._check_bounds()
         self._metadata()
+
+    def _check_bounds(self):
+        ri, sr = self.rec_index, self.start_row
+        rows = np.array([len(rec) for rec in self.recordings], dtype=np.int64)
+        if (ri.ndim != 1 or ri.shape != sr.shape or np.any(ri < 0) or np.any(ri >= len(rows))
+                or np.any(sr < 0) or np.any(sr + self.window > rows[ri])):
+            raise DataError(f"window index runs outside its {len(rows)} recordings")
 
     def _metadata(self):
         n = len(self.rec_index)
@@ -240,17 +237,6 @@ class WindowSet:
             x[j] = rec.emg[s:s + self.window]
             y[j] = rec.angles[s + self.window - 1]
         return x, y
-
-    def sample(self, i: int, domain_label: int = -1) -> Sample:
-        x, y = self.materialize(np.array([i]))
-        return Sample(window=x[0], target=y[0], domain_label=domain_label,
-                      subject_id=int(self.subject_ids[i]),
-                      session_id=int(self.session_ids[i]),
-                      start_timestamp=float(self.start_ts[i]),
-                      end_timestamp=float(self.end_ts[i]))
-
-    def samples(self):
-        return [self.sample(i) for i in range(len(self))]
 
 
 def make_windows(rec: AlignedRecording, window: int = WINDOW_SIZE, stride: int = 8,
@@ -428,20 +414,24 @@ def preprocess_session(emg: RawStream, angles: RawStream, stride: int,
     return ws, rec
 
 
+def session_table(recordings: list) -> list:
+    """One row per recording: the session table the split protocols read."""
+    return [{"subject": rec.subject_id, "session": rec.session_id,
+             "rows": len(rec),
+             "t_start": float(rec.timestamps_ms[0]),
+             "t_end": float(rec.timestamps_ms[-1])}
+            for rec in recordings]
+
+
 def save_archive(path, window_set: WindowSet, meta: dict) -> None:
     """Persist aligned recordings plus the window index as one .npz file."""
-    sessions = []
     payload = {}
     for i, rec in enumerate(window_set.recordings):
         payload[f"rec{i}_ts"] = rec.timestamps_ms
         payload[f"rec{i}_emg"] = rec.emg
         payload[f"rec{i}_angles"] = rec.angles
-        sessions.append({"subject": rec.subject_id, "session": rec.session_id,
-                         "rows": len(rec),
-                         "t_start": float(rec.timestamps_ms[0]),
-                         "t_end": float(rec.timestamps_ms[-1])})
     header = {"format": ARCHIVE_FORMAT, "window": window_set.window,
-              "sessions": sessions, "meta": meta}
+              "sessions": session_table(window_set.recordings), "meta": meta}
     payload["__header__"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     payload["windows_rec_index"] = window_set.rec_index
@@ -453,39 +443,27 @@ def save_archive(path, window_set: WindowSet, meta: dict) -> None:
 
 
 def load_archive(path):
-    """Load a sample archive; returns (WindowSet, meta dict)."""
+    """Load a sample archive; returns (WindowSet, meta dict).
+
+    An unreadable container, a missing entry or a window index that runs
+    outside its recording is a DataError.
+    """
     try:
-        data = np.load(path)
-    except OSError as exc:
+        with np.load(path) as data:
+            if "__header__" not in data:
+                raise DataError("not a myograsp archive")
+            header = json.loads(bytes(data["__header__"]).decode("utf-8"))
+            if header.get("format") != ARCHIVE_FORMAT:
+                raise DataError(f"unsupported archive format {header.get('format')!r}")
+            recordings = []
+            for i, sess in enumerate(header["sessions"]):
+                recordings.append(AlignedRecording(
+                    subject_id=int(sess["subject"]), session_id=int(sess["session"]),
+                    timestamps_ms=data[f"rec{i}_ts"], emg=data[f"rec{i}_emg"],
+                    angles=data[f"rec{i}_angles"]))
+            ws = WindowSet(recordings, data["windows_rec_index"],
+                           data["windows_start_row"], header["window"])
+            meta = dict(header["meta"], sessions=header["sessions"])
+    except (DataError, OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read archive {path}: {exc}") from exc
-    with data:
-        if "__header__" not in data:
-            raise DataError(f"{path}: not a myograsp archive")
-        header = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        if header.get("format") != ARCHIVE_FORMAT:
-            raise DataError(f"{path}: unsupported archive format {header.get('format')!r}")
-        recordings = []
-        for i, sess in enumerate(header["sessions"]):
-            recordings.append(AlignedRecording(
-                subject_id=int(sess["subject"]), session_id=int(sess["session"]),
-                timestamps_ms=data[f"rec{i}_ts"], emg=data[f"rec{i}_emg"],
-                angles=data[f"rec{i}_angles"]))
-        ws = WindowSet(recordings, data["windows_rec_index"],
-                       data["windows_start_row"], header["window"])
-    meta = dict(header["meta"])
-    meta["sessions"] = header["sessions"]
     return ws, meta
-
-
-def plan_to_csv(path, plan, window_set: WindowSet) -> None:
-    """Audit file: one row per sample with its split assignment."""
-    names = {0: "train", 1: "validation", 2: "test", 3: "excluded"}
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["sample_id", "protocol", "fold", "subject", "session",
-                    "start_ts", "end_ts", "assignment", "domain_label"])
-        for i in range(len(window_set)):
-            w.writerow([i, plan.protocol, plan.fold_index,
-                        window_set.subject_ids[i], window_set.session_ids[i],
-                        f"{window_set.start_ts[i]:.3f}", f"{window_set.end_ts[i]:.3f}",
-                        names[int(plan.assignment[i])], int(plan.domain_labels[i])])

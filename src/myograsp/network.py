@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import io
 import json
+import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cells
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .numerics import init_params, relu
 
 __all__ = [
@@ -295,15 +296,24 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Load a checkpoint; returns (Network, meta dict)."""
-    with np.load(path) as data:
-        if "__header__" not in data:
-            raise ConfigError(f"{path}: not a myograsp checkpoint")
-        header = json.loads(bytes(data["__header__"]).decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"{path}: unsupported checkpoint format {header.get('format')!r}")
-        cfg = NetworkConfig(**header["config"])
-        rng = np.random.default_rng(0)   # placeholder draws, overwritten below
-        net = Network.init(cfg, rng)
-        net.set_params({name: data[name] for name, _ in net.named_params()})
-    return net, header["meta"]
+    """Load a checkpoint; returns (Network, meta dict).
+
+    An unreadable container or a missing or misshapen parameter is a
+    DataError; a readable file of another format is a ConfigError.
+    """
+    try:
+        with np.load(path) as data:
+            if "__header__" not in data:
+                raise ConfigError(f"{path}: not a myograsp checkpoint")
+            header = json.loads(bytes(data["__header__"]).decode("utf-8"))
+            if header.get("format") != CHECKPOINT_FORMAT:
+                raise ConfigError(f"{path}: unsupported checkpoint format "
+                                  f"{header.get('format')!r}")
+            cfg = NetworkConfig(**header["config"])
+            rng = np.random.default_rng(0)   # placeholder draws, overwritten below
+            net = Network.init(cfg, rng)
+            net.set_params({name: data[name] for name, _ in net.named_params()})
+            meta = header["meta"]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    return net, meta

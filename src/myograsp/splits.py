@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .datapipe import WindowSet
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .numerics import derive_rng
 
 __all__ = [
@@ -34,8 +34,13 @@ __all__ = [
     "inter_session_split",
     "inter_subject_split",
     "make_split",
+    "canonical_protocol", "PROTOCOLS",
     "BLOCK_SECONDS", "PERIOD_SECONDS",
 ]
+
+# accepted protocol names -> the canonical name a SplitPlan carries
+PROTOCOLS = {"intra": "intra-session", "intra-session": "intra-session",
+             "inter-session": "inter-session", "inter-subject": "inter-subject"}
 
 TRAIN, VALIDATION, TEST, EXCLUDED = 0, 1, 2, 3
 ASSIGNMENT_NAMES = {TRAIN: "train", VALIDATION: "validation", TEST: "test",
@@ -227,7 +232,7 @@ def inter_session_split(window_set: WindowSet, sessions: list, fold: int,
     if len(keys) < n_folds:
         raise DataError(f"inter-session split needs >= {n_folds} sessions, have {len(keys)}")
     if not 0 <= fold < n_folds:
-        raise ValueError(f"fold must lie in [0, {n_folds}), got {fold}")
+        raise ConfigError(f"fold must lie in [0, {n_folds}), got {fold}")
     test_keys = {k for i, k in enumerate(keys) if i % n_folds == fold}
     train_keys = [k for k in keys if k not in test_keys]
     domain_of = {k: i for i, k in enumerate(train_keys)}
@@ -244,7 +249,7 @@ def inter_subject_split(window_set: WindowSet, sessions: list, fold: int,
     if len(subjects) < 2:
         raise DataError("inter-subject split needs at least 2 subjects")
     if not 0 <= fold < len(subjects):
-        raise ValueError(f"fold must lie in [0, {len(subjects)}), got {fold}")
+        raise ConfigError(f"fold must lie in [0, {len(subjects)}), got {fold}")
     test_subject = subjects[fold]
     train_subjects = [s for s in subjects if s != test_subject]
     subject_domain = {s: i for i, s in enumerate(train_subjects)}
@@ -254,12 +259,18 @@ def inter_subject_split(window_set: WindowSet, sessions: list, fold: int,
                           test_keys, domain_of, num_domains=len(train_subjects))
 
 
+def canonical_protocol(name: str) -> str:
+    try:
+        return PROTOCOLS[name]
+    except KeyError:
+        raise ConfigError(f"unknown protocol {name!r}") from None
+
+
 def make_split(protocol: str, window_set: WindowSet, sessions: list,
                fold: int, seed: int) -> SplitPlan:
-    if protocol in ("intra", "intra-session"):
+    protocol = canonical_protocol(protocol)
+    if protocol == "intra-session":
         return intra_session_split(window_set, sessions, seed)
     if protocol == "inter-session":
         return inter_session_split(window_set, sessions, fold, seed)
-    if protocol == "inter-subject":
-        return inter_subject_split(window_set, sessions, fold, seed)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return inter_subject_split(window_set, sessions, fold, seed)

@@ -370,25 +370,24 @@ def write_dataset(cfg: SynthConfig, out_dir) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     recordings = []
     floor = None
-    for subject in range(cfg.n_subjects):
-        for session in range(cfg.sessions_per_subject):
-            emg, ang, latents = generate_session(cfg, subject, session)
-            emg_name = f"s{subject}_r{session}_emg.csv"
-            ang_name = f"s{subject}_r{session}_angles.csv"
-            datapipe.write_stream_csv(os.path.join(out_dir, emg_name), emg)
-            datapipe.write_stream_csv(os.path.join(out_dir, ang_name), ang)
-            if subject == 0:
-                lat_name = f"r{session}_latents.csv"
-                header = "timestamp_ms," + ",".join(f"latent{i}" for i in range(N_LATENTS))
-                np.savetxt(os.path.join(out_dir, lat_name),
-                           np.column_stack([emg.timestamps_ms, latents]),
-                           fmt="%.6f", delimiter=",", header=header, comments="")
-            if subject == 0 and session == 0:
-                floor = linear_baseline_nrmse(emg, ang)
-                log.info("linear baseline NRMSE floor: %.4f", floor)
-            recordings.append({"subject": subject, "session": session,
-                               "emg": emg_name, "angles": ang_name})
-            log.info("wrote s%d r%d (%.0f s)", subject, session, cfg.session_seconds)
+    for emg, ang, latents in generate(cfg):
+        subject, session = emg.subject_id, emg.session_id
+        emg_name = f"s{subject}_r{session}_emg.csv"
+        ang_name = f"s{subject}_r{session}_angles.csv"
+        datapipe.write_stream_csv(os.path.join(out_dir, emg_name), emg)
+        datapipe.write_stream_csv(os.path.join(out_dir, ang_name), ang)
+        if subject == 0:
+            lat_name = f"r{session}_latents.csv"
+            header = "timestamp_ms," + ",".join(f"latent{i}" for i in range(N_LATENTS))
+            np.savetxt(os.path.join(out_dir, lat_name),
+                       np.column_stack([emg.timestamps_ms, latents]),
+                       fmt="%.6f", delimiter=",", header=header, comments="")
+        if subject == 0 and session == 0:
+            floor = linear_baseline_nrmse(emg, ang)
+            log.info("linear baseline NRMSE floor: %.4f", floor)
+        recordings.append({"subject": subject, "session": session,
+                           "emg": emg_name, "angles": ang_name})
+        log.info("wrote s%d r%d (%.0f s)", subject, session, cfg.session_seconds)
     manifest = {
         "mode": cfg.mode,
         "n_angles": cfg.n_angles,

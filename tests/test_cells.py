@@ -225,6 +225,11 @@ def test_trace_params_mismatch():
         cells.cell_backward(gru_trace, sru, np.zeros((1, 4, 3)))
 
 
+def test_unknown_params_type():
+    with pytest.raises(TypeError, match="unknown cell parameter type"):
+        cells.cell_forward(object(), np.zeros((1, 4, 2)))
+
+
 def test_upstream_shape_mismatch():
     rng = make_rng(0)
     p = cells.init_gru(2, 3, rng)

@@ -110,6 +110,18 @@ class TestPreprocess:
                      "--out", str(tmp_path / "x.npz"), "--max-gap", "0"])
         assert code == cli.EXIT_IO
 
+    @pytest.mark.parametrize("flags", [
+        ["--stride", "0"], ["--target-margin", "-1"], ["--max-gap", "-1"],
+        ["--emg-cutoff", "0"], ["--angle-cutoff", "nan"],
+        ["--emg-cutoff", "150"], ["--angle-cutoff", "100"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_flag_values_exit_config(self, dataset_dir, tmp_path, capsys, flags):
+        code = main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "x.npz")] + flags)
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_manifest(self, tmp_path):
         code = main(["preprocess", "--manifest", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "x.npz")])
@@ -134,6 +146,7 @@ class TestTrain:
         ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--hidden", "0"],
         ["--layers", "0"], ["--predictor-hidden", "0"], ["--batch-size", "0"],
         ["--epochs", "0"], ["--epochs", "2", "--patience", "3"],
+        ["--protocol", "inter-subject", "--fold", "9"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_flag_values_exit_config(self, archive_path, tmp_path, capsys, flags):
         code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
@@ -142,6 +155,19 @@ class TestTrain:
         assert code == cli.EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line", ["model = lstm", "protocol = bootstrap",
+                                      "ada = true"])
+    def test_bad_config_values_exit_config(self, archive_path, tmp_path, capsys, line):
+        # config files bypass argparse's choices; the run config still rejects
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out_dir = tmp_path / "out"
+        code = main(["train", "--archive", str(archive_path), "--out-dir", str(out_dir),
+                     "--config", str(cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_retrain_is_deterministic(self, archive_path, checkpoint_path,
                                       tmp_path):
@@ -188,6 +214,16 @@ class TestEvaluate:
         assert header.startswith("end_timestamp_ms,true0")
         assert ",pred0" in header
 
+    def test_fold_out_of_range_exits_config(self, archive_path, checkpoint_path,
+                                            tmp_path, capsys):
+        results = tmp_path / "r.csv"
+        code = main(["evaluate", "--checkpoint", str(checkpoint_path),
+                     "--archive", str(archive_path), "--results", str(results),
+                     "--protocol", "inter-subject", "--fold", "9"])
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not results.exists()
+
     def test_mode_mismatch_rejected(self, checkpoint_path, tmp_path):
         # build an 18-angle (mobile) archive: the 15-angle checkpoint must fail
         out = tmp_path / "mobile"
@@ -226,6 +262,60 @@ class TestEvaluate:
         rows = results.read_text().strip().splitlines()[1:]
         assert float(rows[0].split(",")[-1]) < 1e-12
         assert float(rows[1].split(",")[-1]) < 1e-12
+
+
+def truncated(src, dst):
+    dst.write_bytes(src.read_bytes()[:2000])
+
+
+def archive_edit(key, value_fn):
+    """Copy an archive with entry ``key`` of the first window set to value_fn(arrays)."""
+    def make(src, dst):
+        with np.load(src) as data:
+            arrays = dict(data)
+        arrays[key] = arrays[key].copy()
+        arrays[key][0] = value_fn(arrays)
+        np.savez(dst, **arrays)
+    return make
+
+
+def without_target_stats(src, dst):
+    from myograsp.network import load_checkpoint, save_checkpoint
+    net, meta = load_checkpoint(src)
+    save_checkpoint(dst, net, {k: v for k, v in meta.items()
+                               if k not in ("target_mean", "target_std")})
+
+
+CORRUPT = {
+    "truncated archive": ("archive", truncated),
+    "non-zip archive": ("archive", lambda src, dst: dst.write_bytes(b"junk\n" * 50)),
+    "recording index past the end": ("archive", archive_edit(
+        "windows_rec_index", lambda a: 99)),
+    "negative start row": ("archive", archive_edit("windows_start_row", lambda a: -1)),
+    "window past its recording": ("archive", archive_edit(
+        "windows_start_row", lambda a: len(a["rec0_ts"]) - 127)),
+    "truncated checkpoint": ("checkpoint", truncated),
+    "checkpoint without target stats": ("checkpoint", without_target_stats),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT))
+def test_corrupt_input_exits_io(archive_path, checkpoint_path, tmp_path, capsys, case):
+    kind, make = CORRUPT[case]
+    bad = tmp_path / "bad.npz"
+    make(archive_path if kind == "archive" else checkpoint_path, bad)
+    archive = bad if kind == "archive" else archive_path
+    checkpoint = bad if kind == "checkpoint" else checkpoint_path
+    out_dir, results = tmp_path / "out", tmp_path / "r.csv"
+    if kind == "archive":
+        assert main(["train", "--archive", str(bad), "--out-dir", str(out_dir),
+                     "--hidden", "8", "--predictor-hidden", "8", "--epochs", "1",
+                     "--patience", "1"]) == cli.EXIT_IO
+        assert not out_dir.exists()
+    assert main(["evaluate", "--checkpoint", str(checkpoint), "--archive", str(archive),
+                 "--results", str(results)]) == cli.EXIT_IO
+    assert "Traceback" not in capsys.readouterr().err
+    assert not results.exists()
 
 
 class TestReport:

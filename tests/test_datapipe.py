@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myograsp import datapipe
-from myograsp.datapipe import (AlignedRecording, NormStats, RawStream, align,
+from myograsp.datapipe import (AlignedRecording, NormStats, RawStream, WindowSet, align,
                                channel_stats, concat_windows, lowpass,
                                make_windows, normalize)
 from myograsp.errors import DataError, EmptyOverlapError
@@ -156,10 +156,10 @@ class TestMakeWindows:
         rec = recording(128)
         ws = make_windows(rec, 128, stride=17)
         assert len(ws) == 1
-        s = ws.sample(0)
-        np.testing.assert_array_equal(s.window, rec.emg)
-        np.testing.assert_array_equal(s.target, rec.angles[-1])
-        assert s.end_timestamp == rec.timestamps_ms[-1]
+        x, y = ws.materialize(np.array([0]))
+        np.testing.assert_array_equal(x[0], rec.emg)
+        np.testing.assert_array_equal(y[0], rec.angles[-1])
+        assert ws.end_ts[0] == rec.timestamps_ms[-1]
 
     def test_window_count_formula(self):
         # (200 - 128) // 8 + 1 = 10, targets at rows 127, 135, ..., 199
@@ -295,3 +295,16 @@ def test_preprocess_session_end_to_end():
     # margin keeps targets away from both filtered ends
     assert np.all(ws.start_row + 127 >= datapipe.EDGE_MARGIN_ROWS)
     assert np.all(ws.start_row + 127 < len(rec) - datapipe.EDGE_MARGIN_ROWS)
+
+
+class TestWindowBounds:
+    @pytest.mark.parametrize("rec_index, start_row", [
+        ([1], [0]), ([-1], [0]), ([0], [-1]), ([0], [200 - 127]), ([0, 0], [0]),
+    ])
+    def test_out_of_range_index_is_data_error(self, rec_index, start_row):
+        with pytest.raises(DataError):
+            WindowSet([recording(200)], rec_index, start_row, 128)
+
+    def test_last_window_fits(self):
+        ws = WindowSet([recording(200)], [0], [200 - 128], 128)
+        assert ws.end_ts[0] == ws.recordings[0].timestamps_ms[-1]

@@ -3,7 +3,7 @@ import pytest
 
 from myograsp import splits
 from myograsp.datapipe import AlignedRecording, concat_windows, make_windows
-from myograsp.errors import DataError
+from myograsp.errors import ConfigError, DataError
 from myograsp.numerics import derive_rng, make_rng
 from myograsp.splits import (EXCLUDED, TEST, TRAIN, VALIDATION, carve_periods,
                              inter_session_split, inter_subject_split,
@@ -201,7 +201,7 @@ class TestInterSession:
 
     def test_bad_fold(self):
         ws, sessions = fake_dataset(n_subjects=2, n_sessions=5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             inter_session_split(ws, sessions, fold=5, seed=0)
 
 
@@ -248,7 +248,7 @@ class TestMakeSplitAndAudit:
         assert make_split("intra", ws, sessions, 0, 0).protocol == "intra-session"
         assert make_split("inter-session", ws, sessions, 0, 0).protocol == "inter-session"
         assert make_split("inter-subject", ws, sessions, 1, 0).protocol == "inter-subject"
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             make_split("bootstrap", ws, sessions, 0, 0)
 
     def test_audit_csv(self, tmp_path):
