@@ -28,8 +28,17 @@ timestep are one (B*T) x D GEMM over the stacked W|W_f|W_r(|W_p) before the
 light sequential scan over c_t (Lei et al., 2018);
 :func:`sru_forward_naive` keeps the step-by-step variant as an equivalence
 oracle.  The GRU likewise stacks W_z|W_r|W_h for the input side and U_z|U_r
-for the per-step recurrent gate product.  Stacks are built per call with
-``np.concatenate``; the parameter dataclasses keep one array per matrix.
+for the per-step recurrent gate products.  Stacks are built per call; the
+parameter dataclasses keep one array per matrix.
+
+The GRU stores its recurrence time-major, in (T, B, .) buffers, so that
+each of its T sequential steps reads and writes contiguous (B, .) blocks
+instead of strided x[:, t] slices of a (B, T, .) array (the usual RNN
+layout, Appleyard et al., 2016).  Its outputs, ``dx`` and trace fields
+are (B, T, .) views of those buffers, so callers see the same shapes as
+for the other cells.  The SRU and vanilla cells stay batch-major: the SRU
+scan is one elementwise line per step, and nothing here runs the vanilla
+cell at scale.
 
 Backward passes return exact gradients of the forward map and were written
 to be checked against central finite differences (see tests); the
@@ -249,6 +258,7 @@ def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray)
 
 @dataclass
 class GruTrace(_ArrayFields):
+    # (B, T, .) views of time-major (T, B, .) buffers, see gru_forward
     x: np.ndarray     # (B, T, D)
     hs: np.ndarray    # (B, T+1, H)
     z: np.ndarray     # (B, T, H)
@@ -256,80 +266,121 @@ class GruTrace(_ArrayFields):
     hc: np.ndarray    # (B, T, H) tanh candidate
 
 
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """(T, B, .) <-> (B, T, .) as a view."""
+    return a.transpose(1, 0, 2)
+
+
 def gru_forward(params: GruParams, x: np.ndarray, h0=None):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
-    The input side of all three gates is one GEMM over the stacked
-    W_z|W_r|W_h for every timestep, and each step computes both recurrent
-    gate products with one ``h @ [U_z;U_r].T``.
+    The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
+    array (no copy when it already is a view of one, as the output of a
+    GRU layer below is), and every per-step read and write is a contiguous
+    (B, .) block.  The input side of all three gates is one GEMM over the
+    stacked W_z|W_r|W_h; each step writes ``h @ U_z.T`` and ``h @ U_r.T``
+    straight into its (2, B, H) gate block and does its elementwise work
+    in place, with no per-step temporaries.  The outputs and the trace
+    fields are (B, T, .) views of the time-major buffers.
     """
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
     B, T, D = x.shape
     H = params.W_z.shape[0]
-    h = _init_state(h0, B, H, "gru_forward")
+    h0 = _init_state(h0, B, H, "gru_forward")
 
-    xg = x.reshape(B * T, D) @ np.concatenate([params.W_z, params.W_r, params.W_h]).T
-    xg = xg.reshape(B, T, 3 * H)
-    xg += np.concatenate([params.b_z, params.b_r, params.b_h], axis=1)
-    U_zr = np.concatenate([params.U_z, params.U_r]).T
+    xt = np.ascontiguousarray(_batch_major(x))
+    xg = xt.reshape(T * B, D) @ np.concatenate([params.W_z, params.W_r, params.W_h]).T
+    xg = xg.reshape(T, B, 3, H)
+    xg += np.stack([params.b_z, params.b_r, params.b_h], axis=1)
+    U_zr = np.stack([params.U_z.T, params.U_r.T])   # (2, H, H)
     U_h = params.U_h.T
 
-    hs = np.empty((B, T + 1, H))
-    hs[:, 0] = h
-    zr = np.empty((B, T, 2 * H))   # z_t | r_t
-    hc = np.empty((B, T, H))
+    hs = np.empty((T + 1, B, H))
+    hs[0] = h0
+    zr = np.empty((T, 2, B, H))   # z_t, r_t
+    hc = np.empty((T, B, H))
+    rh = np.empty((B, H))         # r_t * h_{t-1}
     for t in range(T):
-        zr_t = np.add(xg[:, t, :2 * H], h @ U_zr, out=zr[:, t])
+        h = hs[t]
+        zr_t = np.matmul(h, U_zr, out=zr[t])
+        zr_t += xg[t, :, :2].swapaxes(0, 1)
         sigmoid(zr_t, out=zr_t)
-        z_t, r_t = zr_t[:, :H], zr_t[:, H:]
-        hc_t = np.tanh(xg[:, t, 2 * H:] + (r_t * h) @ U_h, out=hc[:, t])
-        h = (1.0 - z_t) * h + z_t * hc_t
-        hs[:, t + 1] = h
+        z_t, r_t = zr_t
+        np.multiply(r_t, h, out=rh)
+        hc_t = np.matmul(rh, U_h, out=hc[t])
+        hc_t += xg[t, :, 2]
+        np.tanh(hc_t, out=hc_t)
+        # h_t = h + z_t * (hc_t - h)
+        h_t = np.subtract(hc_t, h, out=hs[t + 1])
+        h_t *= z_t
+        h_t += h
 
-    return hs[:, 1:].copy(), GruTrace(x=x, hs=hs, z=zr[..., :H], r=zr[..., H:], hc=hc)
+    trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, 0]),
+                     r=_batch_major(zr[:, 1]), hc=_batch_major(hc))
+    return trace.hs[:, 1:], trace
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
     """BPTT through the GRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
-    Returns (grads, dx, dh0).  The gate pre-activation gradients of every
-    step land in one (B, T, 3H) buffer, so the weight gradients and ``dx``
-    are three stacked GEMMs after the loop.
+    Returns (grads, dx, dh0).  Runs time-major like the forward: the trace
+    fields transpose back to their (T, B, .) buffers for free, ``dh_up`` is
+    copied once into (T, B, H) order, and each step works in place in its
+    (B, 3H) block of the gate pre-activation gradient buffer and a few
+    reused (B, H) arrays.  The weight gradients are stacked GEMMs after the
+    loop, and ``dx`` is a (B, T, D) view.
     """
-    x, hs, z, r, hc = trace.x, trace.hs, trace.z, trace.r, trace.hc
-    B, T, D = x.shape
-    H = z.shape[2]
+    B, T, D = trace.x.shape
+    H = trace.z.shape[2]
     dh_up = np.asarray(dh_up, dtype=np.float64)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"gru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
+    xt, hs, z, r, hc = (_batch_major(a) for a in
+                        (trace.x, trace.hs, trace.z, trace.r, trace.hc))
+    dh_up = np.ascontiguousarray(_batch_major(dh_up))
 
     U_zr = np.concatenate([params.U_z, params.U_r])
-    da = np.empty((B, T, 3 * H))   # da_z | da_r | da_h
-    dh_next = np.zeros((B, H))
+    da = np.empty((T, B, 3 * H))   # da_z | da_r | da_h
+    dh = np.zeros((B, H))          # dLoss/dh_t, then dLoss/dh_{t-1}
+    drh = np.empty((B, H))         # dLoss/d(r_t * h_{t-1})
+    one_minus_z = np.empty((B, H))
+    tmp = np.empty((B, H))
     for t in range(T - 1, -1, -1):
-        h_prev = hs[:, t]
-        z_t, r_t, hc_t = z[:, t], r[:, t], hc[:, t]
-        da_t = da[:, t]
-        dh = dh_up[:, t] + dh_next
+        h_prev, z_t, r_t, hc_t = hs[t], z[t], r[t], hc[t]
+        da_z, da_r, da_h = da[t, :, :H], da[t, :, H:2 * H], da[t, :, 2 * H:]
+        dh += dh_up[t]
 
-        dz = dh * (hc_t - h_prev)
-        dh_prev = dh * (1.0 - z_t)
+        # da_h = dh * z_t * (1 - hc_t^2)
+        np.multiply(hc_t, hc_t, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, z_t, out=da_h)
+        da_h *= tmp
+        np.matmul(da_h, params.U_h, out=drh)
 
-        da_h_t = np.multiply(dh * z_t, 1.0 - hc_t ** 2, out=da_t[:, 2 * H:])
-        drh = da_h_t @ params.U_h          # grad w.r.t. (r_t * h_prev)
-        dr = drh * h_prev
-        dh_prev += drh * r_t
+        # da_z = dh * (hc_t - h_prev) * z_t * (1 - z_t)
+        np.subtract(1.0, z_t, out=one_minus_z)
+        np.subtract(hc_t, h_prev, out=da_z)
+        da_z *= dh
+        da_z *= z_t
+        da_z *= one_minus_z
 
-        np.multiply(dz * z_t, 1.0 - z_t, out=da_t[:, :H])
-        np.multiply(dr * r_t, 1.0 - r_t, out=da_t[:, H:2 * H])
-        dh_prev += da_t[:, :2 * H] @ U_zr
-        dh_next = dh_prev
-    dh0 = dh_next
+        # da_r = drh * h_prev * r_t * (1 - r_t)
+        np.multiply(drh, h_prev, out=da_r)
+        da_r *= r_t
+        np.subtract(1.0, r_t, out=tmp)
+        da_r *= tmp
 
-    x2 = x.reshape(B * T, D)
-    hp2 = hs[:, :-1].reshape(B * T, H)
-    rh2 = (r * hs[:, :-1]).reshape(B * T, H)
-    da2 = da.reshape(B * T, 3 * H)
+        # dh_prev = dh * (1 - z_t) + drh * r_t + [da_z|da_r] @ [U_z;U_r]
+        dh *= one_minus_z
+        np.multiply(drh, r_t, out=tmp)
+        dh += tmp
+        np.matmul(da[t, :, :2 * H], U_zr, out=tmp)
+        dh += tmp
+
+    x2 = xt.reshape(T * B, D)
+    hp2 = hs[:-1].reshape(T * B, H)
+    rh2 = (r * hs[:-1]).reshape(T * B, H)
+    da2 = da.reshape(T * B, 3 * H)
     dW = da2.T @ x2
     dU_zr = da2[:, :2 * H].T @ hp2
     db = da2.sum(axis=0, keepdims=True)
@@ -339,7 +390,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
         W_h=dW[2 * H:], U_h=da2[:, 2 * H:].T @ rh2, b_h=db[:, 2 * H:],
     )
     dx = da2 @ np.concatenate([params.W_z, params.W_r, params.W_h])
-    return grads, dx.reshape(B, T, D), dh0
+    return grads, _batch_major(dx.reshape(T, B, D)), dh
 
 
 # ---------------------------------------------------------------------------

@@ -445,8 +445,9 @@ def save_archive(path, window_set: WindowSet, meta: dict) -> None:
 def load_archive(path):
     """Load a sample archive; returns (WindowSet, meta dict).
 
-    An unreadable container, a missing entry or a window index that runs
-    outside its recording is a DataError.
+    An unreadable container, a missing entry, a recording whose emg or
+    angle rows disagree in number with its timestamps, or a window index
+    that runs outside its recording is a DataError.
     """
     try:
         with np.load(path) as data:
@@ -457,10 +458,14 @@ def load_archive(path):
                 raise DataError(f"unsupported archive format {header.get('format')!r}")
             recordings = []
             for i, sess in enumerate(header["sessions"]):
-                recordings.append(AlignedRecording(
+                rec = AlignedRecording(
                     subject_id=int(sess["subject"]), session_id=int(sess["session"]),
                     timestamps_ms=data[f"rec{i}_ts"], emg=data[f"rec{i}_emg"],
-                    angles=data[f"rec{i}_angles"]))
+                    angles=data[f"rec{i}_angles"])
+                if not len(rec.emg) == len(rec.angles) == len(rec):
+                    raise DataError(f"recording {i} has {len(rec)} timestamps but "
+                                    f"{len(rec.emg)} emg and {len(rec.angles)} angle rows")
+                recordings.append(rec)
             ws = WindowSet(recordings, data["windows_rec_index"],
                            data["windows_start_row"], header["window"])
             meta = dict(header["meta"], sessions=header["sessions"])

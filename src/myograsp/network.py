@@ -298,7 +298,8 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
 def load_checkpoint(path):
     """Load a checkpoint; returns (Network, meta dict).
 
-    An unreadable container or a missing or misshapen parameter is a
+    An unreadable container, a header config that does not match
+    ``NetworkConfig``'s fields, or a missing or misshapen parameter is a
     DataError; a readable file of another format is a ConfigError.
     """
     try:
@@ -309,7 +310,10 @@ def load_checkpoint(path):
             if header.get("format") != CHECKPOINT_FORMAT:
                 raise ConfigError(f"{path}: unsupported checkpoint format "
                                   f"{header.get('format')!r}")
-            cfg = NetworkConfig(**header["config"])
+            try:
+                cfg = NetworkConfig(**header["config"])
+            except TypeError as exc:   # unknown or missing config keys
+                raise DataError(f"{path}: bad checkpoint config: {exc}") from exc
             rng = np.random.default_rng(0)   # placeholder draws, overwritten below
             net = Network.init(cfg, rng)
             net.set_params({name: data[name] for name, _ in net.named_params()})

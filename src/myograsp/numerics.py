@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "sigmoid",
@@ -26,12 +25,22 @@ __all__ = [
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise logistic function, ``scipy.special.expit``.
+    """Elementwise logistic function ``1 / (1 + exp(-x))``, computed in place.
 
-    Saturates to exactly 0 or 1 without overflow warnings.  With ``out``
-    the result is written there; ``out`` may be ``x`` itself.
+    Without ``out`` the result goes to a fresh float64 copy of ``x``, which
+    is left unchanged; with ``out`` it is written there (``out`` may be
+    ``x`` itself, or any view of matching shape).  ``exp(-x)`` overflows to
+    inf for x below about -709 and the result then saturates to exactly 0;
+    that overflow is expected and raises no warning.
     """
-    return expit(x, out=out)
+    if out is None:
+        out = np.array(x, dtype=np.float64)
+        x = out
+    with np.errstate(over="ignore"):
+        np.negative(x, out=out)
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -37,10 +37,8 @@ __all__ = [
     "AdamState",
     "TrainReport",
     "EpochStats",
-    "ArraySource",
     "TargetStats",
     "mse_loss",
-    "cross_entropy_loss",
     "cross_entropy_batch",
     "adam_step",
     "EarlyStopper",
@@ -108,18 +106,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def cross_entropy_loss(logits: np.ndarray, label: int):
-    """Softmax cross-entropy for one logits vector; returns (scalar, gradient)."""
-    logits = np.asarray(logits, dtype=np.float64).ravel()
-    label = int(label)
-    if not 0 <= label < logits.size:
-        raise ValueError(f"label {label} out of range for {logits.size} domains")
-    logp = _log_softmax(logits)
-    grad = np.exp(logp)
-    grad[label] -= 1.0
-    return float(-logp[label]), grad
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
@@ -208,26 +194,8 @@ class EarlyStopper:
 
 
 # ---------------------------------------------------------------------------
-# data access
+# training loop
 # ---------------------------------------------------------------------------
-
-class ArraySource:
-    """In-memory batch source over (windows, targets[, domains]) arrays."""
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, domains=None):
-        self.x = np.asarray(x, dtype=np.float64)
-        self.y = np.asarray(y, dtype=np.float64)
-        self.domains = None if domains is None else np.asarray(domains, dtype=np.int64)
-        if len(self.x) != len(self.y):
-            raise ValueError("windows and targets disagree in length")
-
-    def __len__(self):
-        return len(self.x)
-
-    def batch(self, idx: np.ndarray):
-        d = None if self.domains is None else self.domains[idx]
-        return self.x[idx], self.y[idx], d
-
 
 @dataclass
 class EpochStats:

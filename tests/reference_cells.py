@@ -4,8 +4,8 @@ These are the straightforward per-gate formulations of the GRU and SRU
 forward and backward passes and of the logistic function: one matrix
 product per gate, a boolean-mask branch in the sigmoid, no in-place
 buffers.  ``myograsp.cells`` computes the same maps with stacked gate GEMMs
-and ``scipy.special.expit``; ``tests/test_cells.py`` asserts that both
-agree to float64 round-off.
+and an exp-form sigmoid computed in place; ``tests/test_cells.py``
+asserts that both agree to float64 round-off.
 """
 
 import numpy as np

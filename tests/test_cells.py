@@ -97,6 +97,17 @@ class TestGruForward:
         h, _ = cells.gru_forward(p, x, h0)
         assert np.all(np.abs(h) <= 1.0 + 1e-12)
 
+    def test_time_major_layout(self):
+        # every step reads and writes one contiguous (B, H) block, and the
+        # output is a view of the stored states, not a copy
+        rng = make_rng(5)
+        p = cells.init_gru(2, 4, rng)
+        h, trace = cells.gru_forward(p, rng.normal(size=(3, 6, 2)))
+        for t in range(6):
+            for name in ("hs", "z", "hc"):
+                assert getattr(trace, name)[:, t].flags.c_contiguous, (name, t)
+        assert np.shares_memory(h, trace.hs)
+
 
 # ---------------------------------------------------------------------------
 # SRU forward

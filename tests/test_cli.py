@@ -268,15 +268,32 @@ def truncated(src, dst):
     dst.write_bytes(src.read_bytes()[:2000])
 
 
-def archive_edit(key, value_fn):
-    """Copy an archive with entry ``key`` of the first window set to value_fn(arrays)."""
+def npz_edit(edit):
+    """Copy an npz file with ``edit`` applied to its dict of entries."""
     def make(src, dst):
         with np.load(src) as data:
             arrays = dict(data)
-        arrays[key] = arrays[key].copy()
-        arrays[key][0] = value_fn(arrays)
+        edit(arrays)
         np.savez(dst, **arrays)
     return make
+
+
+def archive_edit(key, value_fn):
+    """Copy an archive with entry ``key`` of the first window set to value_fn(arrays)."""
+    def edit(arrays):
+        arrays[key] = arrays[key].copy()
+        arrays[key][0] = value_fn(arrays)
+    return npz_edit(edit)
+
+
+def drop_emg_rows(arrays):
+    arrays["rec0_emg"] = arrays["rec0_emg"][:len(arrays["rec0_ts"]) // 2]
+
+
+def add_config_key(arrays):
+    header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
+    header["config"]["dropout"] = 0.5
+    arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
 
 
 def without_target_stats(src, dst):
@@ -296,6 +313,8 @@ CORRUPT = {
         "windows_start_row", lambda a: len(a["rec0_ts"]) - 127)),
     "truncated checkpoint": ("checkpoint", truncated),
     "checkpoint without target stats": ("checkpoint", without_target_stats),
+    "checkpoint config with unknown key": ("checkpoint", npz_edit(add_config_key)),
+    "emg rows fewer than timestamps": ("archive", npz_edit(drop_emg_rows)),
 }
 
 

@@ -47,6 +47,21 @@ class TestActivations:
         assert out is x
         np.testing.assert_allclose(x, expected, rtol=0, atol=2.3e-16)
 
+    def test_sigmoid_leaves_input_unchanged(self):
+        x = np.linspace(-40.0, 40.0, 101).reshape(1, -1)
+        before = x.copy()
+        out = sigmoid(x)
+        assert out is not x and not np.shares_memory(out, x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_sigmoid_into_strided_view(self):
+        x = np.random.default_rng(3).normal(scale=20.0, size=(4, 6))
+        a = np.full((4, 12), 7.0)
+        out = sigmoid(x, out=a[:, ::2])
+        assert np.shares_memory(out, a)
+        np.testing.assert_allclose(a[:, ::2], reference_cells.sigmoid(x), rtol=0, atol=2.3e-16)
+        np.testing.assert_array_equal(a[:, 1::2], 7.0)
+
 
 class TestInitParams:
     def test_zeros(self):

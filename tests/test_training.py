@@ -8,9 +8,9 @@ from fdcheck import max_array_rel_err
 from myograsp.errors import NumericError
 from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
-from myograsp.training import (AdamState, ArraySource, EarlyStopper, TrainConfig,
-                               adam_step, cross_entropy_batch, cross_entropy_loss,
-                               mse_loss, predict, train)
+from myograsp.training import (AdamState, EarlyStopper, TrainConfig, adam_step,
+                               cross_entropy_batch, mse_loss, predict, train)
+from training_helpers import ArraySource, cross_entropy_loss
 
 
 class TestMseLoss:
