@@ -25,20 +25,27 @@ SRU:      xhat_t = W x_t
 where xh_t is x_t itself when D_in == hidden, else a learned projection
 W_p x_t.  The SRU gates depend only on x_t, so the matrix products for every
 timestep are one (B*T) x D GEMM over the stacked W|W_f|W_r(|W_p) before the
-light sequential scan over c_t (Lei et al., 2018);
-:func:`sru_forward_naive` keeps the step-by-step variant as an equivalence
-oracle.  The GRU likewise stacks W_z|W_r|W_h for the input side and U_z|U_r
-for the per-step recurrent gate products.  Stacks are built per call; the
-parameter dataclasses keep one array per matrix.
+light sequential scan over c_t (Lei et al., 2018).  The GRU likewise stacks
+W_z|W_r|W_h for the input side and U_z|U_r for the per-step recurrent gate
+products.  Stacks are built per call; the parameter dataclasses keep one
+array per matrix.
 
 The GRU stores its recurrence time-major, in (T, B, .) buffers, so that
 each of its T sequential steps reads and writes contiguous (B, .) blocks
 instead of strided x[:, t] slices of a (B, T, .) array (the usual RNN
 layout, Appleyard et al., 2016).  Its outputs, ``dx`` and trace fields
 are (B, T, .) views of those buffers, so callers see the same shapes as
-for the other cells.  The SRU and vanilla cells stay batch-major: the SRU
-scan is one elementwise line per step, and nothing here runs the vanilla
-cell at scale.
+for the other cells.  Its input-side GEMM runs over blocks of ``BLOCK``
+time steps into one reused slab (Appleyard et al. batch that GEMM over
+groups of steps in the same way), which the backward never reads.  So an
+untraced call (``keep_trace=False``, as in inference) keeps alive only its
+input, the states ``hs`` that back its outputs and one block slab; the
+gates and candidates of a step are overwritten by the next.  The SRU and
+vanilla cells stay batch-major: the SRU scan is one elementwise line per
+step, and nothing here runs the vanilla cell at scale.
+
+Every forward takes ``keep_trace``; with ``keep_trace=False`` it returns
+None in place of the trace.
 
 Backward passes return exact gradients of the forward map and were written
 to be checked against central finite differences (see tests); the
@@ -67,7 +74,6 @@ __all__ = [
     "vanilla_forward",
     "gru_forward",
     "sru_forward",
-    "sru_forward_naive",
     "vanilla_backward",
     "gru_backward",
     "sru_backward",
@@ -187,10 +193,12 @@ class VanillaTrace(_ArrayFields):
     hs: np.ndarray   # (B, T+1, H), hs[:,0] = h0
 
 
-def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
+def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
+                    keep_trace: bool = True):
     """Run the vanilla cell over a sequence batch.
 
-    Returns (outputs, trace) with outputs of shape (B, T, D_out).
+    Returns (outputs, trace) with outputs of shape (B, T, D_out); the trace
+    is None with ``keep_trace=False``.
     """
     x = _check_seq(x, params.W_h.shape[1], "vanilla_forward")
     B, T, _ = x.shape
@@ -209,7 +217,7 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
 
     ys = hs[:, 1:].reshape(B * T, H) @ params.W_y.T
     ys = ys.reshape(B, T, -1) + params.b_y
-    return ys, VanillaTrace(x=x, hs=hs)
+    return ys, (VanillaTrace(x=x, hs=hs) if keep_trace else None)
 
 
 def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray):
@@ -266,22 +274,33 @@ class GruTrace(_ArrayFields):
     hc: np.ndarray    # (B, T, H) tanh candidate
 
 
+# time steps per input-side GEMM of the GRU: one block's (BLOCK, B, 3H)
+# slab is the only input-side buffer, reused block after block
+BLOCK = 16
+
+
 def _batch_major(a: np.ndarray) -> np.ndarray:
     """(T, B, .) <-> (B, T, .) as a view."""
     return a.transpose(1, 0, 2)
 
 
-def gru_forward(params: GruParams, x: np.ndarray, h0=None):
+def gru_forward(params: GruParams, x: np.ndarray, h0=None, keep_trace: bool = True):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
     The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
     array (no copy when it already is a view of one, as the output of a
     GRU layer below is), and every per-step read and write is a contiguous
     (B, .) block.  The input side of all three gates is one GEMM over the
-    stacked W_z|W_r|W_h; each step writes ``h @ U_z.T`` and ``h @ U_r.T``
-    straight into its (2, B, H) gate block and does its elementwise work
-    in place, with no per-step temporaries.  The outputs and the trace
-    fields are (B, T, .) views of the time-major buffers.
+    stacked W_z|W_r|W_h per block of ``BLOCK`` steps, written into one
+    reused (BLOCK, B, 3, H) slab; each step writes ``h @ U_z.T`` and
+    ``h @ U_r.T`` straight into its (2, B, H) gate block and does its
+    elementwise work in place, with no per-step temporaries.  The outputs
+    and the trace fields are (B, T, .) views of the time-major buffers.
+
+    With ``keep_trace=False`` the trace is None and the gates and
+    candidates live in one reused step of scratch, so besides its input
+    the call keeps alive only the states ``hs`` (T+1, B, H), which back
+    the outputs, and the block slab.
     """
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
     B, T, D = x.shape
@@ -289,35 +308,45 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None):
     h0 = _init_state(h0, B, H, "gru_forward")
 
     xt = np.ascontiguousarray(_batch_major(x))
-    xg = xt.reshape(T * B, D) @ np.concatenate([params.W_z, params.W_r, params.W_h]).T
-    xg = xg.reshape(T, B, 3, H)
-    xg += np.stack([params.b_z, params.b_r, params.b_h], axis=1)
+    W = np.concatenate([params.W_z, params.W_r, params.W_h]).T
+    b = np.stack([params.b_z, params.b_r, params.b_h], axis=1)
     U_zr = np.stack([params.U_z.T, params.U_r.T])   # (2, H, H)
     U_h = params.U_h.T
 
     hs = np.empty((T + 1, B, H))
     hs[0] = h0
-    zr = np.empty((T, 2, B, H))   # z_t, r_t
-    hc = np.empty((T, B, H))
-    rh = np.empty((B, H))         # r_t * h_{t-1}
+    kept = T if keep_trace else 1
+    zr = np.empty((kept, 2, B, H))   # z_t, r_t
+    hc = np.empty((kept, B, H))
+    xg = np.empty((min(BLOCK, T), B, 3, H))   # input side of BLOCK steps
+    rh = np.empty((B, H))                     # r_t * h_{t-1}
     for t in range(T):
+        k = t % BLOCK
+        if k == 0:
+            n = min(BLOCK, T - t)
+            np.matmul(xt[t:t + n].reshape(n * B, D), W, out=xg[:n].reshape(n * B, 3 * H))
+            xg[:n] += b
+        s = t if keep_trace else 0
         h = hs[t]
-        zr_t = np.matmul(h, U_zr, out=zr[t])
-        zr_t += xg[t, :, :2].swapaxes(0, 1)
+        zr_t = np.matmul(h, U_zr, out=zr[s])
+        zr_t += xg[k, :, :2].swapaxes(0, 1)
         sigmoid(zr_t, out=zr_t)
         z_t, r_t = zr_t
         np.multiply(r_t, h, out=rh)
-        hc_t = np.matmul(rh, U_h, out=hc[t])
-        hc_t += xg[t, :, 2]
+        hc_t = np.matmul(rh, U_h, out=hc[s])
+        hc_t += xg[k, :, 2]
         np.tanh(hc_t, out=hc_t)
         # h_t = h + z_t * (hc_t - h)
         h_t = np.subtract(hc_t, h, out=hs[t + 1])
         h_t *= z_t
         h_t += h
 
+    outputs = _batch_major(hs)[:, 1:]
+    if not keep_trace:
+        return outputs, None
     trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, 0]),
                      r=_batch_major(zr[:, 1]), hc=_batch_major(hc))
-    return trace.hs[:, 1:], trace
+    return outputs, trace
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
@@ -408,13 +437,14 @@ class SruTrace(_ArrayFields):
     tanh_c: np.ndarray  # (B, T, H)
 
 
-def sru_forward(params: SruParams, x: np.ndarray, c0=None):
+def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = True):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
     W x_t, W_f x_t, W_r x_t (and W_p x_t) for all timesteps are one GEMM
     over the stacked matrices; the gate biases and sigmoids are applied in
     place in that slab, whose blocks the trace keeps as views.  Only the
-    elementwise c_t scan is sequential.
+    elementwise c_t scan is sequential.  The trace is None with
+    ``keep_trace=False``.
     """
     x = _check_seq(x, params.W.shape[1], "sru_forward")
     B, T, D = x.shape
@@ -446,26 +476,9 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None):
     h = np.subtract(1.0, r)
     h *= xh
     h += r * tanh_c
+    if not keep_trace:
+        return h, None
     return h, SruTrace(x=x, xhat=xhat, f=f, r=r, cs=cs, xh=xh, tanh_c=tanh_c)
-
-
-def sru_forward_naive(params: SruParams, x: np.ndarray, c0=None):
-    """Step-by-step SRU without the batched precompute; equivalence oracle."""
-    x = _check_seq(x, params.W.shape[1], "sru_forward_naive")
-    B, T, _ = x.shape
-    H = params.W.shape[0]
-    c = _init_state(c0, B, H, "sru_forward_naive")
-
-    h = np.empty((B, T, H))
-    for t in range(T):
-        x_t = x[:, t]
-        xhat_t = x_t @ params.W.T
-        f_t = sigmoid(x_t @ params.W_f.T + params.b_f)
-        r_t = sigmoid(x_t @ params.W_r.T + params.b_r)
-        c = f_t * c + (1.0 - f_t) * xhat_t
-        xh_t = x_t @ params.W_p.T if params.W_p is not None else x_t
-        h[:, t] = r_t * np.tanh(c) + (1.0 - r_t) * xh_t
-    return h
 
 
 def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
@@ -539,8 +552,10 @@ def _cell(params: CellParams):
         raise TypeError(f"unknown cell parameter type {type(params)}") from None
 
 
-def cell_forward(params: CellParams, x: np.ndarray, state0=None):
-    return _cell(params)[0](params, x, state0)
+def cell_forward(params: CellParams, x: np.ndarray, state0=None, keep_trace: bool = True):
+    """Dispatch to the matching forward pass; with ``keep_trace=False`` the
+    trace is None."""
+    return _cell(params)[0](params, x, state0, keep_trace=keep_trace)
 
 
 def cell_backward(trace, params: CellParams, upstream: np.ndarray):

@@ -21,13 +21,12 @@ import io
 import json
 import logging
 import warnings
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .errors import ConfigError, DataError, EmptyOverlapError
+from .errors import NPZ_READ_ERRORS, ConfigError, DataError, EmptyOverlapError
 
 log = logging.getLogger("myograsp.datapipe")
 
@@ -469,6 +468,6 @@ def load_archive(path):
             ws = WindowSet(recordings, data["windows_rec_index"],
                            data["windows_start_row"], header["window"])
             meta = dict(header["meta"], sessions=header["sessions"])
-    except (DataError, OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except (DataError, *NPZ_READ_ERRORS) as exc:
         raise DataError(f"cannot read archive {path}: {exc}") from exc
     return ws, meta

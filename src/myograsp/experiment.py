@@ -44,14 +44,19 @@ class TrainRunConfig:
         if self.ada and protocol == "intra-session":
             raise ValueError("ada requires a multi-domain protocol "
                              "(inter-session or inter-subject)")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("hidden", "layers", "predictor_hidden", "batch_size", "max_epochs"):
+        for name in ("hidden", "layers", "predictor_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.patience > self.max_epochs:
-            raise ValueError(f"patience ({self.patience}) must be <= max_epochs "
-                             f"({self.max_epochs})")
+        if self.fold < 0:
+            raise ValueError(f"fold must be >= 0, got {self.fold}")
+        self.train_config()   # checks the training-loop settings
+
+    def train_config(self) -> TrainConfig:
+        """The training-loop settings; TrainConfig checks them."""
+        return TrainConfig(
+            learning_rate=self.learning_rate, max_epochs=self.max_epochs,
+            patience=self.patience, batch_size=self.batch_size,
+            disc_loss_weight=self.disc_loss_weight, seed=self.seed)
 
 
 @dataclasses.dataclass
@@ -90,10 +95,7 @@ def prepare_run(window_set: datapipe.WindowSet, sessions: list,
         train_src=datapipe.WindowSource(window_set, train_idx, stats, domains),
         val_src=datapipe.WindowSource(window_set, val_idx, stats),
         net=Network.init(net_cfg, derive_rng(cfg.seed, "init")),
-        train_config=TrainConfig(
-            learning_rate=cfg.learning_rate, max_epochs=cfg.max_epochs,
-            patience=cfg.patience, batch_size=cfg.batch_size,
-            disc_loss_weight=cfg.disc_loss_weight, seed=cfg.seed))
+        train_config=cfg.train_config())
 
 
 def checkpoint_name(model: str, protocol: str, fold: int, seed: int, ada: bool) -> str:

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import io
 import json
-import zipfile
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cells
-from .errors import ConfigError, DataError
+from .errors import NPZ_READ_ERRORS, ConfigError, DataError
 from .numerics import init_params, relu
 
 __all__ = [
@@ -175,8 +174,10 @@ class Network:
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
         or None, trace).  With ``keep_trace=False`` (inference) the trace is
-        None and each layer's cell trace is dropped before the next layer
-        runs, so only one layer's activations are alive at a time.
+        None and no layer builds a cell trace: a GRU layer keeps alive only
+        its input, its states (its output) and one block slab of input-side
+        gate products, and an SRU or vanilla layer drops its activations
+        when it returns.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim == 2:
@@ -189,10 +190,8 @@ class Network:
         traces = []
         seq = x
         for layer in self.layers:
-            seq, tr = cells.cell_forward(layer, seq)
-            if keep_trace:
-                traces.append(tr)
-            del tr
+            seq, tr = cells.cell_forward(layer, seq, keep_trace=keep_trace)
+            traces.append(tr)
 
         if self.config.feature_reduction == "global-average-pool":
             feat = seq.mean(axis=1)
@@ -318,6 +317,6 @@ def load_checkpoint(path):
             net = Network.init(cfg, rng)
             net.set_params({name: data[name] for name, _ in net.named_params()})
             meta = header["meta"]
-    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+    except NPZ_READ_ERRORS as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     return net, meta

@@ -20,6 +20,7 @@ stays in degrees.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -77,10 +78,23 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.patience > self.max_epochs:
-            raise ValueError("patience must be <= max_epochs")
+        # the one check of these settings: experiment.TrainRunConfig runs it
+        # by building its TrainConfig, and the CLI maps the error to exit 2
+        checks = [
+            ("learning_rate", math.isfinite(self.learning_rate) and self.learning_rate > 0,
+             "finite and > 0"),
+            ("disc_loss_weight",
+             math.isfinite(self.disc_loss_weight) and self.disc_loss_weight >= 0,
+             "finite and >= 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("max_epochs", self.max_epochs >= 1, ">= 1"),
+            ("patience", 1 <= self.patience <= self.max_epochs,
+             f"in [1, max_epochs={self.max_epochs}]"),
+            ("seed", self.seed >= 0, ">= 0"),
+        ]
+        for name, ok, need in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@
 These are the straightforward per-gate formulations of the GRU and SRU
 forward and backward passes and of the logistic function: one matrix
 product per gate, a boolean-mask branch in the sigmoid, no in-place
-buffers.  ``myograsp.cells`` computes the same maps with stacked gate GEMMs
-and an exp-form sigmoid computed in place; ``tests/test_cells.py``
-asserts that both agree to float64 round-off.
+buffers.  ``sru_forward_naive`` also takes the SRU's gate products step
+by step rather than for all steps at once.  ``myograsp.cells`` computes
+the same maps with stacked gate GEMMs and an exp-form sigmoid computed in
+place; ``tests/test_cells.py`` asserts that both agree to float64
+round-off.
 """
 
 import numpy as np
@@ -122,6 +124,25 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None):
     tanh_c = np.tanh(cs[:, 1:])
     h = r * tanh_c + (1.0 - r) * xh
     return h, SruTrace(x=x, xhat=xhat, f=f, r=r, cs=cs, xh=xh, tanh_c=tanh_c)
+
+
+def sru_forward_naive(params: SruParams, x: np.ndarray, c0=None):
+    """Step-by-step SRU, every gate product taken per time step."""
+    x = np.asarray(x, dtype=np.float64)
+    B, T, _ = x.shape
+    H = params.W.shape[0]
+    c = _state(c0, B, H)
+
+    h = np.empty((B, T, H))
+    for t in range(T):
+        x_t = x[:, t]
+        xhat_t = x_t @ params.W.T
+        f_t = sigmoid(x_t @ params.W_f.T + params.b_f)
+        r_t = sigmoid(x_t @ params.W_r.T + params.b_r)
+        c = f_t * c + (1.0 - f_t) * xhat_t
+        xh_t = x_t @ params.W_p.T if params.W_p is not None else x_t
+        h[:, t] = r_t * np.tanh(c) + (1.0 - r_t) * xh_t
+    return h
 
 
 def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):

@@ -143,7 +143,7 @@ class TestSruForward:
         x = rng.normal(size=(3, 12, dim_in))
         c0 = rng.normal(size=(3, hidden))
         batched, _ = cells.sru_forward(p, x, c0)
-        naive = cells.sru_forward_naive(p, x, c0)
+        naive = reference_cells.sru_forward_naive(p, x, c0)
         np.testing.assert_allclose(batched, naive, rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -298,3 +298,39 @@ def test_stacked_kernels_match_reference(kind, wide_input, hidden):
     for name, arr in grads.named():
         assert arr.shape == ref_named[name].shape
         assert_oracle_close(arr, ref_named[name], f"grad {name}")
+
+
+# ---------------------------------------------------------------------------
+# untraced forwards (inference)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("with_h0", [False, True], ids=["h0-zero", "h0-given"])
+@pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
+                               2 * cells.BLOCK + 3])
+def test_untraced_gru_matches_traced(T, with_h0):
+    # the input-side GEMM runs per block of BLOCK steps: lengths on either
+    # side of a block edge and a partial last block are the edge cases
+    rng = derive_rng(0, "untraced", T, with_h0)
+    params = randomized(cells.init_gru(5, 6, rng), rng)
+    x = rng.normal(size=(3, T, 5))
+    h0 = rng.normal(size=(3, 6)) if with_h0 else None
+    out, trace = cells.gru_forward(params, x, h0)
+    bare, no_trace = cells.gru_forward(params, x, h0, keep_trace=False)
+    assert no_trace is None
+    np.testing.assert_array_equal(bare, out)
+    ref_out, ref_trace = reference_cells.gru_forward(params, x, h0)
+    assert_oracle_close(out, ref_out, "outputs")
+    for name, arr in ref_trace.named():
+        assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")
+
+
+@pytest.mark.parametrize("kind", list(CELL_SETUPS))
+def test_untraced_cell_forward_returns_no_trace(kind):
+    init_fn, _, _, input_dim, _ = CELL_SETUPS[kind]
+    rng = make_rng(4)
+    params = randomized(init_fn(rng), rng)
+    x = rng.normal(size=(2, 7, input_dim))
+    out, trace = cells.cell_forward(params, x)
+    bare, no_trace = cells.cell_forward(params, x, keep_trace=False)
+    assert trace is not None and no_trace is None
+    np.testing.assert_array_equal(bare, out)

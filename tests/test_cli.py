@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from myograsp import cli
 from myograsp.cli import main
@@ -149,6 +152,18 @@ class TestTrain:
         ["--protocol", "inter-subject", "--fold", "9"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_flag_values_exit_config(self, archive_path, tmp_path, capsys, flags):
+        code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
+                     "--model", "gru", "--protocol", "intra", "--hidden", "8",
+                     "--predictor-hidden", "8", "--epochs", "2", "--patience", "2"] + flags)
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["--lr", "inf"], ["--patience", "0"], ["--seed", "-1"], ["--fold", "-1"],
+        ["--disc-weight", "nan"], ["--disc-weight", "-1"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_unrunnable_values_exit_config(self, archive_path, tmp_path, capsys, flags):
         code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
                      "--model", "gru", "--protocol", "intra", "--hidden", "8",
                      "--predictor-hidden", "8", "--epochs", "2", "--patience", "2"] + flags)
@@ -303,6 +318,30 @@ def without_target_stats(src, dst):
                                if k not in ("target_mean", "target_std")})
 
 
+def central_directory_field(offset, value):
+    """Copy a zip container with a 2-byte field of every central directory
+    entry (flags at offset 8, compression method at 10) set to ``value``."""
+    def make(src, dst):
+        raw = bytearray(src.read_bytes())
+        pos = int.from_bytes(raw[-6:-2], "little")   # end record: directory start
+        while raw[pos:pos + 4] == b"PK\x01\x02":
+            raw[pos + offset:pos + offset + 2] = value.to_bytes(2, "little")
+            pos += 46 + sum(int.from_bytes(raw[pos + k:pos + k + 2], "little")
+                            for k in (28, 30, 32))
+        dst.write_bytes(raw)
+    return make
+
+
+def cut_npy_headers(src, dst):
+    """Copy an npz with every entry but the header an .npy whose header
+    dict breaks off inside an open parenthesis."""
+    header = b"{'descr': '<f8', 'fortran_order': False, 'shape': (3,\n"
+    npy = b"\x93NUMPY\x01\x00" + len(header).to_bytes(2, "little") + header
+    with zipfile.ZipFile(src) as zin, zipfile.ZipFile(dst, "w") as zout:
+        for name in zin.namelist():
+            zout.writestr(name, zin.read(name) if name == "__header__.npy" else npy)
+
+
 CORRUPT = {
     "truncated archive": ("archive", truncated),
     "non-zip archive": ("archive", lambda src, dst: dst.write_bytes(b"junk\n" * 50)),
@@ -315,6 +354,10 @@ CORRUPT = {
     "checkpoint without target stats": ("checkpoint", without_target_stats),
     "checkpoint config with unknown key": ("checkpoint", npz_edit(add_config_key)),
     "emg rows fewer than timestamps": ("archive", npz_edit(drop_emg_rows)),
+    "zip entries flagged encrypted": ("archive", central_directory_field(8, 1)),
+    "unknown zip compression method": ("checkpoint", central_directory_field(10, 99)),
+    "npy headers cut off": ("archive", cut_npy_headers),
+    "checkpoint npy headers cut off": ("checkpoint", cut_npy_headers),
 }
 
 
@@ -335,6 +378,97 @@ def test_corrupt_input_exits_io(archive_path, checkpoint_path, tmp_path, capsys,
                  "--results", str(results)]) == cli.EXIT_IO
     assert "Traceback" not in capsys.readouterr().err
     assert not results.exists()
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract under random bad input
+# ---------------------------------------------------------------------------
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_NUMERIC}
+TRAIN_FLAGS = ["--fold", "--seed", "--hidden", "--layers", "--predictor-hidden", "--lr",
+               "--epochs", "--patience", "--batch-size", "--disc-weight"]
+PREPROCESS_FLAGS = ["--stride", "--max-gap", "--emg-cutoff", "--angle-cutoff",
+                    "--target-margin"]
+# zero, negatives, non-finite values and text that is no number; never a
+# large positive value, which a size flag would turn into a huge network
+BAD_NUMBERS = st.one_of(
+    st.just("0"), st.integers(-10 ** 6, -1).map(str),
+    st.floats(-1e6, -1e-6).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-1e999", "0x10", ""]),
+    st.text(alphabet="abcefinxyz.,_-+ ", max_size=6),
+)
+CONTRACT = settings(max_examples=40, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:   # argparse rejects a value that does not parse
+        return exc.code
+
+
+def flag_values(flags):
+    return st.lists(st.tuples(st.sampled_from(flags), BAD_NUMBERS), min_size=1, max_size=3)
+
+
+@CONTRACT
+@given(values=flag_values(TRAIN_FLAGS))
+def test_bad_train_flag_values_keep_exit_contract(archive_path, tmp_path, capsys, values):
+    argv = ["train", "--archive", str(archive_path), "--out-dir", str(tmp_path / "out"),
+            "--model", "gru", "--protocol", "intra", "--hidden", "8",
+            "--predictor-hidden", "8", "--epochs", "1", "--patience", "1",
+            "--batch-size", "32"]
+    assert exit_code(argv + [f"{flag}={value}" for flag, value in values]) in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@CONTRACT
+@given(values=flag_values(PREPROCESS_FLAGS))
+def test_bad_preprocess_flag_values_keep_exit_contract(dataset_dir, tmp_path, capsys,
+                                                       values):
+    argv = ["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
+            "--out", str(tmp_path / "x.npz")]
+    assert exit_code(argv + [f"{flag}={value}" for flag, value in values]) in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def damage(size: int):
+    """Edits of a file of ``size`` bytes: ("cut", n) keeps the first n bytes,
+    ("flip", [(pos, mask), ...]) XORs a few bytes; positions favour the zip
+    and npy headers at either end of the file."""
+    where = st.one_of(st.integers(0, 255), st.integers(size - 256, size - 1),
+                      st.integers(0, size - 1))
+    return st.one_of(st.tuples(st.just("cut"), where),
+                     st.tuples(st.just("flip"), st.lists(st.tuples(where, st.integers(1, 255)),
+                                                         min_size=1, max_size=4)))
+
+
+def damaged(raw: bytes, edit) -> bytes:
+    how, arg = edit
+    if how == "cut":
+        return raw[:arg]
+    out = bytearray(raw)
+    for pos, mask in arg:
+        out[pos] ^= mask
+    return bytes(out)
+
+
+@CONTRACT
+@given(data=st.data())
+def test_damaged_files_keep_exit_contract(archive_path, checkpoint_path, tmp_path, capsys,
+                                          data):
+    kind = data.draw(st.sampled_from(["archive", "checkpoint"]))
+    raw = (archive_path if kind == "archive" else checkpoint_path).read_bytes()
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(damaged(raw, data.draw(damage(len(raw)))))
+    results = tmp_path / "r.csv"
+    results.unlink(missing_ok=True)
+    code = exit_code(["evaluate", "--results", str(results),
+                      "--checkpoint", str(bad if kind == "checkpoint" else checkpoint_path),
+                      "--archive", str(bad if kind == "archive" else archive_path)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
 
 
 class TestReport:

@@ -4,7 +4,8 @@ import pytest
 from myograsp import datapipe, splits, synthgen
 from myograsp.errors import ConfigError, DataError
 from myograsp.experiment import TrainRunConfig, checkpoint_name, prepare_run, synthesize
-from myograsp.training import TargetStats
+from myograsp.training import TargetStats, TrainConfig
+from training_helpers import UNRUNNABLE
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +62,20 @@ class TestTrainRunConfig:
     def test_unknown_protocol(self):
         with pytest.raises(ConfigError):
             TrainRunConfig(protocol="bootstrap")
+
+
+    def test_negative_fold(self):
+        with pytest.raises(ValueError, match="fold"):
+            TrainRunConfig(fold=-1)
+
+    @pytest.mark.parametrize("name,value", UNRUNNABLE, ids=lambda v: str(v))
+    def test_loop_settings_checked_by_train_config(self, name, value):
+        # one validator: the run config reports exactly what TrainConfig does
+        with pytest.raises(ValueError) as run_error:
+            TrainRunConfig(**{name: value})
+        with pytest.raises(ValueError) as loop_error:
+            TrainConfig(**{name: value})
+        assert str(run_error.value) == str(loop_error.value)
 
 
 def test_checkpoint_name_accepts_aliases():

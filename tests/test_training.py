@@ -10,7 +10,7 @@ from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
 from myograsp.training import (AdamState, EarlyStopper, TrainConfig, adam_step,
                                cross_entropy_batch, mse_loss, predict, train)
-from training_helpers import ArraySource, cross_entropy_loss
+from training_helpers import UNRUNNABLE, ArraySource, cross_entropy_loss
 
 
 class TestMseLoss:
@@ -254,6 +254,12 @@ class TestTrainLoop:
             TrainConfig(patience=40, max_epochs=30)
 
 
+@pytest.mark.parametrize("name,value", UNRUNNABLE, ids=lambda v: str(v))
+def test_config_rejects_unrunnable_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value})
+
+
 class TestPredict:
     def net(self, cell, hidden):
         cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=hidden,
@@ -285,3 +291,24 @@ class TestPredict:
         predict(net, x[:64], chunk=64)   # warm-up outside the measurement
         one, four = peak_bytes(64), peak_bytes(4 * 64)
         assert four <= 1.1 * one, (one, four)
+
+
+def test_gru_predict_peak_bounded_by_layer_states():
+    # an untraced GRU layer keeps alive its states (T+1, B, H), which are its
+    # output, and one slab of BLOCK steps' input-side products, but no gates:
+    # two layers' states and a slab stay under three state buffers, where
+    # full traces (input slab, gates, candidates) would peak near eight
+    B, T, H = 64, 128, 32
+    cfg = NetworkConfig(cell_type="gru", input_channels=3, hidden_size=H,
+                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
+    net = Network.init(cfg, derive_rng(0, "predict-peak"))
+    x = make_rng(3).normal(size=(B, T, 3))
+    predict(net, x, chunk=B)   # warm-up outside the measurement
+    tracemalloc.start()
+    try:
+        predict(net, x, chunk=B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = (T + 1) * B * H * 8
+    assert peak <= 3 * states, peak / states

@@ -2,7 +2,9 @@
 
 ``ArraySource`` stands in for ``datapipe.WindowSource`` when a test builds
 its windows as arrays; ``cross_entropy_loss`` is the one-vector softmax
-cross-entropy that ``training.cross_entropy_batch`` is checked against.
+cross-entropy that ``training.cross_entropy_batch`` is checked against;
+``UNRUNNABLE`` lists settings that ``TrainConfig`` and the run config
+built on it must both reject.
 """
 
 import numpy as np
@@ -37,3 +39,10 @@ def cross_entropy_loss(logits: np.ndarray, label: int):
     grad = np.exp(logp)
     grad[label] -= 1.0
     return float(-logp[label]), grad
+
+
+# (TrainConfig field, a value the training loop cannot run with)
+UNRUNNABLE = [("learning_rate", 0.0), ("learning_rate", float("nan")),
+              ("learning_rate", float("inf")), ("batch_size", 0), ("max_epochs", 0),
+              ("patience", 0), ("seed", -1), ("disc_loss_weight", -1.0),
+              ("disc_loss_weight", float("nan"))]
