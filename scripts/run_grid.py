@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from myograsp.cli import main as cli
-from myograsp.experiment import checkpoint_name
+from myograsp.experiment import PAPER_COLUMNS, checkpoint_name
 
 
 def run(argv):
@@ -54,13 +54,10 @@ def main():
         run(["preprocess", "--manifest", os.path.join(data_dir, "manifest.json"),
              "--out", archive, "--stride", stride])
 
-    grid = [("intra", False)]
-    grid += [(p, ada) for p in ("inter-session", "inter-subject")
-             for ada in (False, True)]
     for seed in args.seeds:
         for model in args.models:
-            for protocol, ada in grid:
-                for fold in (args.folds if protocol != "intra" else [0]):
+            for _, protocol, ada in PAPER_COLUMNS:
+                for fold in (args.folds if protocol != "intra-session" else [0]):
                     train_args = ["train", "--archive", archive,
                                   "--out-dir", ckpt_dir, "--model", model,
                                   "--protocol", protocol, "--fold", str(fold),

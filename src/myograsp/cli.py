@@ -23,7 +23,7 @@ import numpy as np
 
 from . import datapipe, splits, synthgen
 from .errors import ConfigError, DataError, NumericError
-from .experiment import TrainRunConfig, checkpoint_name, prepare_run
+from .experiment import PAPER_COLUMNS, TrainRunConfig, checkpoint_name, prepare_run
 from .metrics import angle_ranges, nrmse, rmse
 from .network import CELL_TYPES, load_checkpoint, save_checkpoint
 from .training import TargetStats, predict, train
@@ -245,10 +245,9 @@ def cmd_evaluate(args) -> int:
             f"checkpoint predicts {net.config.output_angles} angles but archive "
             f"holds {archive_meta['n_angles']} ({archive_meta['mode']} mode)")
 
-    fold = meta["fold"] if args.fold is None else args.fold
-    seed = int(meta["seed"])
-    plan = splits.make_split(args.protocol or meta["protocol"], window_set,
-                             archive_meta["sessions"], fold, seed)
+    fold, seed = meta["fold"], int(meta["seed"])
+    plan = splits.make_split(meta["protocol"], window_set, archive_meta["sessions"],
+                             fold, seed)
     test_idx = plan.indices(splits.TEST)
     if len(test_idx) == 0:
         raise DataError("split produced an empty test set")
@@ -287,13 +286,6 @@ def cmd_evaluate(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-_COLUMNS = [("intra-session", None), ("inter-session", "false"),
-            ("inter-session", "true"), ("inter-subject", "false"),
-            ("inter-subject", "true")]
-_COLUMN_TITLES = ["Intra session", "Inter session", "Inter session ADA",
-                  "Inter subjects", "Inter subjects ADA"]
-
-
 def read_results(path) -> list:
     try:
         with open(path, newline="") as fh:
@@ -322,19 +314,17 @@ def format_table(agg) -> str:
     metrics = sorted({k[0] for k in agg})
     models = sorted({k[1] for k in agg})
     lines = []
-    widths = [max(len(t), 15) for t in _COLUMN_TITLES]
+    widths = [max(len(title), 15) for title, _, _ in PAPER_COLUMNS]
     name_w = max([len(m) for m in models] + [10])
     header = f"{'Metric':8} {'Model':{name_w}} " + " ".join(
-        f"{t:>{w}}" for t, w in zip(_COLUMN_TITLES, widths))
+        f"{title:>{w}}" for (title, _, _), w in zip(PAPER_COLUMNS, widths))
     lines.append(header)
     lines.append("-" * len(header))
     for metric in metrics:
         for model in models:
             cells = []
-            for (protocol, ada), w in zip(_COLUMNS, widths):
-                candidates = ([(metric, model, protocol, a) for a in ("false", "true")]
-                              if ada is None else [(metric, model, protocol, ada)])
-                found = next((agg[k] for k in candidates if k in agg), None)
+            for (_, protocol, ada), w in zip(PAPER_COLUMNS, widths):
+                found = agg.get((metric, model, protocol, "true" if ada else "false"))
                 if found is None:
                     cells.append(f"{'-':>{w}}")
                 else:
@@ -423,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--archive", required=True)
     e.add_argument("--results", required=True, help="append-only results CSV")
-    e.add_argument("--protocol", choices=splits.PROTOCOLS)
-    e.add_argument("--fold", type=int)
     e.add_argument("--dump-trajectories",
                    help="write predicted vs true angle time series CSV")
     e.set_defaults(func=cmd_evaluate)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import butter, filtfilt
 
-from .errors import NPZ_READ_ERRORS, ConfigError, DataError, EmptyOverlapError
+from .errors import NPZ_READ_ERRORS, DataError, EmptyOverlapError
 
 log = logging.getLogger("myograsp.datapipe")
 
@@ -40,7 +40,6 @@ __all__ = [
     "lowpass",
     "make_windows",
     "concat_windows",
-    "normalize",
     "channel_stats",
     "read_stream_csv",
     "write_stream_csv",
@@ -277,7 +276,7 @@ def concat_windows(sets: list) -> WindowSet:
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# channel statistics
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -289,31 +288,14 @@ class NormStats:
         return (windows - self.mean) / self.std
 
 
-def normalize(windows: np.ndarray, stats: NormStats | None = None):
-    """Per-channel standardisation of (N, T, C) window arrays.
-
-    Without ``stats`` the statistics are computed from the given windows
-    (the training portion); pass the returned stats to normalise validation
-    and test data so nothing leaks from the held-out rows.  Zero-variance
-    channels get their std clamped to 1 with a warning.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    if len(windows) == 0:
-        raise ValueError("normalize needs at least one sample")
-    if stats is None:
-        flat = windows.reshape(-1, windows.shape[-1])
-        mean = flat.mean(axis=0)
-        std = flat.std(axis=0)
-        if np.any(std == 0):
-            warnings.warn("zero-variance channel; std clamped to 1")
-            std = np.where(std == 0, 1.0, std)
-        stats = NormStats(mean=mean, std=std)
-    return stats.apply(windows), stats
-
-
 def channel_stats(window_set: WindowSet, indices: np.ndarray,
                   chunk: int = 4096) -> NormStats:
-    """Training-set channel statistics, streamed to bound memory."""
+    """Training-set channel statistics, streamed to bound memory.
+
+    Fit on the training split only and applied (``NormStats.apply``) to
+    validation and test windows, so nothing leaks from held-out rows.
+    Zero-variance channels get their std clamped to 1 with a warning.
+    """
     indices = np.asarray(indices)
     if len(indices) == 0:
         raise ValueError("channel_stats needs a non-empty training set")

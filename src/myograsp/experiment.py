@@ -2,7 +2,8 @@
 
 :func:`prepare_run` is the one chain split -> channel statistics -> target
 statistics -> batch sources -> seeded network; the CLI's ``train`` command
-and the calibration scripts in ``scripts/`` all build their runs with it.
+and ``scripts/paper_claims.py`` build their runs with it.  The paper's table
+columns are defined once here, in :data:`PAPER_COLUMNS`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,17 @@ from .network import CELL_TYPES, Network, NetworkConfig
 from .numerics import derive_rng
 from .training import TargetStats, TrainConfig
 
-__all__ = ["TrainRunConfig", "Run", "prepare_run", "checkpoint_name", "synthesize"]
+__all__ = ["TrainRunConfig", "Run", "prepare_run", "checkpoint_name", "synthesize",
+           "PAPER_COLUMNS"]
+
+# the paper's result-table columns in its order: (title, protocol, ADA)
+PAPER_COLUMNS = (
+    ("Intra session", "intra-session", False),
+    ("Inter session", "inter-session", False),
+    ("Inter session ADA", "inter-session", True),
+    ("Inter subjects", "inter-subject", False),
+    ("Inter subjects ADA", "inter-subject", True),
+)
 
 
 @dataclasses.dataclass

@@ -9,11 +9,10 @@ with very different movement extents.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["rmse", "nrmse", "angle_ranges", "MetricReport"]
+__all__ = ["rmse", "nrmse", "angle_ranges"]
 
 
 def _pair(predictions, targets):
@@ -56,19 +55,3 @@ def angle_ranges(targets, clamp_zero: bool = False) -> np.ndarray:
         warnings.warn("zero-range angle encountered; range clamped to 1")
         r = np.where(r == 0, 1.0, r)
     return r
-
-
-@dataclass
-class MetricReport:
-    rmse: float
-    nrmse: float
-    n_angles: int
-    n_samples: int
-    ranges: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @classmethod
-    def from_predictions(cls, predictions, targets) -> "MetricReport":
-        p, t = _pair(predictions, targets)
-        r = angle_ranges(t)
-        return cls(rmse=rmse(p, t), nrmse=nrmse(p, t, r),
-                   n_angles=t.shape[1], n_samples=t.shape[0], ranges=r)

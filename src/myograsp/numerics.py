@@ -20,7 +20,6 @@ __all__ = [
     "init_params",
     "make_rng",
     "derive_rng",
-    "check_finite",
 ]
 
 
@@ -84,10 +83,3 @@ def derive_rng(seed: int, *keys) -> np.random.Generator:
     """
     entropy = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_key_to_int(k) for k in keys]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def check_finite(name: str, x: np.ndarray) -> np.ndarray:
-    """Raise ValueError if x contains NaN or Inf."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{name} contains non-finite values")
-    return x

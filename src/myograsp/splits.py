@@ -270,6 +270,8 @@ def make_split(protocol: str, window_set: WindowSet, sessions: list,
                fold: int, seed: int) -> SplitPlan:
     protocol = canonical_protocol(protocol)
     if protocol == "intra-session":
+        if fold != 0:
+            raise ConfigError(f"intra-session has one fold (0), got {fold}")
         return intra_session_split(window_set, sessions, seed)
     if protocol == "inter-session":
         return inter_session_split(window_set, sessions, fold, seed)

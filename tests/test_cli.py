@@ -149,7 +149,7 @@ class TestTrain:
         ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--hidden", "0"],
         ["--layers", "0"], ["--predictor-hidden", "0"], ["--batch-size", "0"],
         ["--epochs", "0"], ["--epochs", "2", "--patience", "3"],
-        ["--protocol", "inter-subject", "--fold", "9"],
+        ["--protocol", "inter-subject", "--fold", "9"], ["--fold", "9"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_flag_values_exit_config(self, archive_path, tmp_path, capsys, flags):
         code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
@@ -229,14 +229,15 @@ class TestEvaluate:
         assert header.startswith("end_timestamp_ms,true0")
         assert ",pred0" in header
 
-    def test_fold_out_of_range_exits_config(self, archive_path, checkpoint_path,
-                                            tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [["--fold", "1"], ["--protocol", "inter-subject"]],
+                             ids=lambda flags: " ".join(flags))
+    def test_split_is_the_checkpoints(self, archive_path, checkpoint_path, tmp_path, flags):
+        # scoring another split than the one trained on would score training data
         results = tmp_path / "r.csv"
-        code = main(["evaluate", "--checkpoint", str(checkpoint_path),
-                     "--archive", str(archive_path), "--results", str(results),
-                     "--protocol", "inter-subject", "--fold", "9"])
-        assert code == cli.EXIT_CONFIG
-        assert "Traceback" not in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--checkpoint", str(checkpoint_path),
+                  "--archive", str(archive_path), "--results", str(results)] + flags)
+        assert exc.value.code == cli.EXIT_CONFIG
         assert not results.exists()
 
     def test_mode_mismatch_rejected(self, checkpoint_path, tmp_path):

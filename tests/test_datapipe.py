@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from myograsp import datapipe
-from myograsp.datapipe import (AlignedRecording, NormStats, RawStream, WindowSet, align,
+from myograsp.datapipe import (AlignedRecording, RawStream, WindowSet, align,
                                channel_stats, concat_windows, lowpass,
-                               make_windows, normalize)
+                               make_windows)
 from myograsp.errors import DataError, EmptyOverlapError
 from myograsp.numerics import make_rng
 
@@ -195,31 +195,40 @@ class TestMakeWindows:
         assert y.shape == (len(both), 15)
 
 
+def window_set_of(windows):
+    """A WindowSet whose windows materialise to exactly ``windows`` (N, T, 8)."""
+    n, t, _ = windows.shape
+    rec = AlignedRecording(subject_id=0, session_id=0, timestamps_ms=np.arange(n * t) * 5.0,
+                           emg=windows.reshape(n * t, 8), angles=np.zeros((n * t, 15)))
+    return make_windows(rec, t, stride=t)
+
+
 class TestNormalize:
+    """channel_stats fits on training windows; NormStats.apply standardises."""
+
     def test_standardized_data_is_fixed_point(self):
         rng = make_rng(0)
         w = rng.normal(size=(20, 128, 8))
         flat = w.reshape(-1, 8)
         w = (w - flat.mean(axis=0)) / flat.std(axis=0)
-        out, stats = normalize(w)
+        stats = channel_stats(window_set_of(w), np.arange(len(w)))
         np.testing.assert_allclose(stats.mean, 0.0, atol=1e-12)
         np.testing.assert_allclose(stats.std, 1.0, atol=1e-12)
-        np.testing.assert_allclose(out, w, atol=1e-10)
+        np.testing.assert_allclose(stats.apply(w), w, atol=1e-10)
 
     def test_constant_channel_clamped_with_warning(self):
         w = make_rng(1).normal(size=(5, 16, 8))
         w[:, :, 3] = 42.0
         with pytest.warns(UserWarning):
-            out, stats = normalize(w)
+            stats = channel_stats(window_set_of(w), np.arange(len(w)))
         assert stats.std[3] == 1.0
-        np.testing.assert_array_equal(out[:, :, 3], 0.0)
+        np.testing.assert_array_equal(stats.apply(w)[:, :, 3], 0.0)
 
     def test_train_stats_applied_to_shifted_test_reveal_shift(self):
         rng = make_rng(2)
         train = rng.normal(size=(30, 64, 8))
-        _, stats = normalize(train)
-        shifted = train + 5.0
-        out, _ = normalize(shifted, stats)
+        stats = channel_stats(window_set_of(train), np.arange(len(train)))
+        out = stats.apply(train + 5.0)
         assert np.all(out.reshape(-1, 8).mean(axis=0) > 1.0)
 
     def test_streamed_stats_match(self):
@@ -228,13 +237,13 @@ class TestNormalize:
         idx = np.arange(len(ws))
         stats = channel_stats(ws, idx, chunk=7)
         x, _ = ws.materialize(idx)
-        _, direct = normalize(x)
-        np.testing.assert_allclose(stats.mean, direct.mean, atol=1e-10)
-        np.testing.assert_allclose(stats.std, direct.std, atol=1e-10)
+        flat = x.reshape(-1, 8)
+        np.testing.assert_allclose(stats.mean, flat.mean(axis=0), atol=1e-10)
+        np.testing.assert_allclose(stats.std, flat.std(axis=0), atol=1e-10)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            normalize(np.zeros((0, 128, 8)))
+            channel_stats(make_windows(recording(128), 128, 8), np.array([], dtype=np.int64))
 
 
 class TestFileFormats:

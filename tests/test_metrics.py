@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myograsp.metrics import MetricReport, angle_ranges, nrmse, rmse
+from myograsp.metrics import angle_ranges, nrmse, rmse
 from myograsp.numerics import make_rng
 
 
@@ -76,14 +76,3 @@ class TestAngleRanges:
         with pytest.warns(UserWarning):
             r = angle_ranges(t, clamp_zero=True)
         np.testing.assert_array_equal(r, [1.0, 2.0])
-
-
-def test_metric_report():
-    rng = make_rng(9)
-    t = rng.uniform(0, 90, size=(50, 15))
-    p = t + rng.normal(size=t.shape)
-    report = MetricReport.from_predictions(p, t)
-    assert report.n_angles == 15
-    assert report.n_samples == 50
-    assert report.rmse > 0 and report.nrmse > 0
-    assert len(report.ranges) == 15

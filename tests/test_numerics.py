@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_cells
-from myograsp.numerics import check_finite, derive_rng, init_params, make_rng, relu, sigmoid
+from myograsp.numerics import derive_rng, init_params, make_rng, relu, sigmoid
 
 
 class TestActivations:
@@ -104,9 +104,3 @@ class TestRng:
         a = derive_rng(7, "jitter-emg", 3).uniform(size=5)
         b = derive_rng(7, "jitter-emg", 3).uniform(size=5)
         np.testing.assert_array_equal(a, b)
-
-
-def test_check_finite():
-    check_finite("ok", np.ones(3))
-    with pytest.raises(ValueError, match="bad"):
-        check_finite("bad", np.array([1.0, np.nan]))

@@ -1,10 +1,15 @@
 """Smoke tests: each script in scripts/ runs at toy size and prints its summary."""
 
+import json
+import math
 import os
 import subprocess
 import sys
 
+import pytest
+
 from myograsp.cli import main
+from myograsp.experiment import PAPER_COLUMNS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -20,25 +25,33 @@ def run_script(name, *args, cwd=None):
     return res.stdout.splitlines()
 
 
-def test_calibrate_trends():
-    lines = run_script("calibrate_trends.py", "--seeds", "0", "--epochs", "1",
-                       "--hidden", "4", "--seconds", "30", "--stride", "128")
-    assert lines[0].startswith("seed 0: ") and " windows, floor " in lines[0]
-    assert sum(" nrmse " in line for line in lines) == 10
-    assert "means over seeds:" in lines
-    for prefix in ("trend (a) intra:", "trend (a) inter-sess:",
-                   "trend (b) sru inter-subj:", "trend (b) gru inter-subj:",
-                   "trend (c) sru inter-sess:", "trend (c) gru inter-sess:"):
-        assert any(line.startswith(prefix) for line in lines), prefix
+@pytest.fixture(scope="module")
+def claims_record():
+    """The JSON record of one toy paper_claims.py run, shared by the tests below."""
+    lines = run_script("paper_claims.py", "--seeds", "0", "--epochs", "1", "--hidden", "4",
+                       "--seconds", "30", "--stride", "128")
+    return json.loads(lines[-1])
 
 
-def test_calibrate_endtoend():
-    lines = run_script("calibrate_endtoend.py", "--subjects", "1", "--sessions", "1",
-                       "--seconds", "30", "--stride", "64", "--hidden", "4",
-                       "--epochs", "1")
-    for prefix in ("data: ", "untrained ", "trained ", "val curve: ", "total "):
-        assert sum(line.startswith(prefix) for line in lines) == 1, prefix
-    assert "after 1 epochs" in next(line for line in lines if line.startswith("trained "))
+# paper_claims.py took over the trend grid and the end-to-end trained /
+# untrained / floor numbers of the earlier calibration scripts; these two
+# tests check those two halves of its record under the names they had then.
+def test_calibrate_trends(claims_record):
+    keys = {f"{mode}/{model}/{protocol}" + ("+ada" if ada else "")
+            for mode in ("immobile", "mobile") for model in ("sru", "gru")
+            for _, protocol, ada in PAPER_COLUMNS}
+    assert len(keys) == 20 and set(claims_record["cells"]) == keys
+    assert set(claims_record["claims"]) == {"learns_in_both_modes", "sru_beats_gru",
+                                            "ada_minus_no_ada"}
+
+
+def test_calibrate_endtoend(claims_record):
+    for cell in claims_record["cells"].values():
+        for name in ("trained", "untrained"):
+            assert len(cell[name]["values"]) == 1 and math.isfinite(cell[name]["mean"])
+    for mode in ("immobile", "mobile"):
+        floor = claims_record["floor"][mode]["values"]
+        assert len(floor) == 1 and 0 < floor[0] < 1
 
 
 def test_run_grid(tmp_path):
@@ -51,7 +64,8 @@ def test_run_grid(tmp_path):
                  "--out", str(tmp_path / "samples.npz"), "--stride", "256"]) == 0
     lines = run_script("run_grid.py", "--workdir", str(tmp_path), "--seeds", "0",
                        "--models", "sru")
-    assert len(os.listdir(tmp_path / "checkpoints")) == 2 * 5  # checkpoint + report
+    # checkpoint + report per column
+    assert len(os.listdir(tmp_path / "checkpoints")) == 2 * len(PAPER_COLUMNS)
     header = next(line for line in lines if line.startswith("Metric"))
     assert "Inter subjects ADA" in header
     rows = [line.split() for line in lines if line.startswith(("nrmse ", "rmse "))]
