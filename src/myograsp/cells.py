@@ -24,25 +24,26 @@ SRU:      xhat_t = W x_t
 
 where xh_t is x_t itself when D_in == hidden, else a learned projection
 W_p x_t.  The SRU gates depend only on x_t, so the matrix products for every
-timestep are one (B*T) x D GEMM over the stacked W|W_f|W_r(|W_p) before the
+timestep are one batched GEMM over the stacked W|W_f|W_r(|W_p) before the
 light sequential scan over c_t (Lei et al., 2018).  The GRU likewise stacks
 W_z|W_r|W_h for the input side and U_z|U_r for the per-step recurrent gate
 products.  Stacks are built per call; the parameter dataclasses keep one
 array per matrix.
 
-The GRU stores its recurrence time-major, in (T, B, .) buffers, so that
-each of its T sequential steps reads and writes contiguous (B, .) blocks
-instead of strided x[:, t] slices of a (B, T, .) array (the usual RNN
-layout, Appleyard et al., 2016).  Its outputs, ``dx`` and trace fields
-are (B, T, .) views of those buffers, so callers see the same shapes as
-for the other cells.  Its input-side GEMM runs over blocks of ``BLOCK``
-time steps into one reused slab (Appleyard et al. batch that GEMM over
-groups of steps in the same way), which the backward never reads.  So an
-untraced call (``keep_trace=False``, as in inference) keeps alive only its
-input, the states ``hs`` that back its outputs and one block slab; the
-gates and candidates of a step are overwritten by the next.  The SRU and
-vanilla cells stay batch-major: the SRU scan is one elementwise line per
-step, and nothing here runs the vanilla cell at scale.
+The GRU and the SRU store their recurrences time-major, in (T, B, .)
+buffers, so that each of their T sequential steps reads and writes
+contiguous (B, .) blocks instead of strided x[:, t] slices of a (B, T, .)
+array (the usual RNN layout, Appleyard et al., 2016).  Their outputs,
+``dx`` and trace fields are (B, T, .) views of those buffers, so callers
+see the same shapes as for the vanilla cell, which stays batch-major
+because nothing here runs it at scale.  Their input-side GEMMs run over
+blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM over
+groups of steps in the same way).  The GRU's block slab is reused and
+never read by the backward; the SRU keeps its slab's gates in the trace,
+so only an untraced SRU call reuses one block.  So an untraced call
+(``keep_trace=False``, as in inference) keeps alive only its input, the
+states ``hs`` that back its outputs and one block of scratch; a step's
+gates are overwritten by a later block's.
 
 Every forward takes ``keep_trace``; with ``keep_trace=False`` it returns
 None in place of the trace.
@@ -274,8 +275,8 @@ class GruTrace(_ArrayFields):
     hc: np.ndarray    # (B, T, H) tanh candidate
 
 
-# time steps per input-side GEMM of the GRU: one block's (BLOCK, B, 3H)
-# slab is the only input-side buffer, reused block after block
+# time steps per input-side GEMM of the GRU and the SRU: without a trace,
+# one block's slab is the only input-side buffer, reused block after block
 BLOCK = 16
 
 
@@ -440,16 +441,25 @@ class SruTrace(_ArrayFields):
 def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = True):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
-    W x_t, W_f x_t, W_r x_t (and W_p x_t) for all timesteps are one GEMM
-    over the stacked matrices; the gate biases and sigmoids are applied in
-    place in that slab, whose blocks the trace keeps as views.  Only the
-    elementwise c_t scan is sequential.  The trace is None with
-    ``keep_trace=False``.
+    Runs time-major like ``gru_forward``: ``x`` is copied once into a
+    (T, B, D) array (no copy when it already is a view of one, as the
+    output of an SRU layer below is).  W x_t, W_f x_t, W_r x_t (and
+    W_p x_t) are one batched GEMM over the stacked matrices per block of
+    ``BLOCK`` steps, written gate-major into (k, ., B, H) slab blocks whose
+    gate biases and sigmoids are applied in place; only the elementwise
+    c_t scan is sequential, and it steps over contiguous (B, H) blocks.
+    The outputs and the trace fields are (B, T, .) views of the time-major
+    buffers.
+
+    With ``keep_trace=False`` the trace is None, the slab and the c_t and
+    tanh(c_t) scratch hold one block (c_t is carried across block edges),
+    so besides its input the call keeps alive only the states ``hs``
+    (T, B, H) that back the outputs.
     """
     x = _check_seq(x, params.W.shape[1], "sru_forward")
     B, T, D = x.shape
     H = params.W.shape[0]
-    c = _init_state(c0, B, H, "sru_forward")
+    c0 = _init_state(c0, B, H, "sru_forward")
 
     weights = [params.W, params.W_f, params.W_r]
     if params.W_p is not None:
@@ -458,79 +468,116 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = Tr
         raise ValueError(
             f"sru: highway needs input dim == hidden dim ({D} != {H}) "
             "or a projection matrix W_p")
-    slab = (x.reshape(B * T, D) @ np.concatenate(weights).T).reshape(B, T, len(weights) * H)
-    gates = slab[..., H:3 * H]
-    gates += np.concatenate([params.b_f, params.b_r], axis=1)
-    sigmoid(gates, out=gates)
-    xhat, f, r = slab[..., :H], slab[..., H:2 * H], slab[..., 2 * H:3 * H]
-    xh = slab[..., 3 * H:] if params.W_p is not None else x
+    k = len(weights)
+    xt = np.ascontiguousarray(_batch_major(x))
+    W = np.stack([w.T for w in weights])                 # (k, D, H)
+    b = np.stack([params.b_f, params.b_r])[:, None]      # (2, 1, 1, H)
 
-    # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs
-    cs = np.empty((B, T + 1, H))
-    cs[:, 0] = c
-    np.multiply(1.0 - f, xhat, out=cs[:, 1:])
-    for t in range(T):
-        cs[:, t + 1] += f[:, t] * cs[:, t]
+    kept = T if keep_trace else min(BLOCK, T)
+    slab = np.empty((k, kept, B, H))   # xhat, f, r (, W_p x) of kept steps
+    cs = np.empty((kept + 1, B, H))    # c_{t-1} and the kept steps' c_t
+    tanh_c = np.empty((kept, B, H))
+    hs = np.empty((T, B, H))
+    tmp = np.empty((min(BLOCK, T), B, H))
+    fc = np.empty((B, H))              # f_t * c_{t-1}
+    cs[0] = c0
+    for lo in range(0, T, BLOCK):
+        n = min(BLOCK, T - lo)
+        s = lo if keep_trace else 0
+        if s == 0 and lo > 0:
+            cs[0] = cs[-1]   # carry c across the block edge
+        blk = slab[:, s:s + n]
+        np.matmul(xt[lo:lo + n].reshape(n * B, D), W, out=blk.reshape(k, n * B, H))
+        gates = blk[1:3]
+        gates += b
+        sigmoid(gates, out=gates)
+        xhat, f, r = blk[:3]
+        xh = blk[3] if params.W_p is not None else xt[lo:lo + n]
 
-    tanh_c = np.tanh(cs[:, 1:])
-    h = np.subtract(1.0, r)
-    h *= xh
-    h += r * tanh_c
+        # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs
+        c = cs[s:s + n + 1]
+        np.subtract(1.0, f, out=tmp[:n])
+        np.multiply(tmp[:n], xhat, out=c[1:])
+        for j in range(n):
+            np.multiply(f[j], c[j], out=fc)
+            c[j + 1] += fc
+
+        # h_t = (1 - r_t) * xh_t + r_t * tanh(c_t)
+        th = np.tanh(c[1:], out=tanh_c[s:s + n])
+        h = np.subtract(1.0, r, out=hs[lo:lo + n])
+        h *= xh
+        h += np.multiply(r, th, out=tmp[:n])
+
+    outputs = _batch_major(hs)
     if not keep_trace:
-        return h, None
-    return h, SruTrace(x=x, xhat=xhat, f=f, r=r, cs=cs, xh=xh, tanh_c=tanh_c)
+        return outputs, None
+    xhat, f, r = (_batch_major(a) for a in slab[:3])
+    xh = slab[3] if params.W_p is not None else xt
+    return outputs, SruTrace(x=_batch_major(xt), xhat=xhat, f=f, r=r, cs=_batch_major(cs),
+                             xh=_batch_major(xh), tanh_c=_batch_major(tanh_c))
 
 
 def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
     """BPTT through the SRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
-    Returns (grads, dx, dc0).  Only the reverse c-scan is sequential; all
-    weight gradients are batched GEMMs.
+    Returns (grads, dx, dc0).  Runs time-major like the forward: the trace
+    fields transpose back to their (T, B, .) buffers for free, ``dh_up`` is
+    copied once into (T, B, H) order, and the reverse c-scan steps over
+    contiguous (B, H) blocks.  The gradients of xhat, the f and r
+    pre-activations and the highway input go gate-major into one
+    (4, T, B, H) buffer, so the weight gradients are one batched GEMM, and
+    ``dx`` is a (B, T, D) view.
     """
-    x, xhat, f, r, cs, xh, tanh_c = (trace.x, trace.xhat, trace.f, trace.r,
-                                     trace.cs, trace.xh, trace.tanh_c)
-    B, T, D = x.shape
-    H = f.shape[2]
+    B, T, D = trace.x.shape
+    H = trace.f.shape[2]
     dh_up = np.asarray(dh_up, dtype=np.float64)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"sru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
+    xt, xhat, f, r, cs, xh, tanh_c = (_batch_major(a) for a in (
+        trace.x, trace.xhat, trace.f, trace.r, trace.cs, trace.xh, trace.tanh_c))
+    dh_up = np.ascontiguousarray(_batch_major(dh_up))
 
-    one_minus_r = 1.0 - r
-    dxh = dh_up * one_minus_r
-    da_r = dh_up * (tanh_c - xh)
+    da = np.empty((4, T, B, H))   # d xhat | d a_f | d a_r | d xh
+    dxhat, da_f, da_r, dxh = da
+    gc = np.empty((T, B, H))      # dLoss/dc_t
+    tmp = np.empty((T, B, H))
+    step = np.empty((B, H))
+
+    np.subtract(1.0, r, out=tmp)                 # 1 - r
+    np.multiply(dh_up, tmp, out=dxh)
+    np.subtract(tanh_c, xh, out=da_r)
+    da_r *= dh_up
     da_r *= r
-    da_r *= one_minus_r
+    da_r *= tmp
 
     # reverse scan, in place: gc_t = dc_direct_t + f_{t+1} * gc_{t+1}
-    gc = dh_up * r
-    gc *= 1.0 - tanh_c ** 2
+    np.multiply(dh_up, r, out=gc)
+    np.multiply(tanh_c, tanh_c, out=tmp)
+    np.subtract(1.0, tmp, out=tmp)
+    gc *= tmp
     for t in range(T - 2, -1, -1):
-        gc[:, t] += f[:, t + 1] * gc[:, t + 1]
-    dc0 = f[:, 0] * gc[:, 0]
+        gc[t] += np.multiply(f[t + 1], gc[t + 1], out=step)
+    dc0 = f[0] * gc[0]
 
-    one_minus_f = 1.0 - f
-    dxhat = gc * one_minus_f
-    da_f = gc * (cs[:, :-1] - xhat)
+    np.subtract(1.0, f, out=tmp)                 # 1 - f
+    np.multiply(gc, tmp, out=dxhat)
+    np.subtract(cs[:-1], xhat, out=da_f)
+    da_f *= gc
     da_f *= f
-    da_f *= one_minus_f
+    da_f *= tmp
 
-    x2 = x.reshape(B * T, D)
-    dxhat2 = dxhat.reshape(B * T, H)
-    daf2 = da_f.reshape(B * T, H)
-    dar2 = da_r.reshape(B * T, H)
-    dxh2 = dxh.reshape(B * T, H)
-
-    grads = SruParams(
-        W=dxhat2.T @ x2,
-        W_f=daf2.T @ x2, b_f=daf2.sum(axis=0, keepdims=True),
-        W_r=dar2.T @ x2, b_r=dar2.sum(axis=0, keepdims=True),
-        W_p=dxh2.T @ x2 if params.W_p is not None else None,
-    )
-    dx2 = dxhat2 @ params.W
-    dx2 += daf2 @ params.W_f
-    dx2 += dar2 @ params.W_r
-    dx2 += dxh2 @ params.W_p if params.W_p is not None else dxh2
-    return grads, dx2.reshape(B, T, D), dc0
+    k = 3 if params.W_p is None else 4
+    x2 = xt.reshape(T * B, D)
+    da2 = da.reshape(4, T * B, H)
+    dW = np.matmul(da2[:k].transpose(0, 2, 1), x2)   # (k, H, D)
+    db = da2[1:3].sum(axis=1, keepdims=True)
+    grads = SruParams(W=dW[0], W_f=dW[1], b_f=db[0], W_r=dW[2], b_r=db[1],
+                      W_p=dW[3] if params.W_p is not None else None)
+    dx = da2[0] @ params.W
+    dx += da2[1] @ params.W_f
+    dx += da2[2] @ params.W_r
+    dx += da2[3] @ params.W_p if params.W_p is not None else da2[3]
+    return grads, _batch_major(dx.reshape(T, B, D)), dc0
 
 
 # ---------------------------------------------------------------------------

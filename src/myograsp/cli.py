@@ -7,7 +7,7 @@ keyed by (model, protocol, fold, ada, seed) so a full experiment grid can
 be assembled incrementally from independent processes.
 
 Exit codes: 0 success, 2 configuration error, 3 IO/data error, 4 numeric
-failure (NaN loss).
+failure (NaN loss or test score).
 """
 
 from __future__ import annotations
@@ -233,33 +233,69 @@ def append_results(path, rows) -> None:
             w.writerow(row)
 
 
-def cmd_evaluate(args) -> int:
-    net, meta = load_checkpoint(args.checkpoint)
+def _meta_vector(meta: dict, key: str, size: int, path) -> np.ndarray:
+    value = meta[key]
+    if (not isinstance(value, list) or len(value) != size
+            or not all(type(v) in (int, float) for v in value)):
+        raise DataError(f"checkpoint {path}: meta {key} must be a list of {size} numbers, "
+                        f"got {value!r}")
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"checkpoint {path}: meta {key} holds non-finite values")
+    return arr
+
+
+def evaluation_meta(meta, path, net) -> tuple[datapipe.NormStats, TargetStats]:
+    """Check the checkpoint meta that ``evaluate`` reads, before any work.
+
+    The split keys must be present and typed (``fold`` and ``seed``
+    integers), and the input and target statistics must hold one finite
+    mean and one positive std per channel and per angle.  Returns those
+    statistics; any violation is a DataError.
+    """
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path}: meta is not a mapping")
     missing = [key for key in ("model", "protocol", "fold", "seed", "ada", "norm_mean",
                                "norm_std", "target_mean", "target_std") if key not in meta]
     if missing:
-        raise DataError(f"checkpoint {args.checkpoint} misses meta keys {missing}")
+        raise DataError(f"checkpoint {path} misses meta keys {missing}")
+    for key, kind in (("model", str), ("protocol", str), ("fold", int), ("seed", int)):
+        if type(meta[key]) is not kind:
+            raise DataError(f"checkpoint {path}: meta {key} must be a {kind.__name__}, "
+                            f"got {meta[key]!r}")
+    stats = []
+    for cls, prefix, size in ((datapipe.NormStats, "norm", net.config.input_channels),
+                              (TargetStats, "target", net.config.output_angles)):
+        mean, std = (_meta_vector(meta, f"{prefix}_{part}", size, path)
+                     for part in ("mean", "std"))
+        if np.any(std <= 0):
+            raise DataError(f"checkpoint {path}: meta {prefix}_std must be positive")
+        stats.append(cls(mean=mean, std=std))
+    return tuple(stats)
+
+
+def cmd_evaluate(args) -> int:
+    net, meta = load_checkpoint(args.checkpoint)
+    stats, target_stats = evaluation_meta(meta, args.checkpoint, net)
     window_set, archive_meta = datapipe.load_archive(args.archive)
     if int(archive_meta["n_angles"]) != net.config.output_angles:
         raise ConfigError(
             f"checkpoint predicts {net.config.output_angles} angles but archive "
             f"holds {archive_meta['n_angles']} ({archive_meta['mode']} mode)")
 
-    fold, seed = meta["fold"], int(meta["seed"])
+    fold, seed = meta["fold"], meta["seed"]
     plan = splits.make_split(meta["protocol"], window_set, archive_meta["sessions"],
                              fold, seed)
     test_idx = plan.indices(splits.TEST)
     if len(test_idx) == 0:
         raise DataError("split produced an empty test set")
 
-    stats = datapipe.NormStats(mean=np.asarray(meta["norm_mean"]),
-                               std=np.asarray(meta["norm_std"]))
     xs, ys = window_set.materialize(test_idx)
-    target_stats = TargetStats(mean=np.asarray(meta["target_mean"]),
-                               std=np.asarray(meta["target_std"]))
     preds = target_stats.denormalize(predict(net, stats.apply(xs)))
     test_rmse = rmse(preds, ys)
     test_nrmse = nrmse(preds, ys, angle_ranges(ys))
+    if not np.isfinite([test_rmse, test_nrmse]).all():
+        raise NumericError(f"non-finite test score: rmse={test_rmse} nrmse={test_nrmse}")
 
     ada = "true" if meta["ada"] else "false"
     rows = [["rmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_rmse:.10g}"],
@@ -287,14 +323,30 @@ def cmd_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def read_results(path) -> list:
+    """Rows of a results CSV as dicts; a file that ``append_results`` could
+    not have written (another header, a short or long row, a value that is
+    no finite number) is a DataError."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
-    except OSError as exc:
+            header = reader.fieldnames
+    except (OSError, csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read results file {path}: {exc}") from exc
+    if header != RESULTS_HEADER.split(","):
+        raise DataError(f"results file {path}: header {header} is not {RESULTS_HEADER!r}")
     if not rows:
         raise DataError(f"results file {path} is empty")
+    for n, row in enumerate(rows, 1):
+        if None in row or None in row.values():
+            raise DataError(f"results file {path}: row {n} does not hold {len(header)} fields")
+        try:
+            value = float(row["value"])
+        except ValueError:
+            value = float("nan")
+        if not np.isfinite(value):
+            raise DataError(f"results file {path}: row {n} value {row['value']!r} "
+                            "is no finite number")
     return rows
 
 

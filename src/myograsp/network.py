@@ -174,10 +174,10 @@ class Network:
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
         or None, trace).  With ``keep_trace=False`` (inference) the trace is
-        None and no layer builds a cell trace: a GRU layer keeps alive only
-        its input, its states (its output) and one block slab of input-side
-        gate products, and an SRU or vanilla layer drops its activations
-        when it returns.
+        None and no layer builds a cell trace: a GRU or SRU layer keeps
+        alive only its input, its states (its output) and one block of
+        input-side gate products and scratch, and a vanilla layer drops its
+        activations when it returns.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim == 2:

@@ -170,6 +170,20 @@ class TestSruForward:
         with pytest.raises(ValueError, match="highway"):
             cells.sru_forward(p_square_broken, np.zeros((1, 2, 3)))
 
+    def test_time_major_layout(self):
+        # the c-scan reads and writes one contiguous (B, H) block per step,
+        # and the output is a view of the stored states, not a copy
+        rng = make_rng(5)
+        p = cells.init_sru(2, 4, rng)
+        h, trace = cells.sru_forward(p, rng.normal(size=(3, 6, 2)))
+        for t in range(6):
+            for name in ("cs", "f"):
+                assert getattr(trace, name)[:, t].flags.c_contiguous, (name, t)
+        bare, _ = cells.sru_forward(p, rng.normal(size=(3, 6, 2)), keep_trace=False)
+        for out in (h, bare):
+            assert out.base is not None and out.base.flags.c_contiguous
+            assert out.base.shape == (6, 3, 4)
+
 
 # ---------------------------------------------------------------------------
 # backward: finite differences
@@ -319,6 +333,28 @@ def test_untraced_gru_matches_traced(T, with_h0):
     assert no_trace is None
     np.testing.assert_array_equal(bare, out)
     ref_out, ref_trace = reference_cells.gru_forward(params, x, h0)
+    assert_oracle_close(out, ref_out, "outputs")
+    for name, arr in ref_trace.named():
+        assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")
+
+
+@pytest.mark.parametrize("input_dim", [5, 6], ids=["projected", "highway"])
+@pytest.mark.parametrize("with_c0", [False, True], ids=["c0-zero", "c0-given"])
+@pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
+                               2 * cells.BLOCK + 3])
+def test_untraced_sru_matches_traced(T, with_c0, input_dim):
+    # an untraced call keeps one block of gates and c_t and carries c_t
+    # across block edges: lengths on either side of an edge and a partial
+    # last block are the edge cases
+    rng = derive_rng(0, "untraced-sru", T, with_c0, input_dim)
+    params = randomized(cells.init_sru(input_dim, 6, rng), rng)
+    x = rng.normal(size=(3, T, input_dim))
+    c0 = rng.normal(size=(3, 6)) if with_c0 else None
+    out, trace = cells.sru_forward(params, x, c0)
+    bare, no_trace = cells.sru_forward(params, x, c0, keep_trace=False)
+    assert no_trace is None
+    np.testing.assert_array_equal(bare, out)
+    ref_out, ref_trace = reference_cells.sru_forward(params, x, c0)
     assert_oracle_close(out, ref_out, "outputs")
     for name, arr in ref_trace.named():
         assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")

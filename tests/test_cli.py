@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -306,10 +307,18 @@ def drop_emg_rows(arrays):
     arrays["rec0_emg"] = arrays["rec0_emg"][:len(arrays["rec0_ts"]) // 2]
 
 
-def add_config_key(arrays):
+def rewrite_header(arrays, edit):
+    """Apply ``edit`` to a checkpoint's decoded JSON header, in place."""
     header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
-    header["config"]["dropout"] = 0.5
+    edit(header)
     arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+
+
+def header_edit(section, key, value_fn):
+    """Copy a checkpoint with header[section][key] set to value_fn(old value)."""
+    def edit(header):
+        header[section][key] = value_fn(header[section].get(key))
+    return npz_edit(lambda arrays: rewrite_header(arrays, edit))
 
 
 def without_target_stats(src, dst):
@@ -353,7 +362,14 @@ CORRUPT = {
         "windows_start_row", lambda a: len(a["rec0_ts"]) - 127)),
     "truncated checkpoint": ("checkpoint", truncated),
     "checkpoint without target stats": ("checkpoint", without_target_stats),
-    "checkpoint config with unknown key": ("checkpoint", npz_edit(add_config_key)),
+    "checkpoint config with unknown key": ("checkpoint", header_edit(
+        "config", "dropout", lambda _: 0.5)),
+    "norm_mean of 7 entries": ("checkpoint", header_edit("meta", "norm_mean", lambda v: v[:7])),
+    "target_std of 3 entries": ("checkpoint", header_edit("meta", "target_std", lambda v: v[:3])),
+    "norm_mean null": ("checkpoint", header_edit("meta", "norm_mean", lambda _: None)),
+    "fold not an integer": ("checkpoint", header_edit("meta", "fold", lambda _: "x")),
+    "norm_std all zero": ("checkpoint", header_edit("meta", "norm_std",
+                                                     lambda v: [0.0] * len(v))),
     "emg rows fewer than timestamps": ("archive", npz_edit(drop_emg_rows)),
     "zip entries flagged encrypted": ("archive", central_directory_field(8, 1)),
     "unknown zip compression method": ("checkpoint", central_directory_field(10, 99)),
@@ -377,6 +393,20 @@ def test_corrupt_input_exits_io(archive_path, checkpoint_path, tmp_path, capsys,
         assert not out_dir.exists()
     assert main(["evaluate", "--checkpoint", str(checkpoint), "--archive", str(archive),
                  "--results", str(results)]) == cli.EXIT_IO
+    assert "Traceback" not in capsys.readouterr().err
+    assert not results.exists()
+
+
+def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path, capsys):
+    # a NaN weight gives NaN predictions: evaluate must not append nan rows
+    def nan_weight(arrays):
+        name = next(k for k in arrays if k.startswith("predictor."))
+        arrays[name] = np.full_like(arrays[name], np.nan)
+
+    bad, results = tmp_path / "bad.npz", tmp_path / "r.csv"
+    npz_edit(nan_weight)(checkpoint_path, bad)
+    assert main(["evaluate", "--checkpoint", str(bad), "--archive", str(archive_path),
+                 "--results", str(results)]) == cli.EXIT_NUMERIC
     assert "Traceback" not in capsys.readouterr().err
     assert not results.exists()
 
@@ -472,6 +502,74 @@ def test_damaged_files_keep_exit_contract(archive_path, checkpoint_path, tmp_pat
     assert "Traceback" not in capsys.readouterr().err
 
 
+# JSON values a checkpoint meta entry, or one entry of its statistics, may
+# become: wrong types, non-finite and extreme numbers, nested lists
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=3),
+              st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
+    lambda inner: st.lists(inner, max_size=9), max_leaves=12)
+STAT_KEYS = ["norm_mean", "norm_std", "target_mean", "target_std"]
+META_KEYS = ["model", "protocol", "fold", "seed", "ada"] + STAT_KEYS
+
+
+def meta_edits():
+    """("set", key, value), ("drop", key) or ("entry", key, index, value)."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(META_KEYS), JSON_VALUES),
+        st.tuples(st.just("drop"), st.sampled_from(META_KEYS)),
+        st.tuples(st.just("entry"), st.sampled_from(STAT_KEYS), st.integers(0, 14),
+                  JSON_VALUES)), min_size=1, max_size=3)
+
+
+def apply_meta_edits(meta, edits):
+    for how, key, *rest in edits:
+        if how == "drop":
+            meta.pop(key, None)
+        elif how == "set":
+            meta[key] = rest[0]
+        elif isinstance(meta.get(key), list) and rest[0] < len(meta[key]):
+            meta[key][rest[0]] = rest[1]
+
+
+def result_values(path):
+    if not path.exists():
+        return []
+    with open(path, newline="") as fh:
+        return [row["value"] for row in csv.DictReader(fh)]
+
+
+@CONTRACT
+@given(edits=meta_edits())
+def test_edited_checkpoint_meta_keeps_exit_contract(archive_path, checkpoint_path, tmp_path,
+                                                    capsys, edits):
+    # byte flips almost never reach a meta value: edit the decoded JSON instead
+    bad, results = tmp_path / "bad.npz", tmp_path / "r.csv"
+    results.unlink(missing_ok=True)
+    npz_edit(lambda arrays: rewrite_header(
+        arrays, lambda header: apply_meta_edits(header["meta"], edits)))(checkpoint_path, bad)
+    code = exit_code(["evaluate", "--checkpoint", str(bad), "--archive", str(archive_path),
+                      "--results", str(results)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+    assert all(np.isfinite(float(v)) for v in result_values(results))
+
+
+FIELD_TEXT = st.one_of(st.sampled_from(["nan", "inf", "0.5", "", "sru", "true"]),
+                       st.text(alphabet="abc01.,\"\n -e", max_size=6))
+
+
+@CONTRACT
+@given(header=st.one_of(st.just(cli.RESULTS_HEADER.split(",")),
+                        st.lists(FIELD_TEXT, max_size=8)),
+       rows=st.lists(st.lists(FIELD_TEXT, max_size=9), max_size=4))
+def test_malformed_results_keep_exit_contract(tmp_path, capsys, header, rows):
+    results = tmp_path / "r.csv"
+    with open(results, "w", newline="") as fh:
+        csv.writer(fh).writerows([header] + rows)
+    assert exit_code(["report", "--results", str(results)]) in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+
+
 class TestReport:
     def make_results(self, path, rows):
         path.write_text("metric,model,protocol,ada,fold,seed,value\n"
@@ -517,6 +615,18 @@ class TestReport:
         results = tmp_path / "results.csv"
         results.write_text("metric,model,protocol,ada,fold,seed,value\n")
         assert main(["report", "--results", str(results)]) == cli.EXIT_IO
+
+    @pytest.mark.parametrize("text", [
+        b"metric,model,protocol,ada,fold,seed\nnrmse,sru,intra-session,false,0,0\n",
+        b"metric,model,protocol,ada,fold,seed,value\nnrmse,sru,intra-session,false,0,0,x\n",
+        b"metric,model,protocol,ada,fold,seed,value\nnrmse,sru,intra-session\n",
+        b"metric,model,protocol,ada,fold,seed,value\n\xff\xfe,sru\n",
+    ], ids=["wrong header", "non-numeric value", "short row", "not utf-8"])
+    def test_malformed_results_exit_io(self, tmp_path, capsys, text):
+        results = tmp_path / "results.csv"
+        results.write_bytes(text)
+        assert main(["report", "--results", str(results)]) == cli.EXIT_IO
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConfigFileParsing:

@@ -312,3 +312,24 @@ def test_gru_predict_peak_bounded_by_layer_states():
         tracemalloc.stop()
     states = (T + 1) * B * H * 8
     assert peak <= 3 * states, peak / states
+
+
+def test_sru_predict_peak_bounded_by_layer_states():
+    # an untraced SRU layer keeps alive its states (T, B, H), which are its
+    # output, and one block of gates, c_t and tanh(c_t), but no full slab:
+    # two layers' states and a block stay under three state buffers, where
+    # full traces (input slab, c_t, tanh(c_t)) would peak near eight
+    B, T, H = 64, 128, 32
+    cfg = NetworkConfig(cell_type="sru", input_channels=3, hidden_size=H,
+                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
+    net = Network.init(cfg, derive_rng(0, "predict-peak"))
+    x = make_rng(3).normal(size=(B, T, 3))
+    predict(net, x, chunk=B)   # warm-up outside the measurement
+    tracemalloc.start()
+    try:
+        predict(net, x, chunk=B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    states = T * B * H * 8
+    assert peak <= 3 * states, peak / states
