@@ -38,15 +38,11 @@ array (the usual RNN layout, Appleyard et al., 2016).  Their outputs,
 see the same shapes as for the vanilla cell, which stays batch-major
 because nothing here runs it at scale.  Their input-side GEMMs run over
 blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM over
-groups of steps in the same way).  The GRU's block slab is reused and
-never read by the backward; the SRU keeps its slab's gates in the trace,
-so only an untraced SRU call reuses one block.  So an untraced call
-(``keep_trace=False``, as in inference) keeps alive only its input, the
-states ``hs`` that back its outputs and one block of scratch; a step's
-gates are overwritten by a later block's.
-
-Every forward takes ``keep_trace``; with ``keep_trace=False`` it returns
-None in place of the trace.
+groups of steps in the same way), and so do the vanilla cell's input and
+readout GEMMs.  So a call over a sequence computes bit for bit what a
+call per block of ``BLOCK`` steps does, each started from the
+``final_state`` of the block before: the network's inference streams its
+layer stack one block at a time this way.
 
 Backward passes return exact gradients of the forward map and were written
 to be checked against central finite differences (see tests); the
@@ -80,6 +76,7 @@ __all__ = [
     "sru_backward",
     "cell_forward",
     "cell_backward",
+    "final_state",
 ]
 
 
@@ -184,6 +181,11 @@ def _init_state(state, batch: int, hidden: int, who: str) -> np.ndarray:
     return state.copy()
 
 
+# time steps per input-side GEMM of every cell, and per step of the
+# network's streamed inference
+BLOCK = 8
+
+
 # ---------------------------------------------------------------------------
 # vanilla RNN
 # ---------------------------------------------------------------------------
@@ -194,21 +196,26 @@ class VanillaTrace(_ArrayFields):
     hs: np.ndarray   # (B, T+1, H), hs[:,0] = h0
 
 
-def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
-                    keep_trace: bool = True):
+def _blockwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """(B, T, K) @ W as one (B*n, K) GEMM per block of ``BLOCK`` steps."""
+    B, T, K = a.shape
+    out = np.empty((B, T, W.shape[1]))
+    for lo in range(0, T, BLOCK):
+        out[:, lo:lo + BLOCK] = (a[:, lo:lo + BLOCK].reshape(-1, K) @ W).reshape(B, -1, W.shape[1])
+    return out
+
+
+def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
     """Run the vanilla cell over a sequence batch.
 
-    Returns (outputs, trace) with outputs of shape (B, T, D_out); the trace
-    is None with ``keep_trace=False``.
+    Returns (outputs, trace) with outputs of shape (B, T, D_out).
     """
     x = _check_seq(x, params.W_h.shape[1], "vanilla_forward")
     B, T, _ = x.shape
     H = params.W_h.shape[0]
     h = _init_state(h0, B, H, "vanilla_forward")
 
-    # input-side products for all timesteps in one GEMM
-    xw = x.reshape(B * T, -1) @ params.W_h.T
-    xw = xw.reshape(B, T, H) + params.b_h
+    xw = _blockwise_matmul(x, params.W_h.T) + params.b_h
 
     hs = np.empty((B, T + 1, H))
     hs[:, 0] = h
@@ -216,9 +223,8 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
         h = np.tanh(xw[:, t] + h @ params.U_h.T)
         hs[:, t + 1] = h
 
-    ys = hs[:, 1:].reshape(B * T, H) @ params.W_y.T
-    ys = ys.reshape(B, T, -1) + params.b_y
-    return ys, (VanillaTrace(x=x, hs=hs) if keep_trace else None)
+    ys = _blockwise_matmul(hs[:, 1:], params.W_y.T) + params.b_y
+    return ys, VanillaTrace(x=x, hs=hs)
 
 
 def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray):
@@ -275,17 +281,12 @@ class GruTrace(_ArrayFields):
     hc: np.ndarray    # (B, T, H) tanh candidate
 
 
-# time steps per input-side GEMM of the GRU and the SRU: without a trace,
-# one block's slab is the only input-side buffer, reused block after block
-BLOCK = 16
-
-
 def _batch_major(a: np.ndarray) -> np.ndarray:
     """(T, B, .) <-> (B, T, .) as a view."""
     return a.transpose(1, 0, 2)
 
 
-def gru_forward(params: GruParams, x: np.ndarray, h0=None, keep_trace: bool = True):
+def gru_forward(params: GruParams, x: np.ndarray, h0=None):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
     The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
@@ -297,11 +298,6 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, keep_trace: bool = Tr
     ``h @ U_r.T`` straight into its (2, B, H) gate block and does its
     elementwise work in place, with no per-step temporaries.  The outputs
     and the trace fields are (B, T, .) views of the time-major buffers.
-
-    With ``keep_trace=False`` the trace is None and the gates and
-    candidates live in one reused step of scratch, so besides its input
-    the call keeps alive only the states ``hs`` (T+1, B, H), which back
-    the outputs, and the block slab.
     """
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
     B, T, D = x.shape
@@ -314,27 +310,28 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, keep_trace: bool = Tr
     U_zr = np.stack([params.U_z.T, params.U_r.T])   # (2, H, H)
     U_h = params.U_h.T
 
-    hs = np.empty((T + 1, B, H))
-    hs[0] = h0
-    kept = T if keep_trace else 1
-    zr = np.empty((kept, 2, B, H))   # z_t, r_t
-    hc = np.empty((kept, B, H))
+    # scratch first, the states (they outlive the call) last: freed scratch
+    # then lies below live memory, where the allocator reuses it instead of
+    # returning it to the OS, and calls per block fault in no fresh pages
     xg = np.empty((min(BLOCK, T), B, 3, H))   # input side of BLOCK steps
     rh = np.empty((B, H))                     # r_t * h_{t-1}
+    zr = np.empty((T, 2, B, H))   # z_t, r_t
+    hc = np.empty((T, B, H))
+    hs = np.empty((T + 1, B, H))
+    hs[0] = h0
     for t in range(T):
         k = t % BLOCK
         if k == 0:
             n = min(BLOCK, T - t)
             np.matmul(xt[t:t + n].reshape(n * B, D), W, out=xg[:n].reshape(n * B, 3 * H))
             xg[:n] += b
-        s = t if keep_trace else 0
         h = hs[t]
-        zr_t = np.matmul(h, U_zr, out=zr[s])
+        zr_t = np.matmul(h, U_zr, out=zr[t])
         zr_t += xg[k, :, :2].swapaxes(0, 1)
         sigmoid(zr_t, out=zr_t)
         z_t, r_t = zr_t
         np.multiply(r_t, h, out=rh)
-        hc_t = np.matmul(rh, U_h, out=hc[s])
+        hc_t = np.matmul(rh, U_h, out=hc[t])
         hc_t += xg[k, :, 2]
         np.tanh(hc_t, out=hc_t)
         # h_t = h + z_t * (hc_t - h)
@@ -342,12 +339,9 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, keep_trace: bool = Tr
         h_t *= z_t
         h_t += h
 
-    outputs = _batch_major(hs)[:, 1:]
-    if not keep_trace:
-        return outputs, None
     trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, 0]),
                      r=_batch_major(zr[:, 1]), hc=_batch_major(hc))
-    return outputs, trace
+    return _batch_major(hs)[:, 1:], trace
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
@@ -438,7 +432,7 @@ class SruTrace(_ArrayFields):
     tanh_c: np.ndarray  # (B, T, H)
 
 
-def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = True):
+def sru_forward(params: SruParams, x: np.ndarray, c0=None):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
     Runs time-major like ``gru_forward``: ``x`` is copied once into a
@@ -450,11 +444,6 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = Tr
     c_t scan is sequential, and it steps over contiguous (B, H) blocks.
     The outputs and the trace fields are (B, T, .) views of the time-major
     buffers.
-
-    With ``keep_trace=False`` the trace is None, the slab and the c_t and
-    tanh(c_t) scratch hold one block (c_t is carried across block edges),
-    so besides its input the call keeps alive only the states ``hs``
-    (T, B, H) that back the outputs.
     """
     x = _check_seq(x, params.W.shape[1], "sru_forward")
     B, T, D = x.shape
@@ -473,20 +462,17 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = Tr
     W = np.stack([w.T for w in weights])                 # (k, D, H)
     b = np.stack([params.b_f, params.b_r])[:, None]      # (2, 1, 1, H)
 
-    kept = T if keep_trace else min(BLOCK, T)
-    slab = np.empty((k, kept, B, H))   # xhat, f, r (, W_p x) of kept steps
-    cs = np.empty((kept + 1, B, H))    # c_{t-1} and the kept steps' c_t
-    tanh_c = np.empty((kept, B, H))
-    hs = np.empty((T, B, H))
+    # scratch first and the states last, as in gru_forward
     tmp = np.empty((min(BLOCK, T), B, H))
     fc = np.empty((B, H))              # f_t * c_{t-1}
+    slab = np.empty((k, T, B, H))      # xhat, f, r (, W_p x)
+    cs = np.empty((T + 1, B, H))
+    tanh_c = np.empty((T, B, H))
+    hs = np.empty((T, B, H))
     cs[0] = c0
     for lo in range(0, T, BLOCK):
         n = min(BLOCK, T - lo)
-        s = lo if keep_trace else 0
-        if s == 0 and lo > 0:
-            cs[0] = cs[-1]   # carry c across the block edge
-        blk = slab[:, s:s + n]
+        blk = slab[:, lo:lo + n]
         np.matmul(xt[lo:lo + n].reshape(n * B, D), W, out=blk.reshape(k, n * B, H))
         gates = blk[1:3]
         gates += b
@@ -495,7 +481,7 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = Tr
         xh = blk[3] if params.W_p is not None else xt[lo:lo + n]
 
         # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs
-        c = cs[s:s + n + 1]
+        c = cs[lo:lo + n + 1]
         np.subtract(1.0, f, out=tmp[:n])
         np.multiply(tmp[:n], xhat, out=c[1:])
         for j in range(n):
@@ -503,18 +489,16 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, keep_trace: bool = Tr
             c[j + 1] += fc
 
         # h_t = (1 - r_t) * xh_t + r_t * tanh(c_t)
-        th = np.tanh(c[1:], out=tanh_c[s:s + n])
+        th = np.tanh(c[1:], out=tanh_c[lo:lo + n])
         h = np.subtract(1.0, r, out=hs[lo:lo + n])
         h *= xh
         h += np.multiply(r, th, out=tmp[:n])
 
-    outputs = _batch_major(hs)
-    if not keep_trace:
-        return outputs, None
     xhat, f, r = (_batch_major(a) for a in slab[:3])
     xh = slab[3] if params.W_p is not None else xt
-    return outputs, SruTrace(x=_batch_major(xt), xhat=xhat, f=f, r=r, cs=_batch_major(cs),
-                             xh=_batch_major(xh), tanh_c=_batch_major(tanh_c))
+    trace = SruTrace(x=_batch_major(xt), xhat=xhat, f=f, r=r, cs=_batch_major(cs),
+                     xh=_batch_major(xh), tanh_c=_batch_major(tanh_c))
+    return _batch_major(hs), trace
 
 
 def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
@@ -599,10 +583,15 @@ def _cell(params: CellParams):
         raise TypeError(f"unknown cell parameter type {type(params)}") from None
 
 
-def cell_forward(params: CellParams, x: np.ndarray, state0=None, keep_trace: bool = True):
-    """Dispatch to the matching forward pass; with ``keep_trace=False`` the
-    trace is None."""
-    return _cell(params)[0](params, x, state0, keep_trace=keep_trace)
+def cell_forward(params: CellParams, x: np.ndarray, state0=None):
+    """Dispatch to the matching forward pass."""
+    return _cell(params)[0](params, x, state0)
+
+
+def final_state(trace) -> np.ndarray:
+    """The state a forward leaves, (B, H): c_T for the SRU, else h_T.  A
+    call over the rest of the sequence started from it continues exactly."""
+    return (trace.cs if isinstance(trace, SruTrace) else trace.hs)[:, -1]
 
 
 def cell_backward(trace, params: CellParams, upstream: np.ndarray):

@@ -297,13 +297,7 @@ def cmd_evaluate(args) -> int:
     if not np.isfinite([test_rmse, test_nrmse]).all():
         raise NumericError(f"non-finite test score: rmse={test_rmse} nrmse={test_nrmse}")
 
-    ada = "true" if meta["ada"] else "false"
-    rows = [["rmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_rmse:.10g}"],
-            ["nrmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_nrmse:.10g}"]]
-    append_results(args.results, rows)
-    log.info("%s fold %d: rmse=%.4f nrmse=%.4f on %d test windows",
-             plan.protocol, fold, test_rmse, test_nrmse, len(test_idx))
-
+    # the dump goes first: an unwritable dump path must leave no result rows
     if args.dump_trajectories:
         order = np.argsort(window_set.end_ts[test_idx], kind="stable")
         n_angles = ys.shape[1]
@@ -314,6 +308,13 @@ def cmd_evaluate(args) -> int:
                                 ys[order], preds[order]])
         np.savetxt(args.dump_trajectories, data, fmt="%.6f", delimiter=",",
                    header=header, comments="")
+
+    ada = "true" if meta["ada"] else "false"
+    rows = [["rmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_rmse:.10g}"],
+            ["nrmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_nrmse:.10g}"]]
+    append_results(args.results, rows)
+    log.info("%s fold %d: rmse=%.4f nrmse=%.4f on %d test windows",
+             plan.protocol, fold, test_rmse, test_nrmse, len(test_idx))
     print(f"rmse={test_rmse:.6f} nrmse={test_nrmse:.6f}")
     return EXIT_OK
 

@@ -102,6 +102,24 @@ def gradient_reversal_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
     return lam * np.asarray(upstream, dtype=np.float64)
 
 
+def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
+    """Add the steps of ``seq`` (B, T, H) to ``total`` one at a time: one
+    summation order whether a sequence arrives whole or block by block
+    (``mean(axis=1)`` sums pairwise in degenerate shapes)."""
+    for t in range(seq.shape[1]):
+        total += seq[:, t]
+
+
+def _block_forward(layer, seq: np.ndarray, state, traces: list | None):
+    """One layer over one block from its carried state; returns the block's
+    outputs and the state it leaves.  The trace goes to ``traces`` if given,
+    else it is dropped here."""
+    out, trace = cells.cell_forward(layer, seq, state)
+    if traces is not None:
+        traces.append(trace)
+    return out, cells.final_state(trace)
+
+
 @dataclass
 class NetworkTrace:
     cell_traces: list
@@ -174,29 +192,33 @@ class Network:
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
         or None, trace).  With ``keep_trace=False`` (inference) the trace is
-        None and no layer builds a cell trace: a GRU or SRU layer keeps
-        alive only its input, its states (its output) and one block of
-        input-side gate products and scratch, and a vanilla layer drops its
-        activations when it returns.
+        None and the layer stack runs over one block of ``cells.BLOCK``
+        steps at a time, each layer carrying its state from block to block
+        and the feature reduction folded into the loop, so no (T, B, H)
+        buffer is built; the outputs are bit-identical to the traced pass,
+        which is the same loop over one block of T steps.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim == 2:
             x = x[None]
-        if x.ndim != 3 or x.shape[2] != self.config.input_channels:
+        if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
             raise ValueError(
                 f"forward expects (batch, time, {self.config.input_channels}) windows, "
                 f"got {x.shape}")
 
-        traces = []
-        seq = x
-        for layer in self.layers:
-            seq, tr = cells.cell_forward(layer, seq, keep_trace=keep_trace)
-            traces.append(tr)
-
-        if self.config.feature_reduction == "global-average-pool":
-            feat = seq.mean(axis=1)
-        else:
-            feat = seq[:, -1, :].copy()
+        B, T, _ = x.shape
+        pool = self.config.feature_reduction == "global-average-pool"
+        total = np.zeros((B, self.config.hidden_size))   # the pool's running sum
+        traces = [] if keep_trace else None
+        states = [None] * len(self.layers)
+        step = T if keep_trace else cells.BLOCK
+        for lo in range(0, T, step):
+            seq = x[:, lo:lo + step]
+            for i, layer in enumerate(self.layers):
+                seq, states[i] = _block_forward(layer, seq, states[i], traces)
+            if pool:
+                _pool_sum(total, seq)
+        feat = total / T if pool else seq[:, -1, :].copy()
 
         p = self.predictor
         pred_a1 = relu(feat @ p.W1.T + p.b1)
@@ -213,7 +235,7 @@ class Network:
         trace = None
         if keep_trace:
             trace = NetworkTrace(cell_traces=traces, features=feat,
-                                 seq_len=x.shape[1], pred_a1=pred_a1, disc_a1=disc_a1)
+                                 seq_len=T, pred_a1=pred_a1, disc_a1=disc_a1)
         return angles, domain_logits, trace
 
     def _head_backward(self, head: HeadParams, a1: np.ndarray, feat: np.ndarray,

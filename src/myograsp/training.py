@@ -238,8 +238,9 @@ class TrainReport:
 def predict(net: Network, x: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Batched inference over (N, T, C) windows; returns (N, angles).
 
-    Runs the training forward pass without traces, so peak memory is one
-    chunk through one layer whatever the number of chunks.
+    Runs the untraced forward, which streams each chunk through the layer
+    stack one block of ``cells.BLOCK`` steps at a time, so peak memory is
+    one block of one chunk, whatever the window length and chunk count.
     """
     outs = [net.forward(x[lo:lo + chunk], keep_trace=False)[0]
             for lo in range(0, len(x), chunk)]

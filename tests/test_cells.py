@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import reference_cells
 from fdcheck import TOL, max_array_rel_err, max_param_rel_err
 from myograsp import cells
+from myograsp.network import _block_forward
 from myograsp.numerics import derive_rng, make_rng
 
 
@@ -179,10 +180,8 @@ class TestSruForward:
         for t in range(6):
             for name in ("cs", "f"):
                 assert getattr(trace, name)[:, t].flags.c_contiguous, (name, t)
-        bare, _ = cells.sru_forward(p, rng.normal(size=(3, 6, 2)), keep_trace=False)
-        for out in (h, bare):
-            assert out.base is not None and out.base.flags.c_contiguous
-            assert out.base.shape == (6, 3, 4)
+        assert h.base is not None and h.base.flags.c_contiguous
+        assert h.base.shape == (6, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -315,23 +314,67 @@ def test_stacked_kernels_match_reference(kind, wide_input, hidden):
 
 
 # ---------------------------------------------------------------------------
-# untraced forwards (inference)
+# a sequence split in two, the second part started from the carried state
 # ---------------------------------------------------------------------------
 
+# kind -> (init(input_dim, hidden, rng), input_dim), hidden 6
+SPLIT_SETUPS = {
+    "vanilla-dH": (lambda d, h, rng: cells.init_vanilla(d, h, h, rng), 6),
+    "vanilla-d5": (lambda d, h, rng: cells.init_vanilla(d, h, h, rng), 5),
+    "gru-dH": (cells.init_gru, 6),
+    "gru-d5": (cells.init_gru, 5),
+    "sru-dH": (cells.init_sru, 6),
+    "sru-d5": (cells.init_sru, 5),
+}
+
+
+@pytest.mark.parametrize("k", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1])
+@pytest.mark.parametrize("kind", list(SPLIT_SETUPS))
+def test_split_forward_from_carried_state_is_bit_identical(kind, k):
+    # streamed inference runs each layer one block at a time from the state
+    # the block before left; that is exact only if the split changes no bit
+    init_fn, input_dim = SPLIT_SETUPS[kind]
+    rng = derive_rng(0, "split", kind, k)
+    params = randomized(init_fn(input_dim, 6, rng), rng)
+    x = rng.normal(size=(3, 2 * cells.BLOCK + 3, input_dim))
+    s0 = rng.normal(size=(3, 6))
+    whole, _ = cells.cell_forward(params, x, s0)
+    head, trace = cells.cell_forward(params, x[:, :k], s0)
+    tail, _ = cells.cell_forward(params, x[:, k:], cells.final_state(trace))
+    np.testing.assert_array_equal(np.concatenate([head, tail], axis=1), whole)
+
+
+# ---------------------------------------------------------------------------
+# untraced forwards (inference): one layer streamed one block at a time
+# ---------------------------------------------------------------------------
+
+def stream_untraced(params, x, state0):
+    """Run one layer over ``x`` the way ``Network.forward(keep_trace=False)``
+    does: one block of BLOCK steps at a time from the carried state, no
+    trace kept."""
+    outs, state = [], state0
+    for lo in range(0, x.shape[1], cells.BLOCK):
+        out, state = _block_forward(params, x[:, lo:lo + cells.BLOCK], state, None)
+        outs.append(out)
+    return np.concatenate(outs, axis=1), state
+
+
+# lengths on either side of a block edge and a partial last block
+UNTRACED_LENGTHS = [1, 2 * cells.BLOCK - 1, 2 * cells.BLOCK, 2 * cells.BLOCK + 1,
+                    4 * cells.BLOCK + 3]
+
+
 @pytest.mark.parametrize("with_h0", [False, True], ids=["h0-zero", "h0-given"])
-@pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
-                               2 * cells.BLOCK + 3])
+@pytest.mark.parametrize("T", UNTRACED_LENGTHS)
 def test_untraced_gru_matches_traced(T, with_h0):
-    # the input-side GEMM runs per block of BLOCK steps: lengths on either
-    # side of a block edge and a partial last block are the edge cases
     rng = derive_rng(0, "untraced", T, with_h0)
     params = randomized(cells.init_gru(5, 6, rng), rng)
     x = rng.normal(size=(3, T, 5))
     h0 = rng.normal(size=(3, 6)) if with_h0 else None
     out, trace = cells.gru_forward(params, x, h0)
-    bare, no_trace = cells.gru_forward(params, x, h0, keep_trace=False)
-    assert no_trace is None
+    bare, state = stream_untraced(params, x, h0)
     np.testing.assert_array_equal(bare, out)
+    np.testing.assert_array_equal(state, cells.final_state(trace))
     ref_out, ref_trace = reference_cells.gru_forward(params, x, h0)
     assert_oracle_close(out, ref_out, "outputs")
     for name, arr in ref_trace.named():
@@ -340,20 +383,16 @@ def test_untraced_gru_matches_traced(T, with_h0):
 
 @pytest.mark.parametrize("input_dim", [5, 6], ids=["projected", "highway"])
 @pytest.mark.parametrize("with_c0", [False, True], ids=["c0-zero", "c0-given"])
-@pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
-                               2 * cells.BLOCK + 3])
+@pytest.mark.parametrize("T", UNTRACED_LENGTHS)
 def test_untraced_sru_matches_traced(T, with_c0, input_dim):
-    # an untraced call keeps one block of gates and c_t and carries c_t
-    # across block edges: lengths on either side of an edge and a partial
-    # last block are the edge cases
     rng = derive_rng(0, "untraced-sru", T, with_c0, input_dim)
     params = randomized(cells.init_sru(input_dim, 6, rng), rng)
     x = rng.normal(size=(3, T, input_dim))
     c0 = rng.normal(size=(3, 6)) if with_c0 else None
     out, trace = cells.sru_forward(params, x, c0)
-    bare, no_trace = cells.sru_forward(params, x, c0, keep_trace=False)
-    assert no_trace is None
+    bare, state = stream_untraced(params, x, c0)
     np.testing.assert_array_equal(bare, out)
+    np.testing.assert_array_equal(state, cells.final_state(trace))
     ref_out, ref_trace = reference_cells.sru_forward(params, x, c0)
     assert_oracle_close(out, ref_out, "outputs")
     for name, arr in ref_trace.named():
@@ -362,11 +401,18 @@ def test_untraced_sru_matches_traced(T, with_c0, input_dim):
 
 @pytest.mark.parametrize("kind", list(CELL_SETUPS))
 def test_untraced_cell_forward_returns_no_trace(kind):
+    # a layer step without a trace list returns only (outputs, carried
+    # state); with one it hands the trace over and returns the same values
     init_fn, _, _, input_dim, _ = CELL_SETUPS[kind]
     rng = make_rng(4)
     params = randomized(init_fn(rng), rng)
     x = rng.normal(size=(2, 7, input_dim))
     out, trace = cells.cell_forward(params, x)
-    bare, no_trace = cells.cell_forward(params, x, keep_trace=False)
-    assert trace is not None and no_trace is None
+    bare, state = _block_forward(params, x, None, None)
     np.testing.assert_array_equal(bare, out)
+    np.testing.assert_array_equal(state, cells.final_state(trace))
+    traces = []
+    kept, kept_state = _block_forward(params, x, None, traces)
+    assert len(traces) == 1 and isinstance(traces[0], type(trace))
+    np.testing.assert_array_equal(kept, out)
+    np.testing.assert_array_equal(kept_state, state)

@@ -230,6 +230,19 @@ class TestEvaluate:
         assert header.startswith("end_timestamp_ms,true0")
         assert ",pred0" in header
 
+    def test_unwritable_dump_appends_no_rows(self, archive_path, checkpoint_path, tmp_path):
+        # a failed dump must leave no rows behind for report to average in
+        results = tmp_path / "r.csv"
+        args = ["evaluate", "--checkpoint", str(checkpoint_path),
+                "--archive", str(archive_path), "--results", str(results)]
+        bad_dump = ["--dump-trajectories", str(tmp_path / "nodir" / "t.csv")]
+        assert main(args + bad_dump) == cli.EXIT_IO
+        assert not results.exists()
+        assert main(args) == 0
+        before = results.read_bytes()
+        assert main(args + bad_dump) == cli.EXIT_IO
+        assert results.read_bytes() == before
+
     @pytest.mark.parametrize("flags", [["--fold", "1"], ["--protocol", "inter-subject"]],
                              ids=lambda flags: " ".join(flags))
     def test_split_is_the_checkpoints(self, archive_path, checkpoint_path, tmp_path, flags):

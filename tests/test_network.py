@@ -107,6 +107,48 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 6, 5)))
 
+    @pytest.mark.parametrize("keep_trace", [True, False])
+    def test_empty_windows_rejected(self, keep_trace):
+        net = Network.init(small_config(), make_rng(0))
+        with pytest.raises(ValueError, match="windows"):
+            net.forward(np.zeros((2, 0, 3)), keep_trace=keep_trace)
+
+
+class TestUntracedForward:
+    """Inference streams the layer stack one block of ``cells.BLOCK`` steps at
+    a time; its outputs must equal the traced pass's bit for bit."""
+
+    def assert_matches_traced(self, net, x):
+        angles, logits, _ = net.forward(x)
+        bare_angles, bare_logits, no_trace = net.forward(x, keep_trace=False)
+        assert no_trace is None
+        np.testing.assert_array_equal(bare_angles, angles)
+        if logits is None:
+            assert bare_logits is None
+        else:
+            np.testing.assert_array_equal(bare_logits, logits)
+
+    @pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
+                                   2 * cells.BLOCK + 3])
+    @pytest.mark.parametrize("disc", [False, True], ids=["no-disc", "disc"])
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_matches_traced(self, cell, disc, T):
+        # block edges on either side of T, and a partial last block
+        net = Network.init(small_config(cell, disc), derive_rng(0, "untraced", cell, disc))
+        self.assert_matches_traced(net, derive_rng(1, "untraced", T).normal(size=(3, T, 3)))
+
+    @pytest.mark.parametrize("T", [cells.BLOCK, 128])
+    def test_sru_pool_in_degenerate_shape(self, T):
+        # at B = H = 1 a (B, T, H) mean sums pairwise, where the streamed
+        # pool adds step by step: both passes must share one summation order
+        # (the two orders differ in the last bit for most draws, not all)
+        cfg = NetworkConfig(cell_type="sru", input_channels=1, hidden_size=1,
+                            num_recurrent_layers=2, predictor_hidden=3, output_angles=15)
+        for draw in range(8):
+            net = Network.init(cfg, derive_rng(draw, "untraced-degenerate"))
+            self.assert_matches_traced(net, derive_rng(draw, "untraced-degenerate", T)
+                                       .normal(size=(1, T, 1)))
+
 
 class TestGradientReversal:
     def test_sign_flip(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import max_array_rel_err
+from myograsp import cells
 from myograsp.errors import NumericError
 from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
@@ -333,3 +334,26 @@ def test_sru_predict_peak_bounded_by_layer_states():
         tracemalloc.stop()
     states = T * B * H * 8
     assert peak <= 3 * states, peak / states
+
+
+@pytest.mark.parametrize("cell", ["gru", "sru"])
+def test_predict_peak_independent_of_window_length(cell):
+    # inference streams the layer stack one block of BLOCK steps at a time and
+    # builds no (T, B, H) buffer: windows eight times as long peak no higher
+    B, H = 64, 32
+    cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=H,
+                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
+    net = Network.init(cfg, derive_rng(0, "predict-length", cell))
+
+    def peak_bytes(T):
+        x = make_rng(4).normal(size=(B, T, 3))
+        predict(net, x, chunk=B)   # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            predict(net, x, chunk=B)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(2 * cells.BLOCK), peak_bytes(16 * cells.BLOCK)
+    assert long <= 1.1 * short, (short, long)
