@@ -2,7 +2,9 @@
 
 Configuration precedence per command: built-in defaults < config file
 (plain ``key = value`` lines) < environment variables prefixed MYOGRASP_
-< explicit command-line flags.  Results accumulate in an append-only CSV
+< explicit command-line flags.  A field ``max_gap`` of the command's config
+dataclass is the key ``max_gap``, MYOGRASP_MAX_GAP and ``--max-gap`` (or the
+flag named in :data:`SHORT_FLAGS`).  Results accumulate in an append-only CSV
 keyed by (model, protocol, fold, ada, seed) so a full experiment grid can
 be assembled incrementally from independent processes.
 
@@ -25,7 +27,7 @@ from . import datapipe, splits, synthgen
 from .errors import ConfigError, DataError, NumericError
 from .experiment import PAPER_COLUMNS, TrainRunConfig, checkpoint_name, prepare_run
 from .metrics import angle_ranges, nrmse, rmse
-from .network import CELL_TYPES, load_checkpoint, save_checkpoint
+from .network import load_checkpoint, save_checkpoint
 from .training import TargetStats, predict, train
 
 log = logging.getLogger("myograsp.cli")
@@ -75,38 +77,51 @@ def read_config_file(path) -> dict:
     return out
 
 
-def resolve_config(cls, args: argparse.Namespace, renames: dict | None = None):
-    """Layer defaults, config file, MYOGRASP_* environment and flags.
+# the fields whose flag is not their own name with '-' for '_'
+SHORT_FLAGS = {"n_subjects": "subjects", "sessions_per_subject": "sessions",
+               "session_seconds": "seconds", "subject_mixing_perturbation": "perturbation",
+               "learning_rate": "lr", "max_epochs": "epochs", "disc_loss_weight": "disc-weight"}
+_TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
-    A flag sets the field its dest is named after; ``renames`` maps the
-    fields whose flag is named differently to that flag's dest.
-    """
-    field_types = {f.name: f.type for f in dataclasses.fields(cls)}
-    type_map = {"int": int, "float": float, "str": str, "bool": bool}
+
+def field_types(cls) -> dict:
+    """Field name -> type of a config dataclass, for flags, file and env values."""
+    return {f.name: _TYPES.get(f.type, f.type) for f in dataclasses.fields(cls)}
+
+
+def add_config_flags(parser: argparse.ArgumentParser, cls) -> None:
+    """Add ``--config`` and one flag per field of ``cls``, stored under the field name."""
+    parser.add_argument("--config", help="key = value config file")
+    for name, kind in field_types(cls).items():
+        flag = "--" + SHORT_FLAGS.get(name, name.replace("_", "-"))
+        if kind is bool:
+            parser.add_argument(flag, dest=name, action="store_const", const=True)
+        else:
+            parser.add_argument(flag, dest=name, type=kind)
+
+
+def resolve_config(cls, args: argparse.Namespace):
+    """Layer defaults, config file, MYOGRASP_* environment and the flags
+    that :func:`add_config_flags` added for ``cls``."""
+    types = field_types(cls)
     values = {}
 
-    if getattr(args, "config", None):
+    if args.config:
         file_values = read_config_file(args.config)
-        unknown = set(file_values) - set(field_types)
+        unknown = set(file_values) - set(types)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
 
-    for name in field_types:
+    for name in types:
         env = os.environ.get(ENV_PREFIX + name.upper())
         if env is not None:
             values[name] = env
 
-    coerced = {}
-    for name, raw in values.items():
-        t = field_types[name]
-        t = type_map.get(t, t) if isinstance(t, str) else t
-        coerced[name] = _coerce(raw, t) if isinstance(raw, str) else raw
-
-    for name in field_types:
-        val = getattr(args, (renames or {}).get(name, name), None)
-        if val is not None:
-            coerced[name] = val
+    coerced = {name: _coerce(raw, types[name]) for name, raw in values.items()}
+    for name in types:
+        if getattr(args, name) is not None:
+            coerced[name] = getattr(args, name)
 
     try:
         return cls(**coerced)
@@ -119,9 +134,7 @@ def resolve_config(cls, args: argparse.Namespace, renames: dict | None = None):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    cfg = resolve_config(synthgen.SynthConfig, args, {
-        "n_subjects": "subjects", "sessions_per_subject": "sessions",
-        "session_seconds": "seconds", "subject_mixing_perturbation": "perturbation"})
+    cfg = resolve_config(synthgen.SynthConfig, args)
     manifest = synthgen.write_dataset(cfg, args.out)
     n = len(manifest["recordings"])
     log.info("generated %d recordings (%d stream files) under %s",
@@ -191,8 +204,7 @@ def cmd_preprocess(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(TrainRunConfig, args, {
-        "learning_rate": "lr", "max_epochs": "epochs", "disc_loss_weight": "disc_weight"})
+    cfg = resolve_config(TrainRunConfig, args)
     window_set, meta = datapipe.load_archive(args.archive)
     run = prepare_run(window_set, meta["sessions"], cfg)
     log.info("split %s fold %d: %s", run.plan.protocol, cfg.fold, run.plan.counts())
@@ -228,9 +240,7 @@ def append_results(path, rows) -> None:
     with open(path, "a", newline="") as fh:
         if new:
             fh.write(RESULTS_HEADER + "\n")
-        w = csv.writer(fh)
-        for row in rows:
-            w.writerow(row)
+        csv.writer(fh).writerows(rows)
 
 
 def _meta_vector(meta: dict, key: str, size: int, path) -> np.ndarray:
@@ -291,9 +301,12 @@ def cmd_evaluate(args) -> int:
         raise DataError("split produced an empty test set")
 
     xs, ys = window_set.materialize(test_idx)
+    ranges = angle_ranges(ys)
+    if np.any(ranges <= 0):
+        raise DataError("an angle is constant over the test split: its NRMSE is undefined")
     preds = target_stats.denormalize(predict(net, stats.apply(xs)))
     test_rmse = rmse(preds, ys)
-    test_nrmse = nrmse(preds, ys, angle_ranges(ys))
+    test_nrmse = nrmse(preds, ys, ranges)
     if not np.isfinite([test_rmse, test_nrmse]).all():
         raise NumericError(f"non-finite test score: rmse={test_rmse} nrmse={test_nrmse}")
 
@@ -417,48 +430,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="write a synthetic dataset")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--config", help="key = value config file")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--subjects", type=int)
-    g.add_argument("--sessions", type=int)
-    g.add_argument("--seconds", type=float)
-    g.add_argument("--mode", choices=["immobile", "mobile"])
-    g.add_argument("--noise-std", dest="noise_std", type=float)
-    g.add_argument("--emg-rate", dest="emg_rate", type=float)
-    g.add_argument("--angle-rate", dest="angle_rate", type=float)
-    g.add_argument("--perturbation", type=float,
-                   help="subject mixing perturbation (domain gap strength)")
+    add_config_flags(g, synthgen.SynthConfig)
     g.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("preprocess", help="align, filter and window a dataset")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output archive (.npz)")
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--stride", type=int)
-    p.add_argument("--max-gap", dest="max_gap", type=float)
-    p.add_argument("--emg-cutoff", dest="emg_cutoff", type=float)
-    p.add_argument("--angle-cutoff", dest="angle_cutoff", type=float)
-    p.add_argument("--target-margin", dest="target_margin", type=int)
+    add_config_flags(p, PreprocessConfig)
     p.set_defaults(func=cmd_preprocess)
 
     t = sub.add_parser("train", help="train a model on an archive")
     t.add_argument("--archive", required=True)
     t.add_argument("--out-dir", required=True)
-    t.add_argument("--config", help="key = value config file")
-    t.add_argument("--model", choices=CELL_TYPES)
-    t.add_argument("--protocol", choices=splits.PROTOCOLS)
-    t.add_argument("--fold", type=int)
-    t.add_argument("--ada", action="store_const", const=True, default=None,
-                   help="adversarial domain adaptation")
-    t.add_argument("--seed", type=int)
-    t.add_argument("--hidden", type=int)
-    t.add_argument("--layers", type=int)
-    t.add_argument("--predictor-hidden", dest="predictor_hidden", type=int)
-    t.add_argument("--lr", type=float)
-    t.add_argument("--epochs", type=int)
-    t.add_argument("--patience", type=int)
-    t.add_argument("--batch-size", dest="batch_size", type=int)
-    t.add_argument("--disc-weight", dest="disc_weight", type=float)
+    add_config_flags(t, TrainRunConfig)
     t.add_argument("--split-audit", help="write the split plan CSV here")
     t.set_defaults(func=cmd_train)
 

@@ -320,8 +320,8 @@ def channel_stats(window_set: WindowSet, indices: np.ndarray,
 class WindowSource:
     """Batch source over a WindowSet subset; normalises at materialisation."""
 
-    def __init__(self, window_set: WindowSet, indices: np.ndarray,
-                 stats: NormStats | None = None, domains: np.ndarray | None = None):
+    def __init__(self, window_set: WindowSet, indices: np.ndarray, stats: NormStats,
+                 domains: np.ndarray | None = None):
         self.window_set = window_set
         self.indices = np.asarray(indices)
         self.stats = stats
@@ -334,10 +334,8 @@ class WindowSource:
 
     def batch(self, idx: np.ndarray):
         x, y = self.window_set.materialize(self.indices[idx])
-        if self.stats is not None:
-            x = self.stats.apply(x)
         d = None if self.domains is None else self.domains[idx]
-        return x, y, d
+        return self.stats.apply(x), y, d
 
 
 # ---------------------------------------------------------------------------

@@ -31,21 +31,21 @@ PAPER_COLUMNS = (
 
 @dataclasses.dataclass
 class TrainRunConfig:
-    """One run's settings; field names are the --config keys and MYOGRASP_* names."""
+    """One run's settings; each field is a --config key, a MYOGRASP_* name and a flag."""
 
-    model: str = "gru"
+    model: str = NetworkConfig.cell_type
     protocol: str = "intra"
     fold: int = 0
-    ada: bool = False
-    seed: int = 0
-    hidden: int = 256
-    layers: int = 2
-    predictor_hidden: int = 256
-    learning_rate: float = 0.001
-    max_epochs: int = 30
-    patience: int = 8
-    batch_size: int = 64
-    disc_loss_weight: float = 1.0
+    ada: bool = NetworkConfig.use_discriminator
+    seed: int = TrainConfig.seed
+    hidden: int = NetworkConfig.hidden_size
+    layers: int = NetworkConfig.num_recurrent_layers
+    predictor_hidden: int = NetworkConfig.predictor_hidden
+    learning_rate: float = TrainConfig.learning_rate
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    batch_size: int = TrainConfig.batch_size
+    disc_loss_weight: float = TrainConfig.disc_loss_weight
 
     def __post_init__(self):
         # ValueError becomes ConfigError (exit 2) in cli.resolve_config

@@ -199,8 +199,6 @@ class Network:
         which is the same loop over one block of T steps.
         """
         x = np.asarray(windows, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[None]
         if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
             raise ValueError(
                 f"forward expects (batch, time, {self.config.input_channels}) windows, "

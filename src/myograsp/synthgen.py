@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from . import datapipe
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import angle_ranges, nrmse
 from .numerics import derive_rng
 
@@ -88,12 +89,15 @@ class SynthConfig:
     def __post_init__(self):
         if self.mode not in ("immobile", "mobile"):
             raise ConfigError(f"mode must be 'immobile' or 'mobile', got {self.mode!r}")
-        if self.emg_rate <= 0 or self.angle_rate <= 0:
-            raise ConfigError("sampling rates must be positive")
-        if self.subject_mixing_perturbation < 0:
-            raise ConfigError("subject_mixing_perturbation must be >= 0")
         if self.n_subjects < 1 or self.sessions_per_subject < 1:
             raise ConfigError("need at least one subject and session")
+        for name, zero_ok in (("session_seconds", False), ("emg_rate", False),
+                              ("angle_rate", False), ("noise_std", True),
+                              ("subject_mixing_perturbation", True)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+                raise ConfigError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, "
+                                  f"got {value}")
 
     @property
     def n_angles(self) -> int:
@@ -358,7 +362,11 @@ def linear_baseline_nrmse(emg: datapipe.RawStream, angles: datapipe.RawStream,
     coef, *_ = np.linalg.lstsq(X[fit_rows], rec.angles[fit_rows], rcond=None)
     pred = X[eval_rows] @ coef
     truth = rec.angles[eval_rows]
-    return nrmse(pred, truth, angle_ranges(truth))
+    ranges = angle_ranges(truth) if len(truth) else np.zeros(1)
+    if np.any(ranges <= 0):
+        raise DataError(f"{len(rec)} aligned rows are too few for the linear "
+                        "baseline's evaluation tiles")
+    return nrmse(pred, truth, ranges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from myograsp import cli
+from myograsp import cli, synthgen
 from myograsp.cli import main
+from myograsp.experiment import TrainRunConfig
 
 
 def sha(path):
@@ -18,6 +20,7 @@ def sha(path):
 
 
 GEN_ARGS = ["--subjects", "2", "--sessions", "3", "--seconds", "16", "--seed", "4"]
+SMALL_GEN_ARGS = ["--subjects", "1", "--sessions", "1", "--seconds", "13"]
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +76,25 @@ class TestGenerate:
         cfg.write_text("warp_factor = 9\n")
         code = main(["generate", "--out", str(tmp_path / "x"), "--config", str(cfg)])
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [
+        ["--emg-rate", "nan"], ["--seconds", "nan"], ["--seconds", "-5"], ["--seconds", "0"],
+        ["--angle-rate", "inf"], ["--perturbation", "nan"], ["--noise-std", "-1"],
+        ["--mode", "sideways"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_bad_flag_values_exit_config(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        code = main(["generate", "--out", str(out)] + SMALL_GEN_ARGS + flags)
+        assert code == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_session_too_short_for_baseline_exits_io(self, tmp_path, capsys):
+        # 2 s is one 2 s tile: the linear baseline has no evaluation rows
+        code = main(["generate", "--out", str(tmp_path / "x")] + SMALL_GEN_ARGS
+                    + ["--seconds", "2"])
+        assert code == cli.EXIT_IO
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_config_file_and_env_precedence(self, tmp_path, monkeypatch):
         cfg = tmp_path / "gen.cfg"
@@ -151,6 +173,7 @@ class TestTrain:
         ["--layers", "0"], ["--predictor-hidden", "0"], ["--batch-size", "0"],
         ["--epochs", "0"], ["--epochs", "2", "--patience", "3"],
         ["--protocol", "inter-subject", "--fold", "9"], ["--fold", "9"],
+        ["--model", "lstm"], ["--protocol", "bootstrap"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_flag_values_exit_config(self, archive_path, tmp_path, capsys, flags):
         code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
@@ -175,7 +198,7 @@ class TestTrain:
     @pytest.mark.parametrize("line", ["model = lstm", "protocol = bootstrap",
                                       "ada = true"])
     def test_bad_config_values_exit_config(self, archive_path, tmp_path, capsys, line):
-        # config files bypass argparse's choices; the run config still rejects
+        # the run config rejects these, whether they come from a flag or a file
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n")
         out_dir = tmp_path / "out"
@@ -242,6 +265,22 @@ class TestEvaluate:
         before = results.read_bytes()
         assert main(args + bad_dump) == cli.EXIT_IO
         assert results.read_bytes() == before
+
+    def test_constant_true_angle_exits_io(self, archive_path, checkpoint_path, tmp_path,
+                                          capsys):
+        # a constant angle has zero range: the test split's NRMSE is undefined
+        def constant_angles(arrays):
+            for key in arrays:
+                if key.startswith("rec") and key.endswith("_angles"):
+                    arrays[key] = np.full_like(arrays[key], 45.0)
+
+        flat, results, dump = tmp_path / "flat.npz", tmp_path / "r.csv", tmp_path / "t.csv"
+        npz_edit(constant_angles)(archive_path, flat)
+        code = main(["evaluate", "--checkpoint", str(checkpoint_path), "--archive", str(flat),
+                     "--results", str(results), "--dump-trajectories", str(dump)])
+        assert code == cli.EXIT_IO
+        assert "Traceback" not in capsys.readouterr().err
+        assert not results.exists() and not dump.exists()
 
     @pytest.mark.parametrize("flags", [["--fold", "1"], ["--protocol", "inter-subject"]],
                              ids=lambda flags: " ".join(flags))
@@ -433,6 +472,8 @@ TRAIN_FLAGS = ["--fold", "--seed", "--hidden", "--layers", "--predictor-hidden",
                "--epochs", "--patience", "--batch-size", "--disc-weight"]
 PREPROCESS_FLAGS = ["--stride", "--max-gap", "--emg-cutoff", "--angle-cutoff",
                     "--target-margin"]
+GENERATE_FLAGS = ["--seed", "--subjects", "--sessions", "--seconds", "--noise-std",
+                  "--emg-rate", "--angle-rate", "--perturbation"]
 # zero, negatives, non-finite values and text that is no number; never a
 # large positive value, which a size flag would turn into a huge network
 BAD_NUMBERS = st.one_of(
@@ -473,6 +514,14 @@ def test_bad_preprocess_flag_values_keep_exit_contract(dataset_dir, tmp_path, ca
                                                        values):
     argv = ["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
             "--out", str(tmp_path / "x.npz")]
+    assert exit_code(argv + [f"{flag}={value}" for flag, value in values]) in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@CONTRACT
+@given(values=flag_values(GENERATE_FLAGS))
+def test_bad_generate_flag_values_keep_exit_contract(tmp_path, capsys, values):
+    argv = ["generate", "--out", str(tmp_path / "x")] + SMALL_GEN_ARGS
     assert exit_code(argv + [f"{flag}={value}" for flag, value in values]) in EXIT_CODES
     assert "Traceback" not in capsys.readouterr().err
 
@@ -659,3 +708,62 @@ class TestConfigFileParsing:
         assert cli._coerce("0", bool) is False
         with pytest.raises(cli.ConfigError):
             cli._coerce("maybe", bool)
+
+
+# ---------------------------------------------------------------------------
+# the CLI surface: every config flag by name, and the field it sets
+# ---------------------------------------------------------------------------
+
+CLI_SURFACE = {
+    "generate": (["--out", "o"],
+                 "--subjects 2 --sessions 3 --seconds 14.5 --mode mobile --emg-rate 300 "
+                 "--angle-rate 150 --noise-std 2.5 --perturbation 0.5 --seed 7",
+                 synthgen.SynthConfig(
+                     n_subjects=2, sessions_per_subject=3, session_seconds=14.5,
+                     mode="mobile", emg_rate=300.0, angle_rate=150.0, noise_std=2.5,
+                     subject_mixing_perturbation=0.5, seed=7)),
+    "preprocess": (["--manifest", "m.json", "--out", "a.npz"],
+                   "--stride 16 --max-gap 7.5 --emg-cutoff 40 --angle-cutoff 6 "
+                   "--target-margin 32",
+                   cli.PreprocessConfig(stride=16, max_gap=7.5, emg_cutoff=40.0,
+                                        angle_cutoff=6.0, target_margin=32)),
+    "train": (["--archive", "a.npz", "--out-dir", "c"],
+              "--model sru --protocol inter-subject --fold 1 --ada --seed 3 --hidden 16 "
+              "--layers 1 --predictor-hidden 12 --lr 0.01 --epochs 5 --patience 4 "
+              "--batch-size 16 --disc-weight 0.5",
+              TrainRunConfig(model="sru", protocol="inter-subject", fold=1, ada=True, seed=3,
+                             hidden=16, layers=1, predictor_hidden=12, learning_rate=0.01,
+                             max_epochs=5, patience=4, batch_size=16, disc_loss_weight=0.5)),
+}
+
+
+class Resolved(Exception):
+    """Carries the config a command resolved, before the command runs."""
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_every_config_flag_sets_its_field(monkeypatch, command):
+    required, flags, expected = CLI_SURFACE[command]
+    # every field is set to a value other than its default, so each flag shows
+    for field in dataclasses.fields(expected):
+        assert getattr(expected, field.name) != field.default, field.name
+    resolve = cli.resolve_config
+
+    def capture(*args, **kwargs):
+        raise Resolved(resolve(*args, **kwargs))
+
+    monkeypatch.setattr(cli, "resolve_config", capture)
+    with pytest.raises(Resolved) as exc:
+        main([command] + required + flags.split())
+    cfg = exc.value.args[0]
+    assert cfg == expected
+    assert ([type(v) for v in dataclasses.astuple(cfg)]
+            == [type(v) for v in dataclasses.astuple(expected)])
+
+
+@pytest.mark.parametrize("command", ["generate", "preprocess", "train", "evaluate", "report"])
+def test_help_exits_ok(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: myograsp {command}")

@@ -106,6 +106,8 @@ class TestForward:
         net = Network.init(small_config(), make_rng(0))
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 6, 5)))
+        with pytest.raises(ValueError, match="windows"):   # one unbatched (T, C) window
+            net.forward(np.zeros((6, 3)))
 
     @pytest.mark.parametrize("keep_trace", [True, False])
     def test_empty_windows_rejected(self, keep_trace):
