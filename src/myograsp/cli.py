@@ -319,8 +319,7 @@ def cmd_evaluate(args) -> int:
                   + ",".join(f"pred{i}" for i in range(n_angles)))
         data = np.column_stack([window_set.end_ts[test_idx][order],
                                 ys[order], preds[order]])
-        np.savetxt(args.dump_trajectories, data, fmt="%.6f", delimiter=",",
-                   header=header, comments="")
+        datapipe.write_csv(args.dump_trajectories, header, data)
 
     ada = "true" if meta["ada"] else "false"
     rows = [["rmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_rmse:.10g}"],

@@ -42,6 +42,7 @@ __all__ = [
     "concat_windows",
     "channel_stats",
     "read_stream_csv",
+    "write_csv",
     "write_stream_csv",
     "read_manifest",
     "session_table",
@@ -65,6 +66,8 @@ FILTER_ORDER = 4
 # rows at each end of a filtered recording whose targets are not trusted
 EDGE_MARGIN_ROWS = 64
 ARCHIVE_FORMAT = "myograsp-archive/1"
+# rows formatted per string operation by write_csv
+CSV_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -342,20 +345,35 @@ class WindowSource:
 # file formats
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header: str, data: np.ndarray) -> None:
+    """A header line, then one line of comma-separated ``%.6f`` values per row.
+
+    The bytes equal ``np.savetxt(path, data, fmt="%.6f", delimiter=",",
+    header=header, comments="")``; each block of rows is formatted by one
+    ``%`` over a repeated row format instead of one per row.
+    """
+    row = ",".join(["%.6f"] * data.shape[1]) + "\n"
+    with open(path, "w", encoding="latin1", newline="") as fh:
+        if header:
+            fh.write(header + "\n")
+        for lo in range(0, len(data), CSV_BLOCK_ROWS):
+            block = data[lo:lo + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_stream_csv(path, stream: RawStream) -> None:
     """CSV with header timestamp_ms,ch0..ch7 (emg) or timestamp_ms,angle0..N."""
     prefix = "ch" if stream.kind == "emg" else "angle"
     cols = stream.frames.shape[1]
     header = "timestamp_ms," + ",".join(f"{prefix}{i}" for i in range(cols))
-    data = np.column_stack([stream.timestamps_ms, stream.frames])
-    np.savetxt(path, data, fmt="%.6f", delimiter=",", header=header, comments="")
+    write_csv(path, header, np.column_stack([stream.timestamps_ms, stream.frames]))
 
 
 def read_stream_csv(path, subject_id: int, session_id: int, kind: str,
                     nominal_rate: float) -> RawStream:
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:   # ValueError: a ragged row or a non-number
         raise DataError(f"cannot read stream file {path}: {exc}") from exc
     if data.shape[1] < 2:
         raise DataError(f"{path}: expected timestamp plus at least one channel")
@@ -364,8 +382,51 @@ def read_stream_csv(path, subject_id: int, session_id: int, kind: str,
                      nominal_rate=nominal_rate).validate()
 
 
+def _is_index(value) -> bool:
+    # subject and session ids are stored as int32 in a WindowSet
+    return type(value) is int and 0 <= value < 2 ** 31
+
+
+def _is_rate(value) -> bool:
+    return type(value) in (int, float) and 0 < value < float("inf")
+
+
+def _is_text(value) -> bool:
+    return type(value) is str
+
+
+# what each manifest key, and each key of a recordings entry, must hold
+_MANIFEST_RULES = {
+    "mode": (_is_text, "a string"),
+    "n_angles": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "emg_rate": (_is_rate, "a positive finite number"),
+    "angle_rate": (_is_rate, "a positive finite number"),
+    "recordings": (lambda v: type(v) is list and len(v) > 0, "a non-empty list"),
+}
+_RECORDING_RULES = {
+    "subject": (_is_index, "an integer in [0, 2**31)"),
+    "session": (_is_index, "an integer in [0, 2**31)"),
+    "emg": (_is_text, "a file name"),
+    "angles": (_is_text, "a file name"),
+}
+
+
+def _check_keys(where: str, mapping, rules: dict) -> None:
+    if not isinstance(mapping, dict):
+        raise DataError(f"{where} is not a mapping")
+    for key, (ok, what) in rules.items():
+        if key not in mapping:
+            raise DataError(f"{where} misses required key {key!r}")
+        if not ok(mapping[key]):
+            raise DataError(f"{where}: {key} must be {what}, got {mapping[key]!r}")
+
+
 def read_manifest(path) -> dict:
-    """Dataset manifest: mode, rates, recording file paths per (subject, session)."""
+    """Dataset manifest: mode, rates, recording file paths per (subject, session).
+
+    A manifest that does not parse, or whose keys or recording entries are
+    missing or of the wrong type, is a DataError.
+    """
     try:
         with open(path) as fh:
             manifest = json.load(fh)
@@ -373,9 +434,9 @@ def read_manifest(path) -> dict:
         raise DataError(f"cannot read manifest {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
-    for key in ("mode", "n_angles", "emg_rate", "angle_rate", "recordings"):
-        if key not in manifest:
-            raise DataError(f"manifest {path} misses required key {key!r}")
+    _check_keys(f"manifest {path}", manifest, _MANIFEST_RULES)
+    for i, entry in enumerate(manifest["recordings"]):
+        _check_keys(f"manifest {path} recording {i}", entry, _RECORDING_RULES)
     return manifest
 
 

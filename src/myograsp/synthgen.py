@@ -293,28 +293,43 @@ def _lagged_latents(latent, ang_ts_ms: np.ndarray, seconds: float) -> np.ndarray
                             for j in range(a.shape[1])])
 
 
-def generate_session(cfg: SynthConfig, subject: int, session: int):
-    """One (subject, session) pair of raw streams plus the latent record.
+@dataclass(frozen=True)
+class _SessionSignals:
+    """The subject-independent part of one session, keyed by (seed, session).
 
-    Returns (emg RawStream, angles RawStream, latents on the emg clock).
+    The arrays are read-only: ``generate`` hands the same ones to every
+    subject of the session.
     """
-    latent = _LatentProcess(cfg, session)
+    emg_ts: np.ndarray      # (N,) jittered emg clock, ms
+    angle_ts: np.ndarray    # (M,) jittered angle clock, ms
+    latents: np.ndarray     # (N, N_LATENTS) activations on the emg clock
+    angles: np.ndarray      # (M, n_angles) angle frames
 
+
+def _session_signals(cfg: SynthConfig, session: int) -> _SessionSignals:
+    latent = _LatentProcess(cfg, session)
     emg_ts = _jittered_clock(derive_rng(cfg.seed, "jitter-emg", session),
                              cfg.emg_rate, cfg.session_seconds)
     ang_ts = _jittered_clock(derive_rng(cfg.seed, "jitter-angles", session),
                              cfg.angle_rate, cfg.session_seconds)
-
-    t_emg = emg_ts / 1000.0
-    a_emg = latent(t_emg)
     a_ang = _lagged_latents(latent, ang_ts, cfg.session_seconds)
+    signals = _SessionSignals(emg_ts=emg_ts, angle_ts=ang_ts, latents=latent(emg_ts / 1000.0),
+                              angles=latents_to_angles(a_ang, cfg.mode))
+    for array in (signals.emg_ts, signals.angle_ts, signals.latents, signals.angles):
+        array.flags.writeable = False
+    return signals
 
+
+def _subject_session(cfg: SynthConfig, subject: int, session: int,
+                     signals: _SessionSignals):
+    """One subject's streams over a session's shared signals: the subject's
+    mixing, the carrier (cheaper to redraw than to keep), noise and clip."""
     carrier_rng = derive_rng(cfg.seed, "carrier", session)
     freqs = carrier_rng.uniform(*CARRIER_BAND_HZ, size=N_CHANNELS)
     phases = carrier_rng.uniform(0.0, 2.0 * np.pi, size=N_CHANNELS)
-    carrier = np.sin(2.0 * np.pi * np.outer(t_emg, freqs) + phases)
+    carrier = np.sin(2.0 * np.pi * np.outer(signals.emg_ts / 1000.0, freqs) + phases)
 
-    base = a_emg @ subject_mixing(cfg, subject).T
+    base = signals.latents @ subject_mixing(cfg, subject).T
     emg = EMG_GAIN * base * (1.0 + CARRIER_DEPTH * carrier)
     if cfg.noise_std > 0:
         noise_rng = derive_rng(cfg.seed, "noise", subject, session)
@@ -323,19 +338,36 @@ def generate_session(cfg: SynthConfig, subject: int, session: int):
 
     emg_stream = datapipe.RawStream(
         subject_id=subject, session_id=session, kind="emg",
-        timestamps_ms=emg_ts, frames=emg, nominal_rate=cfg.emg_rate).validate()
+        timestamps_ms=signals.emg_ts, frames=emg, nominal_rate=cfg.emg_rate).validate()
     angle_stream = datapipe.RawStream(
         subject_id=subject, session_id=session, kind="angles",
-        timestamps_ms=ang_ts, frames=latents_to_angles(a_ang, cfg.mode),
+        timestamps_ms=signals.angle_ts, frames=signals.angles,
         nominal_rate=cfg.angle_rate).validate()
-    return emg_stream, angle_stream, a_emg
+    return emg_stream, angle_stream, signals.latents
+
+
+def generate_session(cfg: SynthConfig, subject: int, session: int):
+    """One (subject, session) pair of raw streams plus the latent record.
+
+    Returns (emg RawStream, angles RawStream, latents on the emg clock).
+    """
+    return _subject_session(cfg, subject, session, _session_signals(cfg, session))
 
 
 def generate(cfg: SynthConfig):
-    """Yield (emg, angles, latents) for every (subject, session) pair."""
+    """Yield (emg, angles, latents) for every (subject, session) pair, subject-major.
+
+    Each session's subject-independent signals are computed once and kept
+    until its last subject; the items equal those of ``generate_session``.
+    """
+    shared = [None] * cfg.sessions_per_subject
     for subject in range(cfg.n_subjects):
         for session in range(cfg.sessions_per_subject):
-            yield generate_session(cfg, subject, session)
+            signals = shared[session]
+            if signals is None:
+                signals = _session_signals(cfg, session)
+            shared[session] = signals if subject < cfg.n_subjects - 1 else None
+            yield _subject_session(cfg, subject, session, signals)
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +412,19 @@ def write_dataset(cfg: SynthConfig, out_dir) -> dict:
     floor = None
     for emg, ang, latents in generate(cfg):
         subject, session = emg.subject_id, emg.session_id
+        if floor is None:
+            # session 0 of subject 0 comes first: a session too short for the
+            # baseline fails before any file is written
+            floor = linear_baseline_nrmse(emg, ang)
+            log.info("linear baseline NRMSE floor: %.4f", floor)
         emg_name = f"s{subject}_r{session}_emg.csv"
         ang_name = f"s{subject}_r{session}_angles.csv"
         datapipe.write_stream_csv(os.path.join(out_dir, emg_name), emg)
         datapipe.write_stream_csv(os.path.join(out_dir, ang_name), ang)
         if subject == 0:
-            lat_name = f"r{session}_latents.csv"
             header = "timestamp_ms," + ",".join(f"latent{i}" for i in range(N_LATENTS))
-            np.savetxt(os.path.join(out_dir, lat_name),
-                       np.column_stack([emg.timestamps_ms, latents]),
-                       fmt="%.6f", delimiter=",", header=header, comments="")
-        if subject == 0 and session == 0:
-            floor = linear_baseline_nrmse(emg, ang)
-            log.info("linear baseline NRMSE floor: %.4f", floor)
+            datapipe.write_csv(os.path.join(out_dir, f"r{session}_latents.csv"), header,
+                               np.column_stack([emg.timestamps_ms, latents]))
         recordings.append({"subject": subject, "session": session,
                            "emg": emg_name, "angles": ang_name})
         log.info("wrote s%d r%d (%.0f s)", subject, session, cfg.session_seconds)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import zipfile
 
 import numpy as np
@@ -91,10 +92,12 @@ class TestGenerate:
 
     def test_session_too_short_for_baseline_exits_io(self, tmp_path, capsys):
         # 2 s is one 2 s tile: the linear baseline has no evaluation rows
-        code = main(["generate", "--out", str(tmp_path / "x")] + SMALL_GEN_ARGS
-                    + ["--seconds", "2"])
+        out = tmp_path / "x"
+        code = main(["generate", "--out", str(out)] + SMALL_GEN_ARGS + ["--seconds", "2"])
         assert code == cli.EXIT_IO
         assert "Traceback" not in capsys.readouterr().err
+        # the baseline comes before the first stream or latent file
+        assert not out.exists() or not list(out.iterdir())
 
     def test_config_file_and_env_precedence(self, tmp_path, monkeypatch):
         cfg = tmp_path / "gen.cfg"
@@ -463,6 +466,46 @@ def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path,
     assert not results.exists()
 
 
+def stream_lines(edit):
+    """Rewrite the first recording's emg file as edit(its lines)."""
+    def make(data):
+        path = data / "s0_r0_emg.csv"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    return make
+
+
+def manifest_edit(edit):
+    """Rewrite the manifest as edit(its decoded JSON), in place."""
+    def make(data):
+        manifest = json.loads((data / "manifest.json").read_text())
+        edit(manifest)
+        (data / "manifest.json").write_text(json.dumps(manifest))
+    return make
+
+
+CORRUPT_DATASET = {
+    "ragged stream row": stream_lines(
+        lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]),
+    "non-numeric stream cell": stream_lines(
+        lambda lines: lines[:5] + ["x" + lines[5]] + lines[6:]),
+    "recording without emg": manifest_edit(lambda m: m["recordings"][0].pop("emg")),
+    "string emg_rate": manifest_edit(lambda m: m.update(emg_rate="200")),
+    "recordings not a list": manifest_edit(
+        lambda m: m.update(recordings=dict(enumerate(m["recordings"])))),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT_DATASET))
+def test_corrupt_dataset_exits_io(dataset_dir, tmp_path, capsys, case):
+    data, out = tmp_path / "data", tmp_path / "x.npz"
+    shutil.copytree(dataset_dir, data)
+    CORRUPT_DATASET[case](data)
+    assert main(["preprocess", "--manifest", str(data / "manifest.json"),
+                 "--out", str(out)]) == cli.EXIT_IO
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract under random bad input
 # ---------------------------------------------------------------------------
@@ -614,6 +657,53 @@ def test_edited_checkpoint_meta_keeps_exit_contract(archive_path, checkpoint_pat
     assert code in EXIT_CODES
     assert "Traceback" not in capsys.readouterr().err
     assert all(np.isfinite(float(v)) for v in result_values(results))
+
+
+STREAM_FILES = [f"s{s}_r{r}_{kind}.csv" for s in range(2) for r in range(3)
+                for kind in ("emg", "angles")]
+MANIFEST_KEYS = ["mode", "n_angles", "emg_rate", "angle_rate", "recordings",
+                 "linear_baseline_nrmse"]
+RECORDING_KEYS = ["subject", "session", "emg", "angles"]
+
+
+def manifest_edits():
+    """("set", key, value), ("drop", key) or ("entry", index, key, value)."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(MANIFEST_KEYS), JSON_VALUES),
+        st.tuples(st.just("drop"), st.sampled_from(MANIFEST_KEYS)),
+        st.tuples(st.just("entry"), st.integers(0, 6), st.sampled_from(RECORDING_KEYS),
+                  JSON_VALUES)), max_size=3)
+
+
+def apply_manifest_edits(manifest, edits):
+    for how, *rest in edits:
+        if how == "drop":
+            manifest.pop(rest[0], None)
+        elif how == "set":
+            manifest[rest[0]] = rest[1]
+        else:
+            entries = manifest.get("recordings")
+            index, key, value = rest
+            if isinstance(entries, list) and index < len(entries) and isinstance(
+                    entries[index], dict):
+                entries[index][key] = value
+
+
+@CONTRACT
+@given(data=st.data())
+def test_damaged_dataset_keeps_exit_contract(dataset_dir, tmp_path, capsys, data):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset_dir, copy, dirs_exist_ok=True)
+    stream = copy / data.draw(st.sampled_from(STREAM_FILES))
+    raw = stream.read_bytes()
+    edit = data.draw(st.none() | damage(len(raw)))
+    if edit is not None:
+        stream.write_bytes(damaged(raw, edit))
+    manifest_edit(lambda m: apply_manifest_edits(m, data.draw(manifest_edits())))(copy)
+    code = exit_code(["preprocess", "--manifest", str(copy / "manifest.json"),
+                      "--out", str(tmp_path / "x.npz")])
+    assert code in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
 
 
 FIELD_TEXT = st.one_of(st.sampled_from(["nan", "inf", "0.5", "", "sru", "true"]),

@@ -260,6 +260,25 @@ class TestFileFormats:
         np.testing.assert_allclose(loaded.timestamps_ms, ts, atol=1e-6)
         np.testing.assert_allclose(loaded.frames, frames, atol=1e-6)
 
+    @pytest.mark.parametrize("rows", [0, 1, datapipe.CSV_BLOCK_ROWS - 1,
+                                      datapipe.CSV_BLOCK_ROWS, datapipe.CSV_BLOCK_ROWS + 1,
+                                      2 * datapipe.CSV_BLOCK_ROWS + 3])
+    def test_csv_bytes_equal_savetxt(self, tmp_path, rows):
+        rng = make_rng(rows)
+        # -0.0, values that round to 6 decimals across a sign, an integer
+        # digit or a tie, near the emg clip and near a 60 s clock in ms
+        special = [-0.0, 0.0, -4e-7, 4e-7, 0.0078125, -0.0078125, 127.9999995,
+                   -127.9999996, 128.0, -128.0, 59999.9999995, 60000.0000005, 6e4, -6e4]
+        data = rng.choice(special, size=(rows, 9)) + rng.choice(
+            [0.0, 1e-9, -1e-9], size=(rows, 9))
+        data[:, 1] = rng.uniform(-128.0, 128.0, size=rows)
+        data[:, 2] = np.resize(special, rows)
+        header = "timestamp_ms," + ",".join(f"ch{i}" for i in range(8))
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        datapipe.write_csv(ours, header, data)
+        np.savetxt(ref, data, fmt="%.6f", delimiter=",", header=header, comments="")
+        assert ours.read_bytes() == ref.read_bytes()
+
     def test_archive_roundtrip_and_idempotence(self, tmp_path):
         ws = concat_windows([make_windows(recording(300, subject=0, session=0), 128, 8),
                              make_windows(recording(280, subject=0, session=1, t0=5e5), 128, 8)])

@@ -153,6 +153,27 @@ class TestWriteDataset:
         for name in os.listdir(d1):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
+    @pytest.mark.parametrize("mode", ["immobile", "mobile"])
+    @pytest.mark.parametrize("domain_gap", [True, False], ids=["gap", "no-gap"])
+    def test_generate_equals_generate_session(self, mode, domain_gap):
+        # generate() computes each session's shared signals once for all
+        # subjects; its items must not differ by a bit from generate_session's
+        extra = {} if domain_gap else dict(noise_std=0.0, subject_mixing_perturbation=0.0)
+        cfg = SynthConfig(seed=6, mode=mode, n_subjects=3, sessions_per_subject=2,
+                          session_seconds=12.0, **extra)
+        items = list(generate(cfg))
+        order = [(s, r) for s in range(cfg.n_subjects) for r in range(cfg.sessions_per_subject)]
+        assert [(e.subject_id, e.session_id) for e, _, _ in items] == order
+        for (emg, ang, latents), (subject, session) in zip(items, order):
+            ref_emg, ref_ang, ref_latents = generate_session(cfg, subject, session)
+            for got, ref in ((emg, ref_emg), (ang, ref_ang)):
+                assert (got.subject_id, got.session_id, got.kind, got.nominal_rate) == (
+                    ref.subject_id, ref.session_id, ref.kind, ref.nominal_rate)
+                for a, b in ((got.timestamps_ms, ref.timestamps_ms), (got.frames, ref.frames)):
+                    assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+            assert (latents.shape, latents.tobytes()) == (ref_latents.shape,
+                                                          ref_latents.tobytes())
+
     def test_generate_yields_all_sessions(self):
         cfg = SynthConfig(seed=0, **SMALL)
         out = list(generate(cfg))
