@@ -488,6 +488,7 @@ CORRUPT_DATASET = {
         lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:]),
     "non-numeric stream cell": stream_lines(
         lambda lines: lines[:5] + ["x" + lines[5]] + lines[6:]),
+    "stream without data rows": stream_lines(lambda lines: lines[:1]),
     "recording without emg": manifest_edit(lambda m: m["recordings"][0].pop("emg")),
     "string emg_rate": manifest_edit(lambda m: m.update(emg_rate="200")),
     "recordings not a list": manifest_edit(

@@ -1,3 +1,8 @@
+import io
+import os
+import tempfile
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,43 @@ def angle_stream(ts, n_angles=15):
     ts = np.asarray(ts, dtype=float)
     frames = np.outer(np.arange(len(ts), dtype=float), np.ones(n_angles))
     return stream(ts, frames, kind="angles", rate=100.0)
+
+
+def csv_bytes(data, header):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.csv")
+        datapipe.write_csv(path, header, data)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def savetxt_bytes(data, header):
+    out = io.BytesIO()
+    np.savetxt(out, data, fmt="%.6f", delimiter=",", header=header, comments="")
+    return out.getvalue()
+
+
+@st.composite
+def csv_arrays(draw):
+    """float64 arrays of 0 to 3 blocks of rows and 1-20 columns.
+
+    Random numbers at a drawn scale fill the array, so blocks take both the
+    array path and the fallback, and up to eight cells get any float64 at all
+    (NaN, infinities, -0.0, subnormals, up to the largest finite).
+    """
+    rows = draw(st.integers(0, 3 * datapipe.CSV_BLOCK_ROWS))
+    cols = draw(st.integers(1, 20))
+    scale = draw(st.sampled_from([1e-6, 1.0, 130.0, 6e4, 1e7, 1e300]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    data = rng.uniform(-scale, scale, size=(rows, cols))
+    special = st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 0.0078125,
+                               -4e-7, 9999999.9999996, 59999.9999995])
+    values = st.one_of(special, st.floats())
+    if data.size:
+        cells = st.tuples(st.integers(0, data.size - 1), values)
+        for index, value in draw(st.lists(cells, max_size=8)):
+            data.flat[index] = value
+    return data
 
 
 class TestRawStreamValidation:
@@ -278,6 +320,61 @@ class TestFileFormats:
         datapipe.write_csv(ours, header, data)
         np.savetxt(ref, data, fmt="%.6f", delimiter=",", header=header, comments="")
         assert ours.read_bytes() == ref.read_bytes()
+
+    @given(data=csv_arrays(), header=st.sampled_from(["", "t,x"]))
+    @settings(max_examples=60, deadline=None)
+    def test_csv_bytes_equal_savetxt_any_float(self, data, header):
+        assert csv_bytes(data, header) == savetxt_bytes(data, header)
+
+    def test_emg_block_takes_array_path(self):
+        rng = make_rng(5)
+        block = np.column_stack([5e4 + np.cumsum(rng.uniform(4.0, 6.0, 256)),
+                                 rng.uniform(-128.0, 128.0, size=(256, 8))])
+        text = datapipe._format_block(block)
+        assert text is not None
+        assert text == savetxt_bytes(block, "")
+
+    def test_csv_rounding_boundaries(self):
+        # (k + 0.5) / 1e6, one ulp either side, and values whose product
+        # with 1e6 carries into a new integer digit or stays a signed zero
+        ties = np.array([0.5, 12.5, 1234567.5, 59999999999.5, 9999999999999.5]) / 1e6
+        values = np.concatenate([[9999999.9999996, 4e-7, 59999.9999995, 0.0078125], ties,
+                                 np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+        for x in np.concatenate([values, -values]):
+            block = np.array([[x]])
+            assert csv_bytes(block, "") == savetxt_bytes(block, ""), x
+            assert datapipe._format_block(block) in (None, b"%.6f\n" % x), x
+        assert csv_bytes(np.array([[-4e-7, 9999999.9999996]]), "") == \
+            b"-0.000000,10000000.000000\n"
+        # below the tie, but its product with 1e6 rounds onto 59999999999.5:
+        # only the fallback prints it right
+        below = np.nextafter(59999.9999995, 0.0)
+        assert below * 1e6 == 59999999999.5
+        assert datapipe._format_block(np.array([[below]])) is None
+        assert csv_bytes(np.array([[below]]), "") == b"59999.999999\n"
+        # one ulp off a tie whose product stays off it takes the array path
+        off = np.array([[np.nextafter(12.5e-6, 0.0), np.nextafter(12.5e-6, 1.0)]])
+        assert datapipe._format_block(off) == b"0.000012,0.000013\n"
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 10 ** 6])
+    def test_csv_bytes_independent_of_block_rows(self, monkeypatch, block_rows):
+        rng = make_rng(block_rows)
+        plain = rng.uniform(-128.0, 128.0, size=(50, 3))
+        mixed = plain.copy()
+        mixed[::9, 1] = 0.0078125          # an exact tie every ninth row
+        mixed[4, 2] = np.nan
+        monkeypatch.setattr(datapipe, "CSV_BLOCK_ROWS", block_rows)
+        for data in (plain, mixed):
+            assert csv_bytes(data, "a,b,c") == savetxt_bytes(data, "a,b,c")
+
+    def test_stream_csv_without_rows(self, tmp_path):
+        path = tmp_path / "s0_r0_emg.csv"
+        path.write_text("timestamp_ms," + ",".join(f"ch{i}" for i in range(8)) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no data rows") as info:
+                datapipe.read_stream_csv(path, 0, 0, "emg", 200.0)
+        assert str(path) in str(info.value)
 
     def test_archive_roundtrip_and_idempotence(self, tmp_path):
         ws = concat_windows([make_windows(recording(300, subject=0, session=0), 128, 8),

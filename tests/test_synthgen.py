@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -128,8 +129,10 @@ def test_linear_baseline_is_learnable():
 
 
 class TestWriteDataset:
-    def test_files_and_manifest(self, tmp_path):
-        cfg = SynthConfig(seed=1, **SMALL)
+    @pytest.mark.parametrize("mode, n_angles", [("immobile", 15), ("mobile", 18)],
+                             ids=["immobile", "mobile"])
+    def test_files_and_manifest(self, tmp_path, mode, n_angles):
+        cfg = SynthConfig(seed=1, mode=mode, **SMALL)
         manifest = write_dataset(cfg, tmp_path)
         # 2 subjects x 2 sessions x 2 streams + 2 latent files + manifest
         names = sorted(os.listdir(tmp_path))
@@ -138,11 +141,28 @@ class TestWriteDataset:
         assert len([n for n in names if n.endswith("_latents.csv")]) == 2
         assert "manifest.json" in names
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
-        assert on_disk["mode"] == "immobile"
-        assert on_disk["n_angles"] == 15
+        assert on_disk["mode"] == mode
+        assert on_disk["n_angles"] == n_angles
         assert 0 < on_disk["linear_baseline_nrmse"] < 1
         assert len(on_disk["recordings"]) == 4
         assert manifest["recordings"] == on_disk["recordings"]
+        # every CSV holds the bytes np.savetxt writes for the in-memory arrays
+        expected = {}
+        for emg, ang, latents in generate(cfg):
+            tag = f"s{emg.subject_id}_r{emg.session_id}"
+            expected[f"{tag}_emg.csv"] = (emg.timestamps_ms, emg.frames, "ch")
+            expected[f"{tag}_angles.csv"] = (ang.timestamps_ms, ang.frames, "angle")
+            if emg.subject_id == 0:
+                expected[f"r{emg.session_id}_latents.csv"] = (emg.timestamps_ms, latents,
+                                                              "latent")
+        assert sorted(expected) == [n for n in names if n.endswith(".csv")]
+        for name, (ts, frames, prefix) in expected.items():
+            header = "timestamp_ms," + ",".join(f"{prefix}{i}"
+                                                for i in range(frames.shape[1]))
+            ref = io.BytesIO()
+            np.savetxt(ref, np.column_stack([ts, frames]), fmt="%.6f", delimiter=",",
+                       header=header, comments="")
+            assert (tmp_path / name).read_bytes() == ref.getvalue(), name
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = SynthConfig(seed=2, n_subjects=1, sessions_per_subject=1,
