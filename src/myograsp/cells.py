@@ -48,6 +48,16 @@ Backward passes return exact gradients of the forward map and were written
 to be checked against central finite differences (see tests); the
 per-timestep pre-activation gradients are buffered so that all weight
 gradients reduce to a handful of large GEMMs after the sequential loop.
+
+Every forward and backward takes an optional :class:`Buffers`, from which
+it takes its trace and gradient arrays that grow with the sequence by
+name instead of allocating them; a training loop passes one per layer to
+each step, so that after the first step no call maps and faults in fresh
+pages.  An
+array from a buffers-backed call is overwritten by the next call with the
+same buffers: a forward's outputs and trace stay valid until the next
+forward, a backward's ``dx`` until the next backward.  Without buffers,
+every call allocates its own arrays.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ import numpy as np
 from .numerics import init_params, sigmoid
 
 __all__ = [
+    "Buffers",
     "VanillaParams",
     "GruParams",
     "SruParams",
@@ -181,9 +192,31 @@ def _init_state(state, batch: int, hidden: int, who: str) -> np.ndarray:
     return state.copy()
 
 
-# time steps per input-side GEMM of every cell, and per step of the
-# network's streamed inference
+# time steps per input-side GEMM of every cell, per block of the SRU's
+# backward scan, and per step of the network's streamed inference
 BLOCK = 8
+
+
+class Buffers:
+    """Arrays handed out by name to one layer's forward and backward passes.
+
+    ``array(name, shape)`` returns the array last handed out under ``name``
+    while its shape is unchanged, else a new one; its contents are left
+    as they are, like ``np.empty``'s.
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        a = self._arrays.get(name)
+        if a is None or a.shape != shape:
+            a = self._arrays[name] = np.empty(shape)
+        return a
+
+
+def _empty(buffers: Buffers | None, name: str, shape: tuple) -> np.ndarray:
+    return np.empty(shape) if buffers is None else buffers.array(name, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +238,8 @@ def _blockwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
-def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
+def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
+                    buffers: Buffers | None = None):
     """Run the vanilla cell over a sequence batch.
 
     Returns (outputs, trace) with outputs of shape (B, T, D_out).
@@ -217,7 +251,7 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
 
     xw = _blockwise_matmul(x, params.W_h.T) + params.b_h
 
-    hs = np.empty((B, T + 1, H))
+    hs = _empty(buffers, "hs", (B, T + 1, H))
     hs[:, 0] = h
     for t in range(T):
         h = np.tanh(xw[:, t] + h @ params.U_h.T)
@@ -227,7 +261,8 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
     return ys, VanillaTrace(x=x, hs=hs)
 
 
-def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray):
+def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
+                     buffers: Buffers | None = None):
     """BPTT through the vanilla cell.
 
     ``dy`` holds the loss gradient w.r.t. every output y_t, shape (B, T, O).
@@ -244,7 +279,7 @@ def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray)
     dh_from_y = dy.reshape(B * T, -1) @ params.W_y
     dh_from_y = dh_from_y.reshape(B, T, H)
 
-    da = np.empty((B, T, H))
+    da = _empty(buffers, "da", (B, T, H))
     dh_next = np.zeros((B, H))
     for t in range(T - 1, -1, -1):
         dh = dh_from_y[:, t] + dh_next
@@ -286,7 +321,7 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
     return a.transpose(1, 0, 2)
 
 
-def gru_forward(params: GruParams, x: np.ndarray, h0=None):
+def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | None = None):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
     The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
@@ -315,9 +350,9 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None):
     # returning it to the OS, and calls per block fault in no fresh pages
     xg = np.empty((min(BLOCK, T), B, 3, H))   # input side of BLOCK steps
     rh = np.empty((B, H))                     # r_t * h_{t-1}
-    zr = np.empty((T, 2, B, H))   # z_t, r_t
-    hc = np.empty((T, B, H))
-    hs = np.empty((T + 1, B, H))
+    zr = _empty(buffers, "zr", (T, 2, B, H))   # z_t, r_t
+    hc = _empty(buffers, "hc", (T, B, H))
+    hs = _empty(buffers, "hs", (T + 1, B, H))
     hs[0] = h0
     for t in range(T):
         k = t % BLOCK
@@ -344,27 +379,26 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None):
     return _batch_major(hs)[:, 1:], trace
 
 
-def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
+def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
+                 buffers: Buffers | None = None):
     """BPTT through the GRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
     Returns (grads, dx, dh0).  Runs time-major like the forward: the trace
-    fields transpose back to their (T, B, .) buffers for free, ``dh_up`` is
-    copied once into (T, B, H) order, and each step works in place in its
-    (B, 3H) block of the gate pre-activation gradient buffer and a few
-    reused (B, H) arrays.  The weight gradients are stacked GEMMs after the
-    loop, and ``dx`` is a (B, T, D) view.
+    fields and ``dh_up`` are read as (T, B, .) views, and each step works
+    in place in its (B, 3H) block of the gate pre-activation gradient
+    buffer and a few reused (B, H) arrays.  The weight gradients are
+    stacked GEMMs after the loop, and ``dx`` is a (B, T, D) view.
     """
     B, T, D = trace.x.shape
     H = trace.z.shape[2]
     dh_up = np.asarray(dh_up, dtype=np.float64)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"gru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
-    xt, hs, z, r, hc = (_batch_major(a) for a in
-                        (trace.x, trace.hs, trace.z, trace.r, trace.hc))
-    dh_up = np.ascontiguousarray(_batch_major(dh_up))
+    xt, hs, z, r, hc, dh_up = (_batch_major(a) for a in
+                               (trace.x, trace.hs, trace.z, trace.r, trace.hc, dh_up))
 
     U_zr = np.concatenate([params.U_z, params.U_r])
-    da = np.empty((T, B, 3 * H))   # da_z | da_r | da_h
+    da = _empty(buffers, "da", (T, B, 3 * H))   # da_z | da_r | da_h
     dh = np.zeros((B, H))          # dLoss/dh_t, then dLoss/dh_{t-1}
     drh = np.empty((B, H))         # dLoss/d(r_t * h_{t-1})
     one_minus_z = np.empty((B, H))
@@ -403,7 +437,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
 
     x2 = xt.reshape(T * B, D)
     hp2 = hs[:-1].reshape(T * B, H)
-    rh2 = (r * hs[:-1]).reshape(T * B, H)
+    rh2 = np.multiply(r, hs[:-1], out=_empty(buffers, "rh", (T, B, H))).reshape(T * B, H)
     da2 = da.reshape(T * B, 3 * H)
     dW = da2.T @ x2
     dU_zr = da2[:, :2 * H].T @ hp2
@@ -413,8 +447,10 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
         W_r=dW[H:2 * H], U_r=dU_zr[H:], b_r=db[:, H:2 * H],
         W_h=dW[2 * H:], U_h=da2[:, 2 * H:].T @ rh2, b_h=db[:, 2 * H:],
     )
-    dx = da2 @ np.concatenate([params.W_z, params.W_r, params.W_h])
-    return grads, _batch_major(dx.reshape(T, B, D)), dh
+    dx = _empty(buffers, "dx", (T, B, D))
+    np.matmul(da2, np.concatenate([params.W_z, params.W_r, params.W_h]),
+              out=dx.reshape(T * B, D))
+    return grads, _batch_major(dx), dh
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +468,7 @@ class SruTrace(_ArrayFields):
     tanh_c: np.ndarray  # (B, T, H)
 
 
-def sru_forward(params: SruParams, x: np.ndarray, c0=None):
+def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | None = None):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
     Runs time-major like ``gru_forward``: ``x`` is copied once into a
@@ -465,10 +501,10 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None):
     # scratch first and the states last, as in gru_forward
     tmp = np.empty((min(BLOCK, T), B, H))
     fc = np.empty((B, H))              # f_t * c_{t-1}
-    slab = np.empty((k, T, B, H))      # xhat, f, r (, W_p x)
-    cs = np.empty((T + 1, B, H))
-    tanh_c = np.empty((T, B, H))
-    hs = np.empty((T, B, H))
+    slab = _empty(buffers, "slab", (k, T, B, H))   # xhat, f, r (, W_p x)
+    cs = _empty(buffers, "cs", (T + 1, B, H))
+    tanh_c = _empty(buffers, "tanh_c", (T, B, H))
+    hs = _empty(buffers, "hs", (T, B, H))
     cs[0] = c0
     for lo in range(0, T, BLOCK):
         n = min(BLOCK, T - lo)
@@ -501,54 +537,62 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None):
     return _batch_major(hs), trace
 
 
-def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
+def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
+                 buffers: Buffers | None = None):
     """BPTT through the SRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
     Returns (grads, dx, dc0).  Runs time-major like the forward: the trace
-    fields transpose back to their (T, B, .) buffers for free, ``dh_up`` is
-    copied once into (T, B, H) order, and the reverse c-scan steps over
-    contiguous (B, H) blocks.  The gradients of xhat, the f and r
-    pre-activations and the highway input go gate-major into one
-    (4, T, B, H) buffer, so the weight gradients are one batched GEMM, and
-    ``dx`` is a (B, T, D) view.
+    fields and ``dh_up`` are read as (T, B, .) views.  The elementwise work
+    and the reverse c-scan run per block of ``BLOCK`` steps, from the last
+    block back, carrying f_t * dLoss/dc_t from each block to the one
+    before, so dLoss/dc_t needs one block of scratch.  The gradients of
+    xhat, the f and r pre-activations and the highway input go gate-major
+    into one (4, T, B, H) buffer, so after the loop the weight gradients
+    are one batched GEMM, and ``dx`` is a (B, T, D) view.
     """
     B, T, D = trace.x.shape
     H = trace.f.shape[2]
     dh_up = np.asarray(dh_up, dtype=np.float64)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"sru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
-    xt, xhat, f, r, cs, xh, tanh_c = (_batch_major(a) for a in (
-        trace.x, trace.xhat, trace.f, trace.r, trace.cs, trace.xh, trace.tanh_c))
-    dh_up = np.ascontiguousarray(_batch_major(dh_up))
+    xt, xhat, f, r, cs, xh, tanh_c, dh_up = (_batch_major(a) for a in (
+        trace.x, trace.xhat, trace.f, trace.r, trace.cs, trace.xh, trace.tanh_c, dh_up))
 
-    da = np.empty((4, T, B, H))   # d xhat | d a_f | d a_r | d xh
-    dxhat, da_f, da_r, dxh = da
-    gc = np.empty((T, B, H))      # dLoss/dc_t
-    tmp = np.empty((T, B, H))
+    gc = np.empty((min(BLOCK, T), B, H))   # dLoss/dc_t over one block
+    tmp = np.empty_like(gc)
     step = np.empty((B, H))
+    carry = np.zeros((B, H))               # f_t * dLoss/dc_t at the block's first t
+    da = _empty(buffers, "da", (4, T, B, H))   # d xhat | d a_f | d a_r | d xh
+    for lo in reversed(range(0, T, BLOCK)):
+        hi = min(lo + BLOCK, T)
+        g, tm = gc[:hi - lo], tmp[:hi - lo]
+        dxhat, da_f, da_r, dxh = da[:, lo:hi]
+        up, f_b, r_b, th = dh_up[lo:hi], f[lo:hi], r[lo:hi], tanh_c[lo:hi]
 
-    np.subtract(1.0, r, out=tmp)                 # 1 - r
-    np.multiply(dh_up, tmp, out=dxh)
-    np.subtract(tanh_c, xh, out=da_r)
-    da_r *= dh_up
-    da_r *= r
-    da_r *= tmp
+        np.subtract(1.0, r_b, out=tm)                # 1 - r
+        np.multiply(up, tm, out=dxh)
+        np.subtract(th, xh[lo:hi], out=da_r)
+        da_r *= up
+        da_r *= r_b
+        da_r *= tm
 
-    # reverse scan, in place: gc_t = dc_direct_t + f_{t+1} * gc_{t+1}
-    np.multiply(dh_up, r, out=gc)
-    np.multiply(tanh_c, tanh_c, out=tmp)
-    np.subtract(1.0, tmp, out=tmp)
-    gc *= tmp
-    for t in range(T - 2, -1, -1):
-        gc[t] += np.multiply(f[t + 1], gc[t + 1], out=step)
-    dc0 = f[0] * gc[0]
+        # reverse scan, in place: gc_t = dc_direct_t + f_{t+1} * gc_{t+1}
+        np.multiply(up, r_b, out=g)
+        np.multiply(th, th, out=tm)
+        np.subtract(1.0, tm, out=tm)
+        g *= tm
+        if hi < T:
+            g[-1] += carry
+        for j in range(hi - lo - 2, -1, -1):
+            g[j] += np.multiply(f_b[j + 1], g[j + 1], out=step)
+        np.multiply(f_b[0], g[0], out=carry)
 
-    np.subtract(1.0, f, out=tmp)                 # 1 - f
-    np.multiply(gc, tmp, out=dxhat)
-    np.subtract(cs[:-1], xhat, out=da_f)
-    da_f *= gc
-    da_f *= f
-    da_f *= tmp
+        np.subtract(1.0, f_b, out=tm)                # 1 - f
+        np.multiply(g, tm, out=dxhat)
+        np.subtract(cs[lo:hi], xhat[lo:hi], out=da_f)
+        da_f *= g
+        da_f *= f_b
+        da_f *= tm
 
     k = 3 if params.W_p is None else 4
     x2 = xt.reshape(T * B, D)
@@ -557,11 +601,13 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
     db = da2[1:3].sum(axis=1, keepdims=True)
     grads = SruParams(W=dW[0], W_f=dW[1], b_f=db[0], W_r=dW[2], b_r=db[1],
                       W_p=dW[3] if params.W_p is not None else None)
-    dx = da2[0] @ params.W
-    dx += da2[1] @ params.W_f
-    dx += da2[2] @ params.W_r
-    dx += da2[3] @ params.W_p if params.W_p is not None else da2[3]
-    return grads, _batch_major(dx.reshape(T, B, D)), dc0
+    dx = _empty(buffers, "dx", (T, B, D))
+    term = _empty(buffers, "dx_term", (T * B, D))
+    dx2 = np.matmul(da2[0], params.W, out=dx.reshape(T * B, D))
+    dx2 += np.matmul(da2[1], params.W_f, out=term)
+    dx2 += np.matmul(da2[2], params.W_r, out=term)
+    dx2 += np.matmul(da2[3], params.W_p, out=term) if params.W_p is not None else da2[3]
+    return grads, _batch_major(dx), carry
 
 
 # ---------------------------------------------------------------------------
@@ -583,9 +629,10 @@ def _cell(params: CellParams):
         raise TypeError(f"unknown cell parameter type {type(params)}") from None
 
 
-def cell_forward(params: CellParams, x: np.ndarray, state0=None):
+def cell_forward(params: CellParams, x: np.ndarray, state0=None,
+                 buffers: Buffers | None = None):
     """Dispatch to the matching forward pass."""
-    return _cell(params)[0](params, x, state0)
+    return _cell(params)[0](params, x, state0, buffers)
 
 
 def final_state(trace) -> np.ndarray:
@@ -594,10 +641,11 @@ def final_state(trace) -> np.ndarray:
     return (trace.cs if isinstance(trace, SruTrace) else trace.hs)[:, -1]
 
 
-def cell_backward(trace, params: CellParams, upstream: np.ndarray):
+def cell_backward(trace, params: CellParams, upstream: np.ndarray,
+                  buffers: Buffers | None = None):
     """Dispatch to the matching backward pass; trace and params must pair up."""
     _, backward, trace_type = _cell(params)
     if not isinstance(trace, trace_type):
         raise TypeError(f"trace/params mismatch: {type(params).__name__} "
                         f"need a {trace_type.__name__}")
-    return backward(trace, params, upstream)
+    return backward(trace, params, upstream, buffers)

@@ -110,11 +110,12 @@ def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
         total += seq[:, t]
 
 
-def _block_forward(layer, seq: np.ndarray, state, traces: list | None):
+def _block_forward(layer, seq: np.ndarray, state, traces: list | None,
+                   buffers: cells.Buffers | None = None):
     """One layer over one block from its carried state; returns the block's
     outputs and the state it leaves.  The trace goes to ``traces`` if given,
     else it is dropped here."""
-    out, trace = cells.cell_forward(layer, seq, state)
+    out, trace = cells.cell_forward(layer, seq, state, buffers)
     if traces is not None:
         traces.append(trace)
     return out, cells.final_state(trace)
@@ -127,6 +128,7 @@ class NetworkTrace:
     seq_len: int
     pred_a1: np.ndarray           # (B, ph) post-ReLU predictor hidden
     disc_a1: np.ndarray | None    # (B, ph) post-ReLU discriminator hidden
+    buffers: list | None = None   # the forward's cells.Buffers per layer
 
 
 @dataclass
@@ -187,7 +189,8 @@ class Network:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, windows: np.ndarray, keep_trace: bool = True):
+    def forward(self, windows: np.ndarray, keep_trace: bool = True,
+                buffers: list | None = None):
         """Map (B, T, C) input windows to angle predictions.
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
@@ -197,12 +200,19 @@ class Network:
         and the feature reduction folded into the loop, so no (T, B, H)
         buffer is built; the outputs are bit-identical to the traced pass,
         which is the same loop over one block of T steps.
+
+        ``buffers``, one ``cells.Buffers`` per layer, serves the traced
+        pass: the layers take their trace arrays from it, and the trace
+        hands it on to :meth:`backward` for the gradient arrays.  The trace
+        stays valid until the next forward with the same buffers.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
             raise ValueError(
                 f"forward expects (batch, time, {self.config.input_channels}) windows, "
                 f"got {x.shape}")
+        if buffers is not None and (not keep_trace or len(buffers) != len(self.layers)):
+            raise ValueError("buffers serve a traced forward, one per layer")
 
         B, T, _ = x.shape
         pool = self.config.feature_reduction == "global-average-pool"
@@ -213,7 +223,8 @@ class Network:
         for lo in range(0, T, step):
             seq = x[:, lo:lo + step]
             for i, layer in enumerate(self.layers):
-                seq, states[i] = _block_forward(layer, seq, states[i], traces)
+                seq, states[i] = _block_forward(layer, seq, states[i], traces,
+                                                buffers[i] if buffers else None)
             if pool:
                 _pool_sum(total, seq)
         feat = total / T if pool else seq[:, -1, :].copy()
@@ -232,8 +243,8 @@ class Network:
 
         trace = None
         if keep_trace:
-            trace = NetworkTrace(cell_traces=traces, features=feat,
-                                 seq_len=T, pred_a1=pred_a1, disc_a1=disc_a1)
+            trace = NetworkTrace(cell_traces=traces, features=feat, seq_len=T,
+                                 pred_a1=pred_a1, disc_a1=disc_a1, buffers=buffers)
         return angles, domain_logits, trace
 
     def _head_backward(self, head: HeadParams, a1: np.ndarray, feat: np.ndarray,
@@ -286,8 +297,9 @@ class Network:
 
         upstream = dseq
         for i in range(len(self.layers) - 1, -1, -1):
-            layer_grads, dx, _ = cells.cell_backward(trace.cell_traces[i],
-                                                     self.layers[i], upstream)
+            layer_grads, dx, _ = cells.cell_backward(
+                trace.cell_traces[i], self.layers[i], upstream,
+                trace.buffers[i] if trace.buffers else None)
             grads.update({f"layer{i}.{n}": a for n, a in layer_grads.named()})
             upstream = dx
         return grads

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cells
 from .errors import NumericError
 from .metrics import angle_ranges, nrmse, rmse
 from .network import Network
@@ -265,7 +266,8 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
     ``disc_loss_weight`` > 0, every training batch must provide domain
     labels; total loss is mse + disc_loss_weight * cross_entropy.  With
     ``target_stats`` the regression loss runs on standardised targets while
-    the reported validation metrics stay in raw angle units.
+    the reported validation metrics stay in raw angle units.  A non-finite
+    loss or gradient raises NumericError before the step's update.
     """
     if len(train_source) == 0:
         raise ValueError("empty training set")
@@ -278,6 +280,9 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
     stopper = EarlyStopper(config.patience)
     best_params = net.copy_params()
 
+    # every step of this call takes its layers' trace and gradient arrays
+    # from these, so after the first step no step maps fresh pages
+    buffers = [cells.Buffers() for _ in net.layers]
     n = len(train_source)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -288,7 +293,7 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
             x, y, domains = train_source.batch(idx)
             if target_stats is not None:
                 y = target_stats.normalize(y)
-            angles, logits, trace = net.forward(x)
+            angles, logits, trace = net.forward(x, buffers=buffers)
             loss, dangles = mse_loss(angles, y)
             ddomains = None
             if ada_active:
@@ -297,10 +302,14 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
                 ce, dlogits = cross_entropy_batch(logits, domains)
                 loss = loss + config.disc_loss_weight * ce
                 ddomains = config.disc_loss_weight * dlogits
+            batch = lo // config.batch_size
             if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, batch {lo // config.batch_size}")
+                raise NumericError(f"non-finite training loss at epoch {epoch}, batch {batch}")
             grads = net.backward(trace, dangles, ddomains)
+            bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+            if bad:
+                raise NumericError(f"non-finite gradient of {', '.join(bad)} "
+                                   f"at epoch {epoch}, batch {batch}")
             adam_step(params, grads, state, config.learning_rate)
             total += loss * len(idx)
 

@@ -284,17 +284,14 @@ def assert_oracle_close(actual, expected, what):
                                atol=ORACLE_RTOL * scale, err_msg=what)
 
 
-@pytest.mark.parametrize("hidden", [16, 64])
-@pytest.mark.parametrize("wide_input", [False, True], ids=["d8", "dH"])
-@pytest.mark.parametrize("kind", list(ORACLES))
-def test_stacked_kernels_match_reference(kind, wide_input, hidden):
+def check_against_reference(kind, input_dim, hidden, T, rng):
+    """Forward and backward of one cell against the reference, with a
+    nonzero initial state."""
     init_fn, fwd, bwd, ref_fwd, ref_bwd = ORACLES[kind]
-    input_dim = hidden if wide_input else 8
-    rng = derive_rng(0, "oracle", kind, input_dim, hidden)
     params = randomized(init_fn(input_dim, hidden, rng), rng, scale=1.2 / np.sqrt(hidden))
-    x = rng.normal(size=(3, 9, input_dim))
+    x = rng.normal(size=(3, T, input_dim))
     s0 = rng.normal(size=(3, hidden)) * 0.5
-    upstream = rng.normal(size=(3, 9, hidden))
+    upstream = rng.normal(size=(3, T, hidden))
 
     out, trace = fwd(params, x, s0)
     ref_out, ref_trace = ref_fwd(params, x, s0)
@@ -311,6 +308,27 @@ def test_stacked_kernels_match_reference(kind, wide_input, hidden):
     for name, arr in grads.named():
         assert arr.shape == ref_named[name].shape
         assert_oracle_close(arr, ref_named[name], f"grad {name}")
+
+
+@pytest.mark.parametrize("hidden", [16, 64])
+@pytest.mark.parametrize("wide_input", [False, True], ids=["d8", "dH"])
+@pytest.mark.parametrize("kind", list(ORACLES))
+def test_stacked_kernels_match_reference(kind, wide_input, hidden):
+    input_dim = hidden if wide_input else 8
+    check_against_reference(kind, input_dim, hidden, 9,
+                            derive_rng(0, "oracle", kind, input_dim, hidden))
+
+
+@pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
+                               2 * cells.BLOCK + 3])
+@pytest.mark.parametrize("wide_input", [False, True], ids=["d8", "dH"])
+def test_sru_blocked_scan_matches_reference_at_block_edges(wide_input, T):
+    # the backward c-scan runs per block of BLOCK steps from the last block
+    # back, carrying f_t * dLoss/dc_t across each block edge; d8 runs the
+    # projected highway (W_p), dH the identity one
+    input_dim = 16 if wide_input else 8
+    check_against_reference("sru", input_dim, 16, T,
+                            derive_rng(0, "oracle-blocks", input_dim, T))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from myograsp import cli, synthgen
 from myograsp.cli import main
 from myograsp.experiment import TrainRunConfig
+from myograsp.network import Network
 
 
 def sha(path):
@@ -464,6 +465,25 @@ def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path,
                  "--results", str(results)]) == cli.EXIT_NUMERIC
     assert "Traceback" not in capsys.readouterr().err
     assert not results.exists()
+
+
+def test_non_finite_gradient_exits_numeric(archive_path, tmp_path, monkeypatch, capsys,
+                                           caplog):
+    backward = Network.backward
+
+    def poisoned(self, *args):
+        grads = backward(self, *args)
+        grads["layer0.W_h"][...] = np.nan
+        return grads
+
+    monkeypatch.setattr(Network, "backward", poisoned)
+    assert main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
+                 "--model", "gru", "--protocol", "intra", "--hidden", "8",
+                 "--predictor-hidden", "8", "--epochs", "1", "--patience", "1"]) \
+        == cli.EXIT_NUMERIC
+    assert "Traceback" not in capsys.readouterr().err
+    assert "non-finite gradient of layer0.W_h" in caplog.text
+    assert not list(tmp_path.glob("*.ckpt"))
 
 
 def stream_lines(edit):

@@ -152,6 +152,43 @@ class TestUntracedForward:
                                        .normal(size=(1, T, 1)))
 
 
+class TestBuffers:
+    """A training call passes one ``cells.Buffers`` per layer to every step;
+    reusing the arrays must change no bit of any step's results."""
+
+    @staticmethod
+    def step(net, x, labels, buffers=None):
+        angles, logits, trace = net.forward(x, buffers=buffers)
+        _, dangles = mse_loss(angles, np.zeros_like(angles))
+        _, dlogits = cross_entropy_batch(logits, labels)
+        return angles, logits, net.backward(trace, dangles, dlogits)
+
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_reused_buffers_are_bit_identical_to_fresh_arrays(self, cell):
+        # full batch, a partial last batch (smaller shapes), full again
+        net = Network.init(small_config(cell, disc=True), derive_rng(0, "buffers", cell))
+        rng = derive_rng(1, "buffers", cell)
+        T = 2 * cells.BLOCK + 3
+        batches = [(rng.normal(size=(b, T, 3)), rng.integers(0, 3, size=b)) for b in (5, 2, 5)]
+        buffers = [cells.Buffers() for _ in net.layers]
+        reused = [self.step(net, x, labels, buffers) for x, labels in batches]
+        for (x, labels), (angles, logits, grads) in zip(batches, reused):
+            fresh_angles, fresh_logits, fresh_grads = self.step(net, x, labels)
+            np.testing.assert_array_equal(angles, fresh_angles)
+            np.testing.assert_array_equal(logits, fresh_logits)
+            assert grads.keys() == fresh_grads.keys()
+            for name, g in grads.items():
+                np.testing.assert_array_equal(g, fresh_grads[name], err_msg=name)
+
+    def test_untraced_forward_rejects_buffers(self):
+        net = Network.init(small_config("sru"), make_rng(0))
+        buffers = [cells.Buffers() for _ in net.layers]
+        with pytest.raises(ValueError, match="buffers"):
+            net.forward(np.zeros((2, 4, 3)), keep_trace=False, buffers=buffers)
+        with pytest.raises(ValueError, match="buffers"):
+            net.forward(np.zeros((2, 4, 3)), buffers=buffers[:1])
+
+
 class TestGradientReversal:
     def test_sign_flip(self):
         out = gradient_reversal_backward(np.array([0.2, -0.5]), -1.0)

@@ -214,6 +214,22 @@ class TestTrainLoop:
         with pytest.raises(NumericError):
             train(net, bad, src, TrainConfig(max_epochs=1, patience=1))
 
+    def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
+        net, src = tiny_setup(disc=True)
+        before = net.copy_params()
+        backward = net.backward
+
+        def poisoned(*args):
+            grads = backward(*args)
+            grads["layer1.U_r"][0, 1] = np.inf
+            return grads
+
+        monkeypatch.setattr(net, "backward", poisoned)
+        with pytest.raises(NumericError, match=r"gradient of layer1\.U_r at epoch 1, batch 0"):
+            train(net, src, src, TrainConfig(max_epochs=1, patience=1, batch_size=4))
+        for name, arr in net.named_params():
+            np.testing.assert_array_equal(arr, before[name], err_msg=name)
+
     def test_missing_domain_labels_with_ada(self):
         net, _ = tiny_setup(disc=True)
         rng = make_rng(0)
