@@ -51,17 +51,19 @@ gradients reduce to a handful of large GEMMs after the sequential loop.
 
 Every forward and backward takes an optional :class:`Buffers`, from which
 it takes its trace and gradient arrays that grow with the sequence by
-name instead of allocating them; a training loop passes one per layer to
-each step, so that after the first step no call maps and faults in fresh
-pages.  An
-array from a buffers-backed call is overwritten by the next call with the
-same buffers: a forward's outputs and trace stay valid until the next
+name instead of allocating them; a network keeps one per layer as its
+training workspace (``Network.buffers``), which ``training.train`` passes
+to every step, so that after the network's first step at its largest
+batch no call maps and faults in fresh pages.  An array from a
+buffers-backed call is overwritten by the next call with the same
+buffers: a forward's outputs and trace stay valid until the next
 forward, a backward's ``dx`` until the next backward.  Without buffers,
 every call allocates its own arrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -200,19 +202,22 @@ BLOCK = 8
 class Buffers:
     """Arrays handed out by name to one layer's forward and backward passes.
 
-    ``array(name, shape)`` returns the array last handed out under ``name``
-    while its shape is unchanged, else a new one; its contents are left
-    as they are, like ``np.empty``'s.
+    Each name keeps one flat array that only grows: ``array(name, shape)``
+    hands out its first ``prod(shape)`` elements as a C-contiguous view of
+    that shape, so a smaller batch (an epoch's partial last one) reuses the
+    memory of a larger one.  Its contents are left as they are, like
+    ``np.empty``'s.
     """
 
     def __init__(self):
-        self._arrays = {}
+        self._flat = {}
 
     def array(self, name: str, shape: tuple) -> np.ndarray:
-        a = self._arrays.get(name)
-        if a is None or a.shape != shape:
-            a = self._arrays[name] = np.empty(shape)
-        return a
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 def _empty(buffers: Buffers | None, name: str, shape: tuple) -> np.ndarray:

@@ -578,7 +578,7 @@ def load_archive(path):
     that runs outside its recording is a DataError.
     """
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             if "__header__" not in data:
                 raise DataError("not a myograsp archive")
             header = json.loads(bytes(data["__header__"]).decode("utf-8"))

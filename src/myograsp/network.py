@@ -137,6 +137,10 @@ class Network:
     layers: list = field(default_factory=list)          # cell params per layer
     predictor: HeadParams | None = None
     discriminator: HeadParams | None = None
+    # the training workspace: one cells.Buffers per layer, kept for the
+    # network's lifetime so that no training step after its first maps
+    # fresh trace or gradient pages; state, not a parameter or a setting
+    buffers: list = field(default_factory=list, repr=False, compare=False)
 
     # -- construction -------------------------------------------------------
 
@@ -157,6 +161,7 @@ class Network:
                 net.layers.append(cells.init_gru(in_dim, config.hidden_size, rng))
             else:
                 net.layers.append(cells.init_sru(in_dim, config.hidden_size, rng))
+            net.buffers.append(cells.Buffers())
             in_dim = config.hidden_size
         net.predictor = init_head(config.hidden_size, config.predictor_hidden,
                                   config.output_angles, rng)
@@ -203,8 +208,12 @@ class Network:
 
         ``buffers``, one ``cells.Buffers`` per layer, serves the traced
         pass: the layers take their trace arrays from it, and the trace
-        hands it on to :meth:`backward` for the gradient arrays.  The trace
-        stays valid until the next forward with the same buffers.
+        hands it on to :meth:`backward` for the gradient arrays.  The
+        caller owns the buffers; :func:`training.train` passes the
+        network's own workspace, ``self.buffers``.  A trace built on
+        buffers stays valid until the next forward with the same buffers,
+        and so does the ``dx`` its backward leaves in them; without
+        buffers every array is the call's own.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
@@ -334,7 +343,7 @@ def load_checkpoint(path):
     DataError; a readable file of another format is a ConfigError.
     """
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             if "__header__" not in data:
                 raise ConfigError(f"{path}: not a myograsp checkpoint")
             header = json.loads(bytes(data["__header__"]).decode("utf-8"))

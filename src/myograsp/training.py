@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cells
 from .errors import NumericError
 from .metrics import angle_ranges, nrmse, rmse
 from .network import Network
@@ -268,6 +267,14 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
     ``target_stats`` the regression loss runs on standardised targets while
     the reported validation metrics stay in raw angle units.  A non-finite
     loss or gradient raises NumericError before the step's update.
+
+    Every step takes its layers' trace and gradient arrays from the
+    network's own workspace, ``net.buffers``, which outlives the call: once
+    the network has taken a step at its largest batch, no step of this or
+    a later call maps fresh pages, and the workspace holds that batch's
+    arrays (at paper scale, 273 MB for the GRU) until the network is
+    freed.  Each step's trace lives only until the next step's forward
+    overwrites it.
     """
     if len(train_source) == 0:
         raise ValueError("empty training set")
@@ -280,9 +287,6 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
     stopper = EarlyStopper(config.patience)
     best_params = net.copy_params()
 
-    # every step of this call takes its layers' trace and gradient arrays
-    # from these, so after the first step no step maps fresh pages
-    buffers = [cells.Buffers() for _ in net.layers]
     n = len(train_source)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -293,7 +297,7 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
             x, y, domains = train_source.batch(idx)
             if target_stats is not None:
                 y = target_stats.normalize(y)
-            angles, logits, trace = net.forward(x, buffers=buffers)
+            angles, logits, trace = net.forward(x, buffers=net.buffers)
             loss, dangles = mse_loss(angles, y)
             ddomains = None
             if ada_active:

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import shutil
+import warnings
 import zipfile
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from myograsp import cli, synthgen
 from myograsp.cli import main
+from myograsp.errors import DataError
 from myograsp.experiment import TrainRunConfig
 from myograsp.network import Network
 
@@ -451,6 +454,26 @@ def test_corrupt_input_exits_io(archive_path, checkpoint_path, tmp_path, capsys,
                  "--results", str(results)]) == cli.EXIT_IO
     assert "Traceback" not in capsys.readouterr().err
     assert not results.exists()
+
+
+def test_truncated_npz_leaks_no_file_handle(archive_path, checkpoint_path, tmp_path,
+                                            monkeypatch):
+    # numpy hands an open file to NpzFile before zipfile rejects a cut
+    # container; a loader that opened by path would leave it unclosed
+    from myograsp.datapipe import load_archive
+    from myograsp.network import load_checkpoint
+
+    unraisable = []   # warnings raised from __del__ land here, not in the caller
+    monkeypatch.setattr("sys.unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for load, src in ((load_archive, archive_path), (load_checkpoint, checkpoint_path)):
+            bad = tmp_path / f"cut_{src.name}"
+            bad.write_bytes(src.read_bytes()[:src.stat().st_size // 2])
+            with pytest.raises(DataError, match="cannot read"):
+                load(bad)
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
 
 
 def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path, capsys):

@@ -161,7 +161,7 @@ class TestBuffers:
         angles, logits, trace = net.forward(x, buffers=buffers)
         _, dangles = mse_loss(angles, np.zeros_like(angles))
         _, dlogits = cross_entropy_batch(logits, labels)
-        return angles, logits, net.backward(trace, dangles, dlogits)
+        return angles, logits, net.backward(trace, dangles, dlogits), trace
 
     @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_reused_buffers_are_bit_identical_to_fresh_arrays(self, cell):
@@ -172,8 +172,15 @@ class TestBuffers:
         batches = [(rng.normal(size=(b, T, 3)), rng.integers(0, 3, size=b)) for b in (5, 2, 5)]
         buffers = [cells.Buffers() for _ in net.layers]
         reused = [self.step(net, x, labels, buffers) for x, labels in batches]
-        for (x, labels), (angles, logits, grads) in zip(batches, reused):
-            fresh_angles, fresh_logits, fresh_grads = self.step(net, x, labels)
+        # the partial batch runs in the full batch's memory, not its own
+        # (a smaller array of a stack, as SRU's f, may sit in a sibling's place)
+        full, partial = reused[0][3], reused[1][3]
+        for layer_full, layer_partial in zip(full.cell_traces, partial.cell_traces):
+            for name, b in layer_partial.named():
+                if name != "x":   # layer 0's input is the caller's
+                    assert any(np.shares_memory(a, b) for _, a in layer_full.named()), name
+        for (x, labels), (angles, logits, grads, _) in zip(batches, reused):
+            fresh_angles, fresh_logits, fresh_grads, _ = self.step(net, x, labels)
             np.testing.assert_array_equal(angles, fresh_angles)
             np.testing.assert_array_equal(logits, fresh_logits)
             assert grads.keys() == fresh_grads.keys()

@@ -230,6 +230,39 @@ class TestTrainLoop:
         for name, arr in net.named_params():
             np.testing.assert_array_equal(arr, before[name], err_msg=name)
 
+    def test_workspace_outlives_the_call(self, monkeypatch):
+        # a second call trains in the first call's trace and dx arrays, and
+        # gives the parameters that fresh arrays for each call give
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=4, seed=7)
+        seen = []   # per layer backward: its trace's and its dx arrays
+        cell_backward = cells.cell_backward
+
+        def recording_backward(trace, *args):
+            out = cell_backward(trace, *args)
+            seen.append(dict(trace.named(), dx=out[1]))
+            return out
+
+        monkeypatch.setattr(cells, "cell_backward", recording_backward)
+        net, src = tiny_setup(seed=7)   # 6 windows: batches of 4 and 2
+        calls = []
+        for _ in range(2):
+            seen.clear()
+            train(net, src, src, cfg)
+            calls.append(list(seen))
+        first, second = calls
+        assert len(first) == len(second) == 4
+        for a, b in zip(first, second):
+            for name in a.keys() - {"x"}:   # layer 0's input is the batch's
+                assert np.shares_memory(a[name], b[name]), name
+
+        fresh, _ = tiny_setup(seed=7)
+        for _ in range(2):
+            fresh.buffers = [cells.Buffers() for _ in fresh.layers]
+            train(fresh, src, src, cfg)
+        expected = fresh.copy_params()
+        for name, arr in net.named_params():
+            np.testing.assert_array_equal(arr, expected[name], err_msg=name)
+
     def test_missing_domain_labels_with_ada(self):
         net, _ = tiny_setup(disc=True)
         rng = make_rng(0)
