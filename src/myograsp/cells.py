@@ -52,9 +52,9 @@ gradients reduce to a handful of large GEMMs after the sequential loop.
 Every forward and backward takes an optional :class:`Buffers`, from which
 it takes its trace and gradient arrays that grow with the sequence by
 name instead of allocating them; a network keeps one per layer as its
-training workspace (``Network.buffers``), which ``training.train`` passes
-to every step, so that after the network's first step at its largest
-batch no call maps and faults in fresh pages.  An array from a
+training workspace (``Network.buffers``) and hands it to every traced
+forward and backward, so that after the network's first step at its
+largest batch no call maps and faults in fresh pages.  An array from a
 buffers-backed call is overwritten by the next call with the same
 buffers: a forward's outputs and trace stay valid until the next
 forward, a backward's ``dx`` until the next backward.  Without buffers,

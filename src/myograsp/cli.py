@@ -72,7 +72,7 @@ def read_config_file(path) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = line.split("=", 1)
                 out[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
 
@@ -288,7 +288,7 @@ def cmd_evaluate(args) -> int:
     net, meta = load_checkpoint(args.checkpoint)
     stats, target_stats = evaluation_meta(meta, args.checkpoint, net)
     window_set, archive_meta = datapipe.load_archive(args.archive)
-    if int(archive_meta["n_angles"]) != net.config.output_angles:
+    if archive_meta["n_angles"] != net.config.output_angles:
         raise ConfigError(
             f"checkpoint predicts {net.config.output_angles} angles but archive "
             f"holds {archive_meta['n_angles']} ({archive_meta['mode']} mode)")

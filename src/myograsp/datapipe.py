@@ -152,8 +152,7 @@ def align(emg: RawStream, angles: RawStream, max_gap: float = MAX_GAP_MS) -> Ali
     )
 
 
-def lowpass(values: np.ndarray, sample_rate: float, cutoff: float,
-            order: int = FILTER_ORDER) -> np.ndarray:
+def lowpass(values: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarray:
     """Zero-phase Butterworth low-pass along axis 0, length preserving.
 
     Forward-backward application squares the magnitude response, so the
@@ -162,10 +161,10 @@ def lowpass(values: np.ndarray, sample_rate: float, cutoff: float,
     if cutoff >= sample_rate / 2:
         raise ValueError(f"cutoff {cutoff} Hz must be below Nyquist ({sample_rate / 2} Hz)")
     values = np.asarray(values, dtype=np.float64)
-    b, a = butter(order, cutoff, btype="low", fs=sample_rate)
+    b, a = butter(FILTER_ORDER, cutoff, btype="low", fs=sample_rate)
     if values.shape[0] <= 3 * max(len(a), len(b)):
         raise DataError(f"{values.shape[0]} rows are too few for zero-phase "
-                        f"filtering at order {order}")
+                        f"filtering at order {FILTER_ORDER}")
     return filtfilt(b, a, values, axis=0)
 
 
@@ -491,6 +490,8 @@ _MANIFEST_RULES = {
     "angle_rate": (_is_rate, "a positive finite number"),
     "recordings": (lambda v: type(v) is list and len(v) > 0, "a non-empty list"),
 }
+# the manifest keys an archive's meta carries on, and that its readers use
+_ARCHIVE_META_RULES = {key: _MANIFEST_RULES[key] for key in ("mode", "n_angles")}
 _RECORDING_RULES = {
     "subject": (_is_index, "an integer in [0, 2**31)"),
     "session": (_is_index, "an integer in [0, 2**31)"),
@@ -573,9 +574,12 @@ def save_archive(path, window_set: WindowSet, meta: dict) -> None:
 def load_archive(path):
     """Load a sample archive; returns (WindowSet, meta dict).
 
-    An unreadable container, a missing entry, a recording whose emg or
-    angle rows disagree in number with its timestamps, or a window index
-    that runs outside its recording is a DataError.
+    An unreadable container, a missing entry, a header value of the wrong
+    JSON type (TypeError), a meta whose ``mode`` or ``n_angles`` breaks the
+    manifest's rules, a recording whose emg or angle rows disagree in
+    number with its timestamps or that does not hold 8 emg channels and
+    ``n_angles`` angle columns, or a window index that runs outside its
+    recording is a DataError.
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -584,6 +588,8 @@ def load_archive(path):
             header = json.loads(bytes(data["__header__"]).decode("utf-8"))
             if header.get("format") != ARCHIVE_FORMAT:
                 raise DataError(f"unsupported archive format {header.get('format')!r}")
+            _check_keys("archive meta", header["meta"], _ARCHIVE_META_RULES)
+            n_angles = header["meta"]["n_angles"]
             recordings = []
             for i, sess in enumerate(header["sessions"]):
                 rec = AlignedRecording(
@@ -593,10 +599,15 @@ def load_archive(path):
                 if not len(rec.emg) == len(rec.angles) == len(rec):
                     raise DataError(f"recording {i} has {len(rec)} timestamps but "
                                     f"{len(rec.emg)} emg and {len(rec.angles)} angle rows")
+                if (rec.emg.ndim != 2 or rec.emg.shape[1] != 8 or rec.angles.ndim != 2
+                        or rec.angles.shape[1] != n_angles):
+                    raise DataError(f"recording {i} holds {rec.emg.shape} emg and "
+                                    f"{rec.angles.shape} angle values; windows need 8 "
+                                    f"channels and the meta's {n_angles} angles")
                 recordings.append(rec)
             ws = WindowSet(recordings, data["windows_rec_index"],
                            data["windows_start_row"], header["window"])
             meta = dict(header["meta"], sessions=header["sessions"])
-    except (DataError, *NPZ_READ_ERRORS) as exc:
+    except (DataError, TypeError, *NPZ_READ_ERRORS) as exc:
         raise DataError(f"cannot read archive {path}: {exc}") from exc
     return ws, meta

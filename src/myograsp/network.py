@@ -1,15 +1,14 @@
 """Network assembly: stacked recurrent feature extractor plus heads.
 
 The architecture follows a fixed template: two recurrent layers (vanilla,
-GRU or SRU cells), a feature reduction (last timestep for gru/vanilla,
-global average pooling over time for sru), a two-layer predictor head
-(ReLU hidden, linear output over the joint angles) and, optionally, a
-two-layer domain discriminator behind a gradient reversal layer.
-
-The gradient reversal layer is the identity in the forward pass and
-multiplies incoming gradients by ``grl_lambda`` (a constant in [-1, 0]) in
-the backward pass, which makes the feature extractor adversarial to the
-domain classifier.
+GRU or SRU cells), a feature reduction set by the cell (global average
+pooling over time for sru, the last timestep for gru and vanilla), a
+two-layer predictor head (ReLU hidden, linear output over the joint
+angles) and, optionally, a two-layer domain discriminator behind a
+gradient reversal layer: the identity going forward, a negation going
+back, which makes the feature extractor adversarial to the domain
+classifier.  Each network owns its training workspace, one grow-only
+``cells.Buffers`` per layer for the traced forward and the backward.
 """
 
 from __future__ import annotations
@@ -29,20 +28,14 @@ __all__ = [
     "HeadParams",
     "Network",
     "NetworkTrace",
-    "gradient_reversal_backward",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "myograsp-checkpoint/1"
+CHECKPOINT_FORMAT = "myograsp-checkpoint/2"
 
 CELL_TYPES = ("vanilla", "gru", "sru")
-REDUCTIONS = ("last-timestep", "global-average-pool")
-
-
-def default_reduction(cell_type: str) -> str:
-    return "global-average-pool" if cell_type == "sru" else "last-timestep"
 
 
 @dataclass
@@ -55,24 +48,12 @@ class NetworkConfig:
     output_angles: int = 15
     use_discriminator: bool = False
     num_domains: int = 0
-    grl_lambda: float = -1.0
-    feature_reduction: str = ""   # filled from cell_type when left empty
 
     def __post_init__(self):
         if self.cell_type not in CELL_TYPES:
             raise ConfigError(f"cell_type must be one of {CELL_TYPES}, got {self.cell_type!r}")
-        if not self.feature_reduction:
-            self.feature_reduction = default_reduction(self.cell_type)
-        if self.feature_reduction not in REDUCTIONS:
-            raise ConfigError(f"feature_reduction must be one of {REDUCTIONS}")
-        if self.cell_type == "sru" and self.feature_reduction != "global-average-pool":
-            raise ConfigError("sru networks use global-average-pool feature reduction")
-        if self.cell_type == "gru" and self.feature_reduction != "last-timestep":
-            raise ConfigError("gru networks use last-timestep feature reduction")
         if self.output_angles not in (15, 18):
             raise ConfigError(f"output_angles must be 15 or 18, got {self.output_angles}")
-        if not (-1.0 <= self.grl_lambda <= 0.0):
-            raise ConfigError(f"grl_lambda must lie in [-1, 0], got {self.grl_lambda}")
         if self.use_discriminator and self.num_domains < 2:
             raise ConfigError("use_discriminator requires num_domains >= 2")
         if self.num_recurrent_layers < 1:
@@ -94,12 +75,6 @@ def init_head(feat_dim: int, hidden: int, out_dim: int, rng) -> HeadParams:
         W2=init_params(out_dim, hidden, "uniform-scaled", rng),
         b2=init_params(1, out_dim, "zeros", rng),
     )
-
-
-def gradient_reversal_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
-    if not (-1.0 <= lam <= 0.0):
-        raise ValueError(f"gradient reversal lambda must lie in [-1, 0], got {lam}")
-    return lam * np.asarray(upstream, dtype=np.float64)
 
 
 def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
@@ -128,7 +103,6 @@ class NetworkTrace:
     seq_len: int
     pred_a1: np.ndarray           # (B, ph) post-ReLU predictor hidden
     disc_a1: np.ndarray | None    # (B, ph) post-ReLU discriminator hidden
-    buffers: list | None = None   # the forward's cells.Buffers per layer
 
 
 @dataclass
@@ -137,9 +111,8 @@ class Network:
     layers: list = field(default_factory=list)          # cell params per layer
     predictor: HeadParams | None = None
     discriminator: HeadParams | None = None
-    # the training workspace: one cells.Buffers per layer, kept for the
-    # network's lifetime so that no training step after its first maps
-    # fresh trace or gradient pages; state, not a parameter or a setting
+    # the training workspace, one cells.Buffers per layer for the network's
+    # lifetime; state, not a parameter or a setting, and not checkpointed
     buffers: list = field(default_factory=list, repr=False, compare=False)
 
     # -- construction -------------------------------------------------------
@@ -194,8 +167,7 @@ class Network:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, windows: np.ndarray, keep_trace: bool = True,
-                buffers: list | None = None):
+    def forward(self, windows: np.ndarray, keep_trace: bool = True):
         """Map (B, T, C) input windows to angle predictions.
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
@@ -206,25 +178,20 @@ class Network:
         buffer is built; the outputs are bit-identical to the traced pass,
         which is the same loop over one block of T steps.
 
-        ``buffers``, one ``cells.Buffers`` per layer, serves the traced
-        pass: the layers take their trace arrays from it, and the trace
-        hands it on to :meth:`backward` for the gradient arrays.  The
-        caller owns the buffers; :func:`training.train` passes the
-        network's own workspace, ``self.buffers``.  A trace built on
-        buffers stays valid until the next forward with the same buffers,
-        and so does the ``dx`` its backward leaves in them; without
-        buffers every array is the call's own.
+        The traced pass takes its trace arrays from the network's own
+        workspace, ``self.buffers``, and :meth:`backward` its gradient
+        arrays, so a trace stays valid until the network's next traced
+        forward, and the ``dx`` its backward leaves until the next
+        backward.  Inference does not touch the workspace.
         """
         x = np.asarray(windows, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
             raise ValueError(
                 f"forward expects (batch, time, {self.config.input_channels}) windows, "
                 f"got {x.shape}")
-        if buffers is not None and (not keep_trace or len(buffers) != len(self.layers)):
-            raise ValueError("buffers serve a traced forward, one per layer")
 
         B, T, _ = x.shape
-        pool = self.config.feature_reduction == "global-average-pool"
+        pool = self.config.cell_type == "sru"
         total = np.zeros((B, self.config.hidden_size))   # the pool's running sum
         traces = [] if keep_trace else None
         states = [None] * len(self.layers)
@@ -233,7 +200,7 @@ class Network:
             seq = x[:, lo:lo + step]
             for i, layer in enumerate(self.layers):
                 seq, states[i] = _block_forward(layer, seq, states[i], traces,
-                                                buffers[i] if buffers else None)
+                                                self.buffers[i] if keep_trace else None)
             if pool:
                 _pool_sum(total, seq)
         feat = total / T if pool else seq[:, -1, :].copy()
@@ -250,10 +217,8 @@ class Network:
             disc_a1 = relu(feat @ d.W1.T + d.b1)
             domain_logits = disc_a1 @ d.W2.T + d.b2
 
-        trace = None
-        if keep_trace:
-            trace = NetworkTrace(cell_traces=traces, features=feat, seq_len=T,
-                                 pred_a1=pred_a1, disc_a1=disc_a1, buffers=buffers)
+        trace = (NetworkTrace(cell_traces=traces, features=feat, seq_len=T,
+                              pred_a1=pred_a1, disc_a1=disc_a1) if keep_trace else None)
         return angles, domain_logits, trace
 
     def _head_backward(self, head: HeadParams, a1: np.ndarray, feat: np.ndarray,
@@ -273,7 +238,7 @@ class Network:
 
         ``angle_grad`` is dLoss/dangles; ``domain_grad`` (if given) is
         dLoss/dlogits and flows through the gradient reversal layer, so its
-        contribution to the feature extractor arrives scaled by grl_lambda.
+        contribution to the feature extractor arrives negated.
         Passing ``domain_grad=None`` eliminates the discriminator path.
         Returns a dict mapping parameter names to gradient arrays.
         """
@@ -290,7 +255,7 @@ class Network:
                 self.discriminator, trace.disc_a1, feat,
                 np.asarray(domain_grad, dtype=np.float64))
             grads.update({f"discriminator.{n}": a for n, a in disc_grads.named()})
-            dfeat = dfeat + gradient_reversal_backward(dfeat_disc, self.config.grl_lambda)
+            dfeat = dfeat - dfeat_disc   # the gradient reversal layer
         elif self.discriminator is not None:
             # keep the key set stable for the optimizer
             grads.update({f"discriminator.{n}": np.zeros_like(a)
@@ -299,7 +264,7 @@ class Network:
         B, T = feat.shape[0], trace.seq_len
         H = self.config.hidden_size
         dseq = np.zeros((B, T, H))
-        if self.config.feature_reduction == "global-average-pool":
+        if self.config.cell_type == "sru":
             dseq += (dfeat / T)[:, None, :]
         else:
             dseq[:, -1, :] = dfeat
@@ -307,8 +272,7 @@ class Network:
         upstream = dseq
         for i in range(len(self.layers) - 1, -1, -1):
             layer_grads, dx, _ = cells.cell_backward(
-                trace.cell_traces[i], self.layers[i], upstream,
-                trace.buffers[i] if trace.buffers else None)
+                trace.cell_traces[i], self.layers[i], upstream, self.buffers[i])
             grads.update({f"layer{i}.{n}": a for n, a in layer_grads.named()})
             upstream = dx
         return grads

@@ -35,7 +35,7 @@ __all__ = [
     "inter_subject_split",
     "make_split",
     "canonical_protocol", "PROTOCOLS",
-    "BLOCK_SECONDS", "PERIOD_SECONDS",
+    "BLOCK_SECONDS", "PERIOD_SECONDS", "SESSION_FOLDS",
 ]
 
 # accepted protocol names -> the canonical name a SplitPlan carries
@@ -48,6 +48,7 @@ ASSIGNMENT_NAMES = {TRAIN: "train", VALIDATION: "validation", TEST: "test",
 
 BLOCK_SECONDS = 12.0
 PERIOD_SECONDS = 3.0
+SESSION_FOLDS = 5   # session-disjoint groups of the inter-session protocol
 # slack for nominal-duration sessions whose aligned span is a frame or two
 # short of an exact block multiple
 _BLOCK_TOL_MS = 100.0
@@ -88,20 +89,18 @@ class SplitPlan:
 # period machinery
 # ---------------------------------------------------------------------------
 
-def carve_periods(t_start: float, t_end: float, rng: np.random.Generator,
-                  block_s: float = BLOCK_SECONDS,
-                  period_s: float = PERIOD_SECONDS) -> list:
+def carve_periods(t_start: float, t_end: float, rng: np.random.Generator) -> list:
     """Sample one period per block of a session timeline; times in ms.
 
     A final partial block takes part when it is still long enough to host a
     period; a session shorter than one block is an error.
     """
-    block_ms = block_s * 1000.0
-    period_ms = period_s * 1000.0
+    block_ms = BLOCK_SECONDS * 1000.0
+    period_ms = PERIOD_SECONDS * 1000.0
     span = t_end - t_start
     if span + _BLOCK_TOL_MS < block_ms:
-        raise DataError(
-            f"session spans {span / 1000.0:.1f} s; need at least one {block_s:.0f} s block")
+        raise DataError(f"session spans {span / 1000.0:.1f} s; need at least one "
+                        f"{BLOCK_SECONDS:.0f} s block")
     n_full = int((span + _BLOCK_TOL_MS) // block_ms)
     remainder = span - n_full * block_ms
     periods = []
@@ -225,15 +224,16 @@ def _holdout_split(window_set: WindowSet, sessions: list, seed: int, fold: int,
 
 
 def inter_session_split(window_set: WindowSet, sessions: list, fold: int,
-                        seed: int, n_folds: int = 5) -> SplitPlan:
-    """Round-robin sessions into ``n_folds`` session-disjoint groups; fold k
-    tests on group k and trains/validates on the rest."""
+                        seed: int) -> SplitPlan:
+    """Round-robin sessions into ``SESSION_FOLDS`` session-disjoint groups;
+    fold k tests on group k and trains/validates on the rest."""
     keys = _session_keys(window_set, sessions)
-    if len(keys) < n_folds:
-        raise DataError(f"inter-session split needs >= {n_folds} sessions, have {len(keys)}")
-    if not 0 <= fold < n_folds:
-        raise ConfigError(f"fold must lie in [0, {n_folds}), got {fold}")
-    test_keys = {k for i, k in enumerate(keys) if i % n_folds == fold}
+    if len(keys) < SESSION_FOLDS:
+        raise DataError(f"inter-session split needs >= {SESSION_FOLDS} sessions, "
+                        f"have {len(keys)}")
+    if not 0 <= fold < SESSION_FOLDS:
+        raise ConfigError(f"fold must lie in [0, {SESSION_FOLDS}), got {fold}")
+    test_keys = {k for i, k in enumerate(keys) if i % SESSION_FOLDS == fold}
     train_keys = [k for k in keys if k not in test_keys]
     domain_of = {k: i for i, k in enumerate(train_keys)}
     return _holdout_split(window_set, sessions, seed, fold, "inter-session",

@@ -72,6 +72,8 @@ ANGLE_RESPONSE_S = 0.6
 _RESPONSE_GRID_HZ = 200.0
 # seed of the fixed angle-from-latent map; independent of the dataset seed
 _MAP_SEED = 0x6A0
+# most seconds of rows the linear baseline fits on, and evaluates on
+BASELINE_FIT_SECONDS = 60.0
 
 
 @dataclass
@@ -374,20 +376,19 @@ def generate(cfg: SynthConfig):
 # learnability floor
 # ---------------------------------------------------------------------------
 
-def linear_baseline_nrmse(emg: datapipe.RawStream, angles: datapipe.RawStream,
-                          fit_seconds: float = 60.0) -> float:
+def linear_baseline_nrmse(emg: datapipe.RawStream, angles: datapipe.RawStream) -> float:
     """Least-squares readout from the filtered emg to the angles.
 
     Fit and evaluation rows come from interleaved 2 s tiles (up to
-    ``fit_seconds`` worth each), so both pools see every movement phase of
-    the session script.  The resulting NRMSE is recorded into the manifest
-    as the floor an end-to-end model should approach.
+    ``BASELINE_FIT_SECONDS`` worth each), so both pools see every movement
+    phase of the session script.  The resulting NRMSE is recorded into the
+    manifest as the floor an end-to-end model should approach.
     """
     rec = datapipe.align(emg, angles)
     rec = datapipe.filter_recording(rec, emg.nominal_rate)
     tile = int(2.0 * emg.nominal_rate)
     tiles = np.arange(len(rec)) // tile
-    max_rows = int(fit_seconds * emg.nominal_rate)
+    max_rows = int(BASELINE_FIT_SECONDS * emg.nominal_rate)
     fit_rows = np.flatnonzero(tiles % 2 == 0)[:max_rows]
     eval_rows = np.flatnonzero(tiles % 2 == 1)[:max_rows]
     X = np.column_stack([rec.emg, np.ones(len(rec))])

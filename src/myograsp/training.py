@@ -8,13 +8,12 @@ drives early stopping: training halts after ``patience`` epochs without
 strict improvement, and the parameters from the best validation epoch are
 returned.
 
-Angle targets are standardised per angle during training when
-``target_stats`` is supplied (the pipeline always does): raw targets sit at
-tens of degrees, and without rescaling the squared-error loss dwarfs the
-discriminator cross-entropy, leaving the adversarial term inert.  The
-network then predicts in standardised units; validation metrics and
-downstream evaluation invert the transform, so every reported RMSE/NRMSE
-stays in degrees.
+Angle targets are standardised per angle during training by
+``target_stats``: raw targets sit at tens of degrees, and without
+rescaling the squared-error loss dwarfs the discriminator cross-entropy,
+leaving the adversarial term inert.  The network then predicts in
+standardised units; validation metrics and downstream evaluation invert
+the transform, so every reported RMSE/NRMSE stays in degrees.
 """
 
 from __future__ import annotations
@@ -249,32 +248,27 @@ def predict(net: Network, x: np.ndarray, chunk: int = 256) -> np.ndarray:
 
 def _validation_metrics(net: Network, source, target_stats) -> tuple[float, float]:
     xs, ys, _ = source.batch(np.arange(len(source)))
-    preds = predict(net, xs)
-    if target_stats is not None:
-        preds = target_stats.denormalize(preds)
+    preds = target_stats.denormalize(predict(net, xs))
     ranges = angle_ranges(ys, clamp_zero=True)
     return rmse(preds, ys), nrmse(preds, ys, ranges)
 
 
 def train(net: Network, train_source, val_source, config: TrainConfig,
-          target_stats: TargetStats | None = None):
+          target_stats: TargetStats):
     """Mini-batch training with seeded shuffling and early stopping.
 
     Returns (net, TrainReport) with the network holding the parameters of
     the best validation epoch.  When the network carries a discriminator and
     ``disc_loss_weight`` > 0, every training batch must provide domain
-    labels; total loss is mse + disc_loss_weight * cross_entropy.  With
-    ``target_stats`` the regression loss runs on standardised targets while
+    labels; total loss is mse + disc_loss_weight * cross_entropy.  The
+    regression loss runs on targets standardised by ``target_stats`` while
     the reported validation metrics stay in raw angle units.  A non-finite
     loss or gradient raises NumericError before the step's update.
 
-    Every step takes its layers' trace and gradient arrays from the
-    network's own workspace, ``net.buffers``, which outlives the call: once
-    the network has taken a step at its largest batch, no step of this or
-    a later call maps fresh pages, and the workspace holds that batch's
-    arrays (at paper scale, 273 MB for the GRU) until the network is
-    freed.  Each step's trace lives only until the next step's forward
-    overwrites it.
+    Every step runs in the network's own workspace (``net.buffers``),
+    which outlives the call, so only a network's first step at its largest
+    batch maps fresh pages; at paper scale the GRU's holds 273 MB until
+    the network is freed.
     """
     if len(train_source) == 0:
         raise ValueError("empty training set")
@@ -295,10 +289,8 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
         for lo in range(0, n, config.batch_size):
             idx = order[lo:lo + config.batch_size]
             x, y, domains = train_source.batch(idx)
-            if target_stats is not None:
-                y = target_stats.normalize(y)
-            angles, logits, trace = net.forward(x, buffers=net.buffers)
-            loss, dangles = mse_loss(angles, y)
+            angles, logits, trace = net.forward(x)
+            loss, dangles = mse_loss(angles, target_stats.normalize(y))
             ddomains = None
             if ada_active:
                 if domains is None:
@@ -323,9 +315,8 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
         log.info("epoch %d: train_loss=%.5f val_rmse=%.4f val_nrmse=%.4f (%.1fs)",
                  epoch, total / n, val_rmse, val_nrmse, seconds)
 
-        improved = val_nrmse < stopper.best
         stop = stopper.update(epoch, val_nrmse)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = net.copy_params()
         report.stopping_epoch = epoch
         if stop:

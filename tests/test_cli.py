@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from myograsp import cli, synthgen
 from myograsp.cli import main
-from myograsp.errors import DataError
+from myograsp.errors import ConfigError, DataError
 from myograsp.experiment import TrainRunConfig
-from myograsp.network import Network
+from myograsp.network import Network, load_checkpoint
 
 
 def sha(path):
@@ -366,18 +366,27 @@ def drop_emg_rows(arrays):
     arrays["rec0_emg"] = arrays["rec0_emg"][:len(arrays["rec0_ts"]) // 2]
 
 
+def drop_emg_channel(arrays):
+    arrays["rec0_emg"] = arrays["rec0_emg"][:, :7].copy()
+
+
 def rewrite_header(arrays, edit):
-    """Apply ``edit`` to a checkpoint's decoded JSON header, in place."""
+    """Apply ``edit`` to an archive's or checkpoint's decoded JSON header, in place."""
     header = json.loads(bytes(arrays["__header__"]).decode("utf-8"))
     edit(header)
     arrays["__header__"] = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
 
 
 def header_edit(section, key, value_fn):
-    """Copy a checkpoint with header[section][key] set to value_fn(old value)."""
+    """Copy an npz file with header[section][key] set to value_fn(old value)."""
     def edit(header):
         header[section][key] = value_fn(header[section].get(key))
     return npz_edit(lambda arrays: rewrite_header(arrays, edit))
+
+
+def header_drop(section, key):
+    """Copy an npz file without header[section][key]."""
+    return npz_edit(lambda arrays: rewrite_header(arrays, lambda h: h[section].pop(key)))
 
 
 def without_target_stats(src, dst):
@@ -430,6 +439,16 @@ CORRUPT = {
     "norm_std all zero": ("checkpoint", header_edit("meta", "norm_std",
                                                      lambda v: [0.0] * len(v))),
     "emg rows fewer than timestamps": ("archive", npz_edit(drop_emg_rows)),
+    "emg of 7 channels": ("archive", npz_edit(drop_emg_channel)),
+    "archive meta without n_angles": ("archive", header_drop("meta", "n_angles")),
+    "archive meta n_angles a string": ("archive", header_edit("meta", "n_angles", str)),
+    "archive n_angles not its recordings'": ("archive", header_edit(
+        "meta", "n_angles", lambda _: 18)),
+    "archive meta without mode": ("archive", header_drop("meta", "mode")),
+    "archive window null": ("archive", npz_edit(lambda arrays: rewrite_header(
+        arrays, lambda h: h.update(window=None)))),
+    "archive sessions null": ("archive", npz_edit(lambda arrays: rewrite_header(
+        arrays, lambda h: h.update(sessions=None)))),
     "zip entries flagged encrypted": ("archive", central_directory_field(8, 1)),
     "unknown zip compression method": ("checkpoint", central_directory_field(10, 99)),
     "npy headers cut off": ("archive", cut_npy_headers),
@@ -474,6 +493,24 @@ def test_truncated_npz_leaks_no_file_handle(archive_path, checkpoint_path, tmp_p
                 load(bad)
         gc.collect()
     assert [u.exc_value for u in unraisable] == []
+
+
+def test_checkpoint_of_format_1_exits_config(archive_path, checkpoint_path, tmp_path,
+                                             capsys):
+    # format 1 checkpoints carried grl_lambda and feature_reduction in their
+    # config; no converter reads them
+    def as_format_1(header):
+        header["format"] = "myograsp-checkpoint/1"
+        header["config"].update(grl_lambda=-1.0, feature_reduction="last-timestep")
+
+    old, results = tmp_path / "old.npz", tmp_path / "r.csv"
+    npz_edit(lambda arrays: rewrite_header(arrays, as_format_1))(checkpoint_path, old)
+    with pytest.raises(ConfigError, match="unsupported checkpoint format"):
+        load_checkpoint(old)
+    assert main(["evaluate", "--checkpoint", str(old), "--archive", str(archive_path),
+                 "--results", str(results)]) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not results.exists()
 
 
 def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path, capsys):
@@ -703,6 +740,43 @@ def test_edited_checkpoint_meta_keeps_exit_contract(archive_path, checkpoint_pat
     assert all(np.isfinite(float(v)) for v in result_values(results))
 
 
+ARCHIVE_META_KEYS = ["mode", "n_angles", "emg_rate", "stride", "max_gap", "target_margin",
+                     "linear_baseline_nrmse"]
+# what n_angles may become beside JSON_VALUES: the other wrist mode's count
+# and near misses of the archive's own 15
+N_ANGLES = st.sampled_from([0, 15, 18, 15.0, "15", True])
+
+
+def archive_meta_edits():
+    """("set", key, value) or ("drop", key) over the archive meta's keys."""
+    return st.lists(st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(ARCHIVE_META_KEYS), JSON_VALUES),
+        st.tuples(st.just("set"), st.just("n_angles"), N_ANGLES),
+        st.tuples(st.just("drop"), st.sampled_from(ARCHIVE_META_KEYS))), min_size=1, max_size=3)
+
+
+@CONTRACT
+@given(edits=archive_meta_edits())
+def test_edited_archive_meta_keeps_exit_contract(archive_path, checkpoint_path, tmp_path,
+                                                 capsys, edits):
+    bad, out_dir, results = tmp_path / "bad.npz", tmp_path / "out", tmp_path / "r.csv"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    results.unlink(missing_ok=True)
+    npz_edit(lambda arrays: rewrite_header(
+        arrays, lambda header: apply_meta_edits(header["meta"], edits)))(archive_path, bad)
+    code = exit_code(["train", "--archive", str(bad), "--out-dir", str(out_dir),
+                      "--model", "gru", "--protocol", "intra", "--hidden", "4",
+                      "--predictor-hidden", "4", "--epochs", "1", "--patience", "1",
+                      "--batch-size", "64"])
+    assert code in EXIT_CODES
+    assert code == cli.EXIT_OK or not out_dir.exists()   # a bad meta stops it before training
+    code = exit_code(["evaluate", "--checkpoint", str(checkpoint_path), "--archive", str(bad),
+                      "--results", str(results)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+    assert all(np.isfinite(float(v)) for v in result_values(results))
+
+
 STREAM_FILES = [f"s{s}_r{r}_{kind}.csv" for s in range(2) for r in range(3)
                 for kind in ("emg", "angles")]
 MANIFEST_KEYS = ["mode", "n_angles", "emg_rate", "angle_rate", "recordings",
@@ -836,6 +910,16 @@ class TestConfigFileParsing:
         cfg.write_text("stride 32\n")
         with pytest.raises(cli.ConfigError):
             cli.read_config_file(cfg)
+
+    def test_undecodable_file_exits_config(self, dataset_dir, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"stride = 32  # \xff\xfe latin-1 text\n")
+        with pytest.raises(cli.ConfigError, match="cannot read config file"):
+            cli.read_config_file(cfg)
+        assert main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
+                     "--out", str(tmp_path / "x.npz"), "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "x.npz").exists()
 
     def test_boolean_coercion(self):
         assert cli._coerce("true", bool) is True

@@ -4,41 +4,43 @@ import pytest
 from fdcheck import TOL, max_param_rel_err
 from myograsp import cells
 from myograsp.errors import ConfigError
-from myograsp.network import (Network, NetworkConfig, gradient_reversal_backward,
-                              load_checkpoint, save_checkpoint)
+from myograsp.network import Network, NetworkConfig, load_checkpoint, save_checkpoint
 from myograsp.numerics import derive_rng, make_rng
 from myograsp.training import cross_entropy_batch, mse_loss
 
 
-def small_config(cell="gru", disc=False, lam=-1.0):
+def small_config(cell="gru", disc=False):
     return NetworkConfig(cell_type=cell, input_channels=3, hidden_size=4,
                          num_recurrent_layers=2, predictor_hidden=5,
                          output_angles=15, use_discriminator=disc,
-                         num_domains=3 if disc else 0, grl_lambda=lam)
+                         num_domains=3 if disc else 0)
+
+
+def layer_stack_output(net, x):
+    """The last recurrent layer's (B, T, H) outputs, layer by layer."""
+    for layer in net.layers:
+        x, _ = cells.cell_forward(layer, x)
+    return x
 
 
 class TestConfigValidation:
+    # the feature reduction is no setting: the cell type fixes it
     def test_sru_requires_pooling(self):
-        cfg = NetworkConfig(cell_type="sru", output_angles=15)
-        assert cfg.feature_reduction == "global-average-pool"
-        with pytest.raises(ConfigError):
-            NetworkConfig(cell_type="sru", feature_reduction="last-timestep")
+        net = Network.init(small_config("sru"), make_rng(8))
+        x = make_rng(9).normal(size=(2, 5, 3))
+        np.testing.assert_allclose(net.forward(x)[2].features,
+                                   layer_stack_output(net, x).mean(axis=1), rtol=1e-14)
 
     def test_gru_requires_last_timestep(self):
-        cfg = NetworkConfig(cell_type="gru", output_angles=18)
-        assert cfg.feature_reduction == "last-timestep"
-        with pytest.raises(ConfigError):
-            NetworkConfig(cell_type="gru", feature_reduction="global-average-pool")
+        for cell in ("gru", "vanilla"):
+            net = Network.init(small_config(cell), make_rng(8))
+            x = make_rng(9).normal(size=(2, 5, 3))
+            np.testing.assert_array_equal(net.forward(x)[2].features,
+                                          layer_stack_output(net, x)[:, -1], err_msg=cell)
 
     def test_output_angles_restricted(self):
         with pytest.raises(ConfigError):
             NetworkConfig(output_angles=12)
-
-    def test_lambda_range(self):
-        with pytest.raises(ConfigError):
-            NetworkConfig(grl_lambda=0.5)
-        with pytest.raises(ConfigError):
-            NetworkConfig(grl_lambda=-1.5)
 
     def test_discriminator_needs_domains(self):
         with pytest.raises(ConfigError):
@@ -153,71 +155,49 @@ class TestUntracedForward:
 
 
 class TestBuffers:
-    """A training call passes one ``cells.Buffers`` per layer to every step;
-    reusing the arrays must change no bit of any step's results."""
+    """Every traced step takes its arrays from the network's own workspace;
+    reusing them must change no bit of any step's results."""
 
     @staticmethod
-    def step(net, x, labels, buffers=None):
-        angles, logits, trace = net.forward(x, buffers=buffers)
+    def step(net, x, labels):
+        angles, logits, trace = net.forward(x)
         _, dangles = mse_loss(angles, np.zeros_like(angles))
         _, dlogits = cross_entropy_batch(logits, labels)
         return angles, logits, net.backward(trace, dangles, dlogits), trace
 
     @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_reused_buffers_are_bit_identical_to_fresh_arrays(self, cell):
-        # full batch, a partial last batch (smaller shapes), full again
-        net = Network.init(small_config(cell, disc=True), derive_rng(0, "buffers", cell))
+        # full batch, a partial last batch (smaller shapes), full again; each
+        # step runs again on a freshly initialised twin, whose workspace is empty
+        cfg = small_config(cell, disc=True)
+        net = Network.init(cfg, derive_rng(0, "buffers", cell))
         rng = derive_rng(1, "buffers", cell)
         T = 2 * cells.BLOCK + 3
-        batches = [(rng.normal(size=(b, T, 3)), rng.integers(0, 3, size=b)) for b in (5, 2, 5)]
-        buffers = [cells.Buffers() for _ in net.layers]
-        reused = [self.step(net, x, labels, buffers) for x, labels in batches]
-        # the partial batch runs in the full batch's memory, not its own
-        # (a smaller array of a stack, as SRU's f, may sit in a sibling's place)
-        full, partial = reused[0][3], reused[1][3]
-        for layer_full, layer_partial in zip(full.cell_traces, partial.cell_traces):
-            for name, b in layer_partial.named():
-                if name != "x":   # layer 0's input is the caller's
-                    assert any(np.shares_memory(a, b) for _, a in layer_full.named()), name
-        for (x, labels), (angles, logits, grads, _) in zip(batches, reused):
-            fresh_angles, fresh_logits, fresh_grads, _ = self.step(net, x, labels)
+        traces = []
+        for b in (5, 2, 5):
+            x, labels = rng.normal(size=(b, T, 3)), rng.integers(0, 3, size=b)
+            angles, logits, grads, trace = self.step(net, x, labels)
+            twin = Network.init(cfg, derive_rng(0, "buffers", cell))
+            fresh_angles, fresh_logits, fresh_grads, _ = self.step(twin, x, labels)
             np.testing.assert_array_equal(angles, fresh_angles)
             np.testing.assert_array_equal(logits, fresh_logits)
             assert grads.keys() == fresh_grads.keys()
             for name, g in grads.items():
                 np.testing.assert_array_equal(g, fresh_grads[name], err_msg=name)
-
-    def test_untraced_forward_rejects_buffers(self):
-        net = Network.init(small_config("sru"), make_rng(0))
-        buffers = [cells.Buffers() for _ in net.layers]
-        with pytest.raises(ValueError, match="buffers"):
-            net.forward(np.zeros((2, 4, 3)), keep_trace=False, buffers=buffers)
-        with pytest.raises(ValueError, match="buffers"):
-            net.forward(np.zeros((2, 4, 3)), buffers=buffers[:1])
-
-
-class TestGradientReversal:
-    def test_sign_flip(self):
-        out = gradient_reversal_backward(np.array([0.2, -0.5]), -1.0)
-        np.testing.assert_array_equal(out, [-0.2, 0.5])
-
-    def test_annihilation(self):
-        out = gradient_reversal_backward(np.array([3.0, -7.0, 1.0]), 0.0)
-        np.testing.assert_array_equal(out, [0.0, 0.0, -0.0])
-
-    def test_scalar_multiply(self):
-        out = gradient_reversal_backward(np.array([1.0, 2.0]), -0.5)
-        np.testing.assert_array_equal(out, [-0.5, -1.0])
-
-    def test_lambda_out_of_range(self):
-        with pytest.raises(ValueError):
-            gradient_reversal_backward(np.ones(2), 0.1)
+            traces.append(trace)
+        # the partial batch runs in the full batch's memory, not its own
+        # (a smaller array of a stack, as SRU's f, may sit in a sibling's place)
+        full, partial = traces[0], traces[1]
+        for layer_full, layer_partial in zip(full.cell_traces, partial.cell_traces):
+            for name, b in layer_partial.named():
+                if name != "x":   # layer 0's input is the caller's
+                    assert any(np.shares_memory(a, b) for _, a in layer_full.named()), name
 
 
 class TestBackward:
-    def setup_case(self, cell="gru", lam=-1.0, seed=7):
+    def setup_case(self, cell="gru", seed=7):
         rng = derive_rng(seed, "netcase", cell)
-        net = Network.init(small_config(cell, disc=True, lam=lam), rng)
+        net = Network.init(small_config(cell, disc=True), rng)
         x = rng.normal(size=(2, 6, 3))
         y = rng.normal(size=(2, 15))
         labels = rng.integers(0, 3, size=2)
@@ -239,20 +219,8 @@ class TestBackward:
             if name.startswith("discriminator"):
                 np.testing.assert_array_equal(g, 0.0)
 
-    def test_lambda_zero_reversal_annihilates(self):
-        net, x, y, labels = self.setup_case(lam=0.0)
-        angles, logits, trace = net.forward(x)
-        _, dangles = mse_loss(angles, y)
-        _, dlogits = cross_entropy_batch(logits, labels)
-        with_domain = net.backward(trace, dangles, dlogits)
-        without = net.backward(trace, dangles, None)
-        for name in without:
-            if name.startswith("discriminator"):
-                continue
-            np.testing.assert_allclose(with_domain[name], without[name], atol=1e-15)
-
     def test_feature_gradient_is_path_sum(self):
-        # full backward == predictor-only + (lambda * discriminator path),
+        # full backward == predictor-only + reversed discriminator path,
         # the latter obtained with a zero angle gradient
         net, x, y, labels = self.setup_case()
         angles, logits, trace = net.forward(x)
@@ -273,15 +241,15 @@ class TestBackward:
             net.backward(trace, np.zeros((1, 15)), np.zeros((1, 3)))
 
 
-def run_network_gradcheck(cell: str, seed: int, lam: float = -1.0) -> float:
+def run_network_gradcheck(cell: str, seed: int) -> float:
     """Finite differences for the full ADA network.
 
-    Behind the reversal layer the effective objective is mse + lambda * ce,
-    while the discriminator head keeps its own cross-entropy; each parameter
+    Behind the reversal layer the effective objective is mse - ce, while
+    the discriminator head keeps its own cross-entropy; each parameter
     group is checked against its group scalar.
     """
     rng = derive_rng(seed, "netgrad", cell)
-    net = Network.init(small_config(cell, disc=True, lam=lam), rng)
+    net = Network.init(small_config(cell, disc=True), rng)
     x = rng.normal(size=(2, 6, 3))
     y = rng.normal(size=(2, 15))
     labels = rng.integers(0, 3, size=2)
@@ -299,7 +267,7 @@ def run_network_gradcheck(cell: str, seed: int, lam: float = -1.0) -> float:
 
     shared = [(n, a) for n, a in net.named_params() if not n.startswith("discriminator")]
     disc = [(n, a) for n, a in net.named_params() if n.startswith("discriminator")]
-    worst = max_param_rel_err(shared, grads, group_loss(lam))
+    worst = max_param_rel_err(shared, grads, group_loss(-1.0))
     return max(worst, max_param_rel_err(disc, grads, group_loss(1.0)))
 
 

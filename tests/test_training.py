@@ -11,7 +11,7 @@ from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
 from myograsp.training import (AdamState, EarlyStopper, TrainConfig, adam_step,
                                cross_entropy_batch, mse_loss, predict, train)
-from training_helpers import UNRUNNABLE, ArraySource, cross_entropy_loss
+from training_helpers import RAW_TARGETS, UNRUNNABLE, ArraySource, cross_entropy_loss
 
 
 class TestMseLoss:
@@ -167,7 +167,7 @@ class TestTrainLoop:
                           batch_size=1, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")   # zero-range validation angles
-            net, report = train(net, src, src, cfg)
+            net, report = train(net, src, src, cfg, RAW_TARGETS)
         losses = [e.train_loss for e in report.epochs]
         crossing = next(i for i, l in enumerate(losses) if l < 1e-4)
         assert crossing < 200
@@ -183,7 +183,7 @@ class TestTrainLoop:
         for _ in range(2):
             net, src = tiny_setup(seed=3)
             cfg = TrainConfig(max_epochs=5, patience=5, batch_size=2, seed=3)
-            net, report = train(net, src, src, cfg)
+            net, report = train(net, src, src, cfg, RAW_TARGETS)
             results.append((net.copy_params(),
                             [(e.train_loss, e.val_rmse, e.val_nrmse) for e in report.epochs]))
         (p1, r1), (p2, r2) = results
@@ -195,7 +195,7 @@ class TestTrainLoop:
         net, src = tiny_setup(seed=5, n=8)
         cfg = TrainConfig(learning_rate=0.05, max_epochs=12, patience=12,
                           batch_size=4, seed=5)
-        net, report = train(net, src, src, cfg)
+        net, report = train(net, src, src, cfg, RAW_TARGETS)
         xs, ys, _ = src.batch(np.arange(len(src)))
         from myograsp.metrics import angle_ranges, nrmse
         val = nrmse(predict(net, xs), ys, angle_ranges(ys, clamp_zero=True))
@@ -206,13 +206,13 @@ class TestTrainLoop:
         net, src = tiny_setup()
         empty = ArraySource(np.zeros((0, 8, 3)), np.zeros((0, 15)))
         with pytest.raises(ValueError, match="empty"):
-            train(net, empty, src, TrainConfig(max_epochs=1, patience=1))
+            train(net, empty, src, TrainConfig(max_epochs=1, patience=1), RAW_TARGETS)
 
     def test_nan_loss_aborts(self):
         net, src = tiny_setup()
         bad = ArraySource(src.x, np.full_like(src.y, np.nan))
         with pytest.raises(NumericError):
-            train(net, bad, src, TrainConfig(max_epochs=1, patience=1))
+            train(net, bad, src, TrainConfig(max_epochs=1, patience=1), RAW_TARGETS)
 
     def test_non_finite_gradient_aborts_before_the_update(self, monkeypatch):
         net, src = tiny_setup(disc=True)
@@ -226,7 +226,8 @@ class TestTrainLoop:
 
         monkeypatch.setattr(net, "backward", poisoned)
         with pytest.raises(NumericError, match=r"gradient of layer1\.U_r at epoch 1, batch 0"):
-            train(net, src, src, TrainConfig(max_epochs=1, patience=1, batch_size=4))
+            train(net, src, src, TrainConfig(max_epochs=1, patience=1, batch_size=4),
+                  RAW_TARGETS)
         for name, arr in net.named_params():
             np.testing.assert_array_equal(arr, before[name], err_msg=name)
 
@@ -247,7 +248,7 @@ class TestTrainLoop:
         calls = []
         for _ in range(2):
             seen.clear()
-            train(net, src, src, cfg)
+            train(net, src, src, cfg, RAW_TARGETS)
             calls.append(list(seen))
         first, second = calls
         assert len(first) == len(second) == 4
@@ -258,7 +259,7 @@ class TestTrainLoop:
         fresh, _ = tiny_setup(seed=7)
         for _ in range(2):
             fresh.buffers = [cells.Buffers() for _ in fresh.layers]
-            train(fresh, src, src, cfg)
+            train(fresh, src, src, cfg, RAW_TARGETS)
         expected = fresh.copy_params()
         for name, arr in net.named_params():
             np.testing.assert_array_equal(arr, expected[name], err_msg=name)
@@ -268,18 +269,18 @@ class TestTrainLoop:
         rng = make_rng(0)
         src = ArraySource(rng.normal(size=(4, 8, 3)), rng.uniform(size=(4, 15)))
         with pytest.raises(ValueError, match="domain label"):
-            train(net, src, src, TrainConfig(max_epochs=1, patience=1))
+            train(net, src, src, TrainConfig(max_epochs=1, patience=1), RAW_TARGETS)
 
     def test_zero_disc_weight_equals_no_ada(self):
         # identical shared-parameter trajectories given the same seed
         net_ada, src = tiny_setup(disc=True, seed=9)
         cfg = TrainConfig(max_epochs=4, patience=4, batch_size=3, seed=9,
                           disc_loss_weight=0.0)
-        net_ada, _ = train(net_ada, src, src, cfg)
+        net_ada, _ = train(net_ada, src, src, cfg, RAW_TARGETS)
 
         net_plain, _ = tiny_setup(disc=False, seed=9)
         cfg2 = TrainConfig(max_epochs=4, patience=4, batch_size=3, seed=9)
-        net_plain, _ = train(net_plain, src, src, cfg2)
+        net_plain, _ = train(net_plain, src, src, cfg2, RAW_TARGETS)
 
         plain = net_plain.copy_params()
         for name, arr in net_ada.named_params():
@@ -290,7 +291,7 @@ class TestTrainLoop:
     def test_report_csv(self, tmp_path):
         net, src = tiny_setup(seed=2)
         cfg = TrainConfig(max_epochs=3, patience=3, batch_size=2, seed=2)
-        _, report = train(net, src, src, cfg)
+        _, report = train(net, src, src, cfg, RAW_TARGETS)
         path = tmp_path / "report.csv"
         report.to_csv(path)
         lines = path.read_text().strip().splitlines()

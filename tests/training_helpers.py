@@ -4,10 +4,15 @@
 its windows as arrays; ``cross_entropy_loss`` is the one-vector softmax
 cross-entropy that ``training.cross_entropy_batch`` is checked against;
 ``UNRUNNABLE`` lists settings that ``TrainConfig`` and the run config
-built on it must both reject.
+built on it must both reject; ``RAW_TARGETS`` are target statistics that
+leave 15 angles as they are, bit for bit.
 """
 
 import numpy as np
+
+from myograsp.training import TargetStats
+
+RAW_TARGETS = TargetStats(mean=np.zeros(15), std=np.ones(15))
 
 
 class ArraySource:
