@@ -2,8 +2,8 @@
 
 Configuration precedence per command: built-in defaults < config file
 (plain ``key = value`` lines) < environment variables prefixed MYOGRASP_
-< explicit command-line flags.  A field ``max_gap`` of the command's config
-dataclass is the key ``max_gap``, MYOGRASP_MAX_GAP and ``--max-gap`` (or the
+< explicit command-line flags.  A field ``stride`` of the command's config
+dataclass is the key ``stride``, MYOGRASP_STRIDE and ``--stride`` (or the
 flag named in :data:`SHORT_FLAGS`).  Results accumulate in an append-only CSV
 keyed by (model, protocol, fold, ada, seed) so a full experiment grid can
 be assembled incrementally from independent processes.
@@ -150,31 +150,17 @@ def cmd_generate(args) -> int:
 @dataclasses.dataclass
 class PreprocessConfig:
     stride: int = 8
-    max_gap: float = datapipe.MAX_GAP_MS
-    emg_cutoff: float = datapipe.EMG_CUTOFF_HZ
-    angle_cutoff: float = datapipe.ANGLE_CUTOFF_HZ
-    target_margin: int = datapipe.EDGE_MARGIN_ROWS
 
     def __post_init__(self):
-        # ValueError becomes ConfigError (exit 2) in resolve_config; a zero
-        # max_gap is legal (exact pairing) and fails on the data if nothing pairs
-        rules = {"stride >= 1": self.stride >= 1, "target_margin >= 0": self.target_margin >= 0,
-                 "max_gap >= 0": self.max_gap >= 0, "emg_cutoff > 0": self.emg_cutoff > 0,
-                 "angle_cutoff > 0": self.angle_cutoff > 0}
-        for rule, ok in rules.items():
-            if not ok:
-                raise ValueError(f"need {rule}, got {getattr(self, rule.split()[0])}")
+        # ValueError becomes ConfigError (exit 2) in resolve_config
+        if self.stride < 1:
+            raise ValueError(f"need stride >= 1, got {self.stride}")
 
 
 def cmd_preprocess(args) -> int:
     cfg = resolve_config(PreprocessConfig, args)
     manifest = datapipe.read_manifest(args.manifest)
     base = os.path.dirname(os.path.abspath(args.manifest))
-    # both columns are filtered at the emg rate once the streams are aligned
-    nyquist = manifest["emg_rate"] / 2
-    if max(cfg.emg_cutoff, cfg.angle_cutoff) >= nyquist:
-        raise ConfigError(f"cutoffs must lie below the {nyquist} Hz Nyquist "
-                          f"frequency of the emg stream")
 
     window_sets = []
     for entry in manifest["recordings"]:
@@ -184,13 +170,12 @@ def cmd_preprocess(args) -> int:
         ang = datapipe.read_stream_csv(os.path.join(base, entry["angles"]),
                                        entry["subject"], entry["session"],
                                        "angles", manifest["angle_rate"])
-        ws, _ = datapipe.preprocess_session(emg, ang, **dataclasses.asdict(cfg))
+        ws, _ = datapipe.preprocess_session(emg, ang, stride=cfg.stride)
         window_sets.append(ws)
     combined = datapipe.concat_windows(window_sets)
 
     meta = {"mode": manifest["mode"], "n_angles": manifest["n_angles"],
             "emg_rate": manifest["emg_rate"], "stride": cfg.stride,
-            "max_gap": cfg.max_gap, "target_margin": cfg.target_margin,
             "linear_baseline_nrmse": manifest.get("linear_baseline_nrmse")}
     datapipe.save_archive(args.out, combined, meta)
     log.info("archived %d windows from %d sessions to %s",

@@ -54,6 +54,7 @@ __all__ = [
     "EMG_CUTOFF_HZ",
     "ANGLE_CUTOFF_HZ",
     "MAX_GAP_MS",
+    "NYQUIST_RATE_HZ",
     "FILTER_ORDER",
     "EDGE_MARGIN_ROWS",
     "ARCHIVE_FORMAT",
@@ -63,6 +64,8 @@ WINDOW_SIZE = 128
 EMG_CUTOFF_HZ = 10.0
 ANGLE_CUTOFF_HZ = 4.0
 MAX_GAP_MS = 10.0
+# both columns are filtered at the emg rate, which must lie above this
+NYQUIST_RATE_HZ = 2 * max(EMG_CUTOFF_HZ, ANGLE_CUTOFF_HZ)
 FILTER_ORDER = 4
 # rows at each end of a filtered recording whose targets are not trusted
 EDGE_MARGIN_ROWS = 64
@@ -114,10 +117,10 @@ class AlignedRecording:
         return len(self.timestamps_ms)
 
 
-def align(emg: RawStream, angles: RawStream, max_gap: float = MAX_GAP_MS) -> AlignedRecording:
+def align(emg: RawStream, angles: RawStream) -> AlignedRecording:
     """Pair each emg frame with the nearest-in-time angle frame.
 
-    Pairs whose timestamp difference exceeds ``max_gap`` ms are dropped;
+    Pairs whose timestamp difference exceeds ``MAX_GAP_MS`` are dropped;
     raises EmptyOverlapError when nothing survives.
     """
     emg.validate()
@@ -134,15 +137,15 @@ def align(emg: RawStream, angles: RawStream, max_gap: float = MAX_GAP_MS) -> Ali
     right = np.clip(pos, 0, len(at) - 1)
     pick = np.where(np.abs(et - at[left]) <= np.abs(at[right] - et), left, right)
     gaps = np.abs(et - at[pick])
-    keep = gaps <= max_gap
+    keep = gaps <= MAX_GAP_MS
     if not np.any(keep):
         raise EmptyOverlapError(
             f"subject {emg.subject_id} session {emg.session_id}: no emg/angle pairs "
-            f"within {max_gap} ms")
+            f"within {MAX_GAP_MS} ms")
     dropped = int((~keep).sum())
     if dropped:
         log.debug("align s%d r%d: dropped %d of %d frames (gap > %.1f ms)",
-                  emg.subject_id, emg.session_id, dropped, len(et), max_gap)
+                  emg.subject_id, emg.session_id, dropped, len(et), MAX_GAP_MS)
     return AlignedRecording(
         subject_id=emg.subject_id,
         session_id=emg.session_id,
@@ -168,16 +171,14 @@ def lowpass(values: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarray
     return filtfilt(b, a, values, axis=0)
 
 
-def filter_recording(rec: AlignedRecording, sample_rate: float,
-                     emg_cutoff: float = EMG_CUTOFF_HZ,
-                     angle_cutoff: float = ANGLE_CUTOFF_HZ) -> AlignedRecording:
+def filter_recording(rec: AlignedRecording, sample_rate: float) -> AlignedRecording:
     """Low-pass both columns of an aligned table (align first, then filter)."""
     return AlignedRecording(
         subject_id=rec.subject_id,
         session_id=rec.session_id,
         timestamps_ms=rec.timestamps_ms,
-        emg=lowpass(rec.emg, sample_rate, emg_cutoff),
-        angles=lowpass(rec.angles, sample_rate, angle_cutoff),
+        emg=lowpass(rec.emg, sample_rate, EMG_CUTOFF_HZ),
+        angles=lowpass(rec.angles, sample_rate, ANGLE_CUTOFF_HZ),
     )
 
 
@@ -186,14 +187,12 @@ def filter_recording(rec: AlignedRecording, sample_rate: float,
 # ---------------------------------------------------------------------------
 
 class WindowSet:
-    """Sliding windows over one or more recordings, stored as indices."""
+    """Sliding windows of ``WINDOW_SIZE`` rows over recordings, stored as indices."""
 
-    def __init__(self, recordings: list, rec_index: np.ndarray,
-                 start_row: np.ndarray, window: int = WINDOW_SIZE):
+    def __init__(self, recordings: list, rec_index: np.ndarray, start_row: np.ndarray):
         self.recordings = recordings
         self.rec_index = np.asarray(rec_index, dtype=np.int32)
         self.start_row = np.asarray(start_row, dtype=np.int64)
-        self.window = int(window)
         self._check_bounds()
         self._metadata()
 
@@ -201,7 +200,7 @@ class WindowSet:
         ri, sr = self.rec_index, self.start_row
         rows = np.array([len(rec) for rec in self.recordings], dtype=np.int64)
         if (ri.ndim != 1 or ri.shape != sr.shape or np.any(ri < 0) or np.any(ri >= len(rows))
-                or np.any(sr < 0) or np.any(sr + self.window > rows[ri])):
+                or np.any(sr < 0) or np.any(sr + WINDOW_SIZE > rows[ri])):
             raise DataError(f"window index runs outside its {len(rows)} recordings")
 
     def _metadata(self):
@@ -218,7 +217,7 @@ class WindowSet:
             self.subject_ids[mask] = rec.subject_id
             self.session_ids[mask] = rec.session_id
             self.start_ts[mask] = rec.timestamps_ms[starts]
-            self.end_ts[mask] = rec.timestamps_ms[starts + self.window - 1]
+            self.end_ts[mask] = rec.timestamps_ms[starts + WINDOW_SIZE - 1]
 
     def __len__(self):
         return len(self.rec_index)
@@ -227,46 +226,50 @@ class WindowSet:
     def n_angles(self) -> int:
         return self.recordings[0].angles.shape[1]
 
-    def materialize(self, idx: np.ndarray):
-        """Gather (windows (k, window, 8), targets (k, A)) for sample indices."""
+    def _rows(self, idx: np.ndarray):
+        """(recording, start row) of each sample index, as Python ints."""
+        return zip(self.rec_index[idx].tolist(), self.start_row[idx].tolist())
+
+    def targets(self, idx: np.ndarray) -> np.ndarray:
+        """Targets (k, A) of sample indices: the angles at each window's last row."""
         idx = np.asarray(idx)
-        k = len(idx)
-        x = np.empty((k, self.window, 8))
-        y = np.empty((k, self.n_angles))
-        for j, i in enumerate(idx):
-            rec = self.recordings[self.rec_index[i]]
-            s = self.start_row[i]
-            x[j] = rec.emg[s:s + self.window]
-            y[j] = rec.angles[s + self.window - 1]
-        return x, y
+        y = np.empty((len(idx), self.n_angles))
+        for j, (r, s) in enumerate(self._rows(idx)):
+            y[j] = self.recordings[r].angles[s + WINDOW_SIZE - 1]
+        return y
+
+    def materialize(self, idx: np.ndarray):
+        """Gather (windows (k, WINDOW_SIZE, 8), targets (k, A)) for sample indices."""
+        idx = np.asarray(idx)
+        x = np.empty((len(idx), WINDOW_SIZE, 8))
+        for j, (r, s) in enumerate(self._rows(idx)):
+            x[j] = self.recordings[r].emg[s:s + WINDOW_SIZE]
+        return x, self.targets(idx)
 
 
-def make_windows(rec: AlignedRecording, window: int = WINDOW_SIZE, stride: int = 8,
+def make_windows(rec: AlignedRecording, *, stride: int = 8,
                  target_margin: int = 0) -> WindowSet:
-    """Cut sliding windows of ``window`` consecutive rows from one recording.
+    """Cut sliding windows of ``WINDOW_SIZE`` consecutive rows from one recording.
 
     The target of each window is the angle vector at its last row.  Windows
     whose target falls within ``target_margin`` rows of either end of the
     recording are dropped (filter transients live there).
     """
     m = len(rec)
-    if m < window:
-        raise DataError(f"recording has {m} rows; need at least {window} for one window")
+    if m < WINDOW_SIZE:
+        raise DataError(f"recording has {m} rows; need at least {WINDOW_SIZE} for one window")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    starts = np.arange(0, m - window + 1, stride, dtype=np.int64)
+    starts = np.arange(0, m - WINDOW_SIZE + 1, stride, dtype=np.int64)
     if target_margin > 0:
-        tgt = starts + window - 1
+        tgt = starts + WINDOW_SIZE - 1
         starts = starts[(tgt >= target_margin) & (tgt < m - target_margin)]
-    return WindowSet([rec], np.zeros(len(starts), dtype=np.int32), starts, window)
+    return WindowSet([rec], np.zeros(len(starts), dtype=np.int32), starts)
 
 
 def concat_windows(sets: list) -> WindowSet:
     if not sets:
         raise ValueError("nothing to concatenate")
-    window = sets[0].window
-    if any(ws.window != window for ws in sets):
-        raise ValueError("window sizes differ")
     recordings = []
     rec_index = []
     start_row = []
@@ -275,8 +278,7 @@ def concat_windows(sets: list) -> WindowSet:
         recordings.extend(ws.recordings)
         rec_index.append(ws.rec_index + offset)
         start_row.append(ws.start_row)
-    return WindowSet(recordings, np.concatenate(rec_index),
-                     np.concatenate(start_row), window)
+    return WindowSet(recordings, np.concatenate(rec_index), np.concatenate(start_row))
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +476,12 @@ def _is_index(value) -> bool:
     return type(value) is int and 0 <= value < 2 ** 31
 
 
+def _is_finite(value) -> bool:
+    return type(value) in (int, float) and float("-inf") < value < float("inf")
+
+
 def _is_rate(value) -> bool:
-    return type(value) in (int, float) and 0 < value < float("inf")
+    return _is_finite(value) and value > 0
 
 
 def _is_text(value) -> bool:
@@ -486,7 +492,8 @@ def _is_text(value) -> bool:
 _MANIFEST_RULES = {
     "mode": (_is_text, "a string"),
     "n_angles": (lambda v: type(v) is int and v > 0, "a positive integer"),
-    "emg_rate": (_is_rate, "a positive finite number"),
+    "emg_rate": (lambda v: _is_rate(v) and v > NYQUIST_RATE_HZ,
+                 f"a finite number above {NYQUIST_RATE_HZ:g} Hz"),
     "angle_rate": (_is_rate, "a positive finite number"),
     "recordings": (lambda v: type(v) is list and len(v) > 0, "a non-empty list"),
 }
@@ -497,6 +504,13 @@ _RECORDING_RULES = {
     "session": (_is_index, "an integer in [0, 2**31)"),
     "emg": (_is_text, "a file name"),
     "angles": (_is_text, "a file name"),
+}
+# what each row of an archive's session table must hold
+_SESSION_RULES = {
+    "subject": (_is_index, "an integer in [0, 2**31)"),
+    "session": (_is_index, "an integer in [0, 2**31)"),
+    "t_start": (_is_finite, "a finite number"),
+    "t_end": (_is_finite, "a finite number"),
 }
 
 
@@ -529,15 +543,10 @@ def read_manifest(path) -> dict:
     return manifest
 
 
-def preprocess_session(emg: RawStream, angles: RawStream, stride: int,
-                       max_gap: float = MAX_GAP_MS,
-                       emg_cutoff: float = EMG_CUTOFF_HZ,
-                       angle_cutoff: float = ANGLE_CUTOFF_HZ,
-                       target_margin: int = EDGE_MARGIN_ROWS):
+def preprocess_session(emg: RawStream, angles: RawStream, stride: int):
     """align -> filter -> window for one session; returns (WindowSet, AlignedRecording)."""
-    rec = align(emg, angles, max_gap=max_gap)
-    rec = filter_recording(rec, emg.nominal_rate, emg_cutoff, angle_cutoff)
-    ws = make_windows(rec, WINDOW_SIZE, stride, target_margin=target_margin)
+    rec = filter_recording(align(emg, angles), emg.nominal_rate)
+    ws = make_windows(rec, stride=stride, target_margin=EDGE_MARGIN_ROWS)
     log.info("session s%d r%d: %d aligned rows, %d windows",
              rec.subject_id, rec.session_id, len(rec), len(ws))
     return ws, rec
@@ -559,8 +568,8 @@ def save_archive(path, window_set: WindowSet, meta: dict) -> None:
         payload[f"rec{i}_ts"] = rec.timestamps_ms
         payload[f"rec{i}_emg"] = rec.emg
         payload[f"rec{i}_angles"] = rec.angles
-    header = {"format": ARCHIVE_FORMAT, "window": window_set.window,
-              "sessions": session_table(window_set.recordings), "meta": meta}
+    header = {"format": ARCHIVE_FORMAT, "sessions": session_table(window_set.recordings),
+              "meta": meta}
     payload["__header__"] = np.frombuffer(
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     payload["windows_rec_index"] = window_set.rec_index
@@ -574,28 +583,38 @@ def save_archive(path, window_set: WindowSet, meta: dict) -> None:
 def load_archive(path):
     """Load a sample archive; returns (WindowSet, meta dict).
 
-    An unreadable container, a missing entry, a header value of the wrong
-    JSON type (TypeError), a meta whose ``mode`` or ``n_angles`` breaks the
-    manifest's rules, a recording whose emg or angle rows disagree in
-    number with its timestamps or that does not hold 8 emg channels and
-    ``n_angles`` angle columns, or a window index that runs outside its
-    recording is a DataError.
+    An unreadable container, a missing entry, a header that is not a JSON
+    object, a header value of the wrong JSON type (TypeError), a meta whose
+    ``mode`` or ``n_angles`` breaks the manifest's rules, a session row
+    without integer ids or whose ``t_start``/``t_end`` are not its
+    recording's first and last timestamps, a recording whose emg or angle
+    rows disagree in number with its timestamps or that does not hold 8 emg
+    channels and ``n_angles`` angle columns, or a window index that runs
+    outside its recording is a DataError.
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             if "__header__" not in data:
                 raise DataError("not a myograsp archive")
             header = json.loads(bytes(data["__header__"]).decode("utf-8"))
+            if not isinstance(header, dict):
+                raise DataError("archive header is not a JSON object")
             if header.get("format") != ARCHIVE_FORMAT:
                 raise DataError(f"unsupported archive format {header.get('format')!r}")
             _check_keys("archive meta", header["meta"], _ARCHIVE_META_RULES)
             n_angles = header["meta"]["n_angles"]
             recordings = []
             for i, sess in enumerate(header["sessions"]):
+                _check_keys(f"archive session {i}", sess, _SESSION_RULES)
                 rec = AlignedRecording(
-                    subject_id=int(sess["subject"]), session_id=int(sess["session"]),
+                    subject_id=sess["subject"], session_id=sess["session"],
                     timestamps_ms=data[f"rec{i}_ts"], emg=data[f"rec{i}_emg"],
                     angles=data[f"rec{i}_angles"])
+                # the split protocols carve held-out periods from these bounds
+                if [sess["t_start"], sess["t_end"]] != [*rec.timestamps_ms[:1],
+                                                        *rec.timestamps_ms[-1:]]:
+                    raise DataError(f"session {i}: t_start and t_end are not its "
+                                    "recording's first and last timestamps")
                 if not len(rec.emg) == len(rec.angles) == len(rec):
                     raise DataError(f"recording {i} has {len(rec)} timestamps but "
                                     f"{len(rec.emg)} emg and {len(rec.angles)} angle rows")
@@ -605,8 +624,7 @@ def load_archive(path):
                                     f"{rec.angles.shape} angle values; windows need 8 "
                                     f"channels and the meta's {n_angles} angles")
                 recordings.append(rec)
-            ws = WindowSet(recordings, data["windows_rec_index"],
-                           data["windows_start_row"], header["window"])
+            ws = WindowSet(recordings, data["windows_rec_index"], data["windows_start_row"])
             meta = dict(header["meta"], sessions=header["sessions"])
     except (DataError, TypeError, *NPZ_READ_ERRORS) as exc:
         raise DataError(f"cannot read archive {path}: {exc}") from exc

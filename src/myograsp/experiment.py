@@ -94,7 +94,6 @@ def prepare_run(window_set: datapipe.WindowSet, sessions: list,
                         f"validation ({len(val_idx)}) set")
 
     stats = datapipe.channel_stats(window_set, train_idx)
-    _, train_targets = window_set.materialize(train_idx)
     domains = plan.domain_labels[train_idx] if cfg.ada else None
     net_cfg = NetworkConfig(
         cell_type=cfg.model, hidden_size=cfg.hidden,
@@ -102,7 +101,7 @@ def prepare_run(window_set: datapipe.WindowSet, sessions: list,
         output_angles=window_set.n_angles, use_discriminator=cfg.ada,
         num_domains=plan.num_domains if cfg.ada else 0)
     return Run(
-        plan=plan, stats=stats, target_stats=TargetStats.fit(train_targets),
+        plan=plan, stats=stats, target_stats=TargetStats.fit(window_set.targets(train_idx)),
         train_src=datapipe.WindowSource(window_set, train_idx, stats, domains),
         val_src=datapipe.WindowSource(window_set, val_idx, stats),
         net=Network.init(net_cfg, derive_rng(cfg.seed, "init")),

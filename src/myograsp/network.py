@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -302,21 +302,31 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
 def load_checkpoint(path):
     """Load a checkpoint; returns (Network, meta dict).
 
-    An unreadable container, a header config that does not match
-    ``NetworkConfig``'s fields, or a missing or misshapen parameter is a
-    DataError; a readable file of another format is a ConfigError.
+    An unreadable container, a header that is not a JSON object, a header
+    config that does not match ``NetworkConfig``'s fields and their types, or
+    a missing or misshapen parameter is a DataError; a readable file of
+    another format is a ConfigError.
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             if "__header__" not in data:
                 raise ConfigError(f"{path}: not a myograsp checkpoint")
             header = json.loads(bytes(data["__header__"]).decode("utf-8"))
+            if not isinstance(header, dict):
+                raise DataError(f"{path}: checkpoint header is not a JSON object")
             if header.get("format") != CHECKPOINT_FORMAT:
                 raise ConfigError(f"{path}: unsupported checkpoint format "
                                   f"{header.get('format')!r}")
+            config = header["config"]
+            if not isinstance(config, dict):
+                raise DataError(f"{path}: checkpoint config is not a JSON object")
+            for f in fields(NetworkConfig):   # each default has its field's type
+                if f.name in config and type(config[f.name]) is not type(f.default):
+                    raise DataError(f"{path}: checkpoint config {f.name} must be a "
+                                    f"{type(f.default).__name__}, got {config[f.name]!r}")
             try:
-                cfg = NetworkConfig(**header["config"])
-            except TypeError as exc:   # unknown or missing config keys
+                cfg = NetworkConfig(**config)
+            except TypeError as exc:   # unknown config keys
                 raise DataError(f"{path}: bad checkpoint config: {exc}") from exc
             rng = np.random.default_rng(0)   # placeholder draws, overwritten below
             net = Network.init(cfg, rng)

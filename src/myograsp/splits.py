@@ -152,17 +152,14 @@ def _assign_windows_to_periods(assignment: np.ndarray, mask: np.ndarray,
 
 
 def _session_keys(window_set: WindowSet, sessions: list) -> list:
-    known = {(int(s["subject"]), int(s["session"])) for s in sessions}
-    present = {(int(a), int(b))
-               for a, b in zip(window_set.subject_ids, window_set.session_ids)}
-    if not present <= known:
+    known = {(s["subject"], s["session"]) for s in sessions}
+    if not set(zip(window_set.subject_ids, window_set.session_ids)) <= known:
         raise DataError("window set contains sessions missing from the session table")
     return sorted(known)
 
 
 def _session_bounds(sessions: list) -> dict:
-    return {(int(s["subject"]), int(s["session"])): (float(s["t_start"]), float(s["t_end"]))
-            for s in sessions}
+    return {(s["subject"], s["session"]): (s["t_start"], s["t_end"]) for s in sessions}
 
 
 # ---------------------------------------------------------------------------

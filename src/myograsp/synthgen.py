@@ -100,6 +100,9 @@ class SynthConfig:
             if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
                 raise ConfigError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, "
                                   f"got {value}")
+        if self.emg_rate <= datapipe.NYQUIST_RATE_HZ:   # preprocessing filters at this rate
+            raise ConfigError(f"emg_rate must lie above {datapipe.NYQUIST_RATE_HZ:g} Hz, "
+                              f"got {self.emg_rate}")
 
     @property
     def n_angles(self) -> int:

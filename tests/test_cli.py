@@ -17,7 +17,7 @@ from myograsp import cli, synthgen
 from myograsp.cli import main
 from myograsp.errors import ConfigError, DataError
 from myograsp.experiment import TrainRunConfig
-from myograsp.network import Network, load_checkpoint
+from myograsp.network import Network, NetworkConfig, load_checkpoint
 
 
 def sha(path):
@@ -85,7 +85,7 @@ class TestGenerate:
     @pytest.mark.parametrize("flags", [
         ["--emg-rate", "nan"], ["--seconds", "nan"], ["--seconds", "-5"], ["--seconds", "0"],
         ["--angle-rate", "inf"], ["--perturbation", "nan"], ["--noise-std", "-1"],
-        ["--mode", "sideways"],
+        ["--mode", "sideways"], ["--emg-rate", "20"], ["--emg-rate", "15"],
     ], ids=lambda flags: " ".join(flags))
     def test_bad_flag_values_exit_config(self, tmp_path, capsys, flags):
         out = tmp_path / "x"
@@ -138,16 +138,22 @@ class TestPreprocess:
         per_session = np.bincount(ws.rec_index)
         assert per_session[0] == expected
 
-    def test_zero_max_gap_fails_with_io_code(self, dataset_dir, tmp_path):
-        code = main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
-                     "--out", str(tmp_path / "x.npz"), "--max-gap", "0"])
+    def test_angles_past_emg_clock_fail_with_io_code(self, dataset_dir, tmp_path, capsys,
+                                                     caplog):
+        # no emg frame has an angle frame within MAX_GAP_MS: nothing pairs
+        data, out = tmp_path / "data", tmp_path / "x.npz"
+        shutil.copytree(dataset_dir, data)
+        path = data / "s0_r0_angles.csv"
+        header, *rows = path.read_text().splitlines()
+        shifted = [f"{float(t) + 1e6:.6f},{rest}" for t, rest in (r.split(",", 1) for r in rows)]
+        path.write_text("\n".join([header] + shifted) + "\n")
+        code = main(["preprocess", "--manifest", str(data / "manifest.json"), "--out", str(out)])
         assert code == cli.EXIT_IO
+        assert "no emg/angle pairs" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--stride", "0"], ["--target-margin", "-1"], ["--max-gap", "-1"],
-        ["--emg-cutoff", "0"], ["--angle-cutoff", "nan"],
-        ["--emg-cutoff", "150"], ["--angle-cutoff", "100"],
-    ], ids=lambda flags: " ".join(flags))
+    @pytest.mark.parametrize("flags", [["--stride", "0"]], ids=lambda flags: " ".join(flags))
     def test_bad_flag_values_exit_config(self, dataset_dir, tmp_path, capsys, flags):
         code = main(["preprocess", "--manifest", str(dataset_dir / "manifest.json"),
                      "--out", str(tmp_path / "x.npz")] + flags)
@@ -384,6 +390,17 @@ def header_edit(section, key, value_fn):
     return npz_edit(lambda arrays: rewrite_header(arrays, edit))
 
 
+def header_as(value):
+    """Copy an npz file with its JSON header replaced by ``value``."""
+    return npz_edit(lambda arrays: arrays.update(__header__=np.frombuffer(
+        json.dumps(value).encode("utf-8"), dtype=np.uint8)))
+
+
+def session_edit(edit):
+    """Copy an archive with ``edit`` applied to the first row of its session table."""
+    return npz_edit(lambda arrays: rewrite_header(arrays, lambda h: edit(h["sessions"][0])))
+
+
 def header_drop(section, key):
     """Copy an npz file without header[section][key]."""
     return npz_edit(lambda arrays: rewrite_header(arrays, lambda h: h[section].pop(key)))
@@ -445,8 +462,21 @@ CORRUPT = {
     "archive n_angles not its recordings'": ("archive", header_edit(
         "meta", "n_angles", lambda _: 18)),
     "archive meta without mode": ("archive", header_drop("meta", "mode")),
-    "archive window null": ("archive", npz_edit(lambda arrays: rewrite_header(
-        arrays, lambda h: h.update(window=None)))),
+    "archive header a list": ("archive", header_as([1, 2])),
+    "checkpoint header a list": ("checkpoint", header_as([1, 2])),
+    "checkpoint config hidden_size a string": ("checkpoint", header_edit(
+        "config", "hidden_size", lambda _: "x")),
+    "checkpoint config hidden_size 1.5": ("checkpoint", header_edit(
+        "config", "hidden_size", lambda _: 1.5)),
+    "checkpoint config output_angles 15.0": ("checkpoint", header_edit(
+        "config", "output_angles", float)),
+    "session t_start a string": ("archive", session_edit(lambda s: s.update(t_start="abc"))),
+    "session t_start null": ("archive", session_edit(lambda s: s.update(t_start=None))),
+    "session without t_end": ("archive", session_edit(lambda s: s.pop("t_end"))),
+    "session t_end past its recording": ("archive", session_edit(
+        lambda s: s.update(t_end=1e300))),
+    "session subject a string": ("archive", session_edit(lambda s: s.update(subject="1"))),
+    "session subject 0.5": ("archive", session_edit(lambda s: s.update(subject=0.5))),
     "archive sessions null": ("archive", npz_edit(lambda arrays: rewrite_header(
         arrays, lambda h: h.update(sessions=None)))),
     "zip entries flagged encrypted": ("archive", central_directory_field(8, 1)),
@@ -571,6 +601,7 @@ CORRUPT_DATASET = {
     "stream without data rows": stream_lines(lambda lines: lines[:1]),
     "recording without emg": manifest_edit(lambda m: m["recordings"][0].pop("emg")),
     "string emg_rate": manifest_edit(lambda m: m.update(emg_rate="200")),
+    "emg_rate at the 20 Hz bound": manifest_edit(lambda m: m.update(emg_rate=20)),
     "recordings not a list": manifest_edit(
         lambda m: m.update(recordings=dict(enumerate(m["recordings"])))),
 }
@@ -594,8 +625,7 @@ def test_corrupt_dataset_exits_io(dataset_dir, tmp_path, capsys, case):
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_NUMERIC}
 TRAIN_FLAGS = ["--fold", "--seed", "--hidden", "--layers", "--predictor-hidden", "--lr",
                "--epochs", "--patience", "--batch-size", "--disc-weight"]
-PREPROCESS_FLAGS = ["--stride", "--max-gap", "--emg-cutoff", "--angle-cutoff",
-                    "--target-margin"]
+PREPROCESS_FLAGS = ["--stride"]
 GENERATE_FLAGS = ["--seed", "--subjects", "--sessions", "--seconds", "--noise-std",
                   "--emg-rate", "--angle-rate", "--perturbation"]
 # zero, negatives, non-finite values and text that is no number; never a
@@ -740,19 +770,60 @@ def test_edited_checkpoint_meta_keeps_exit_contract(archive_path, checkpoint_pat
     assert all(np.isfinite(float(v)) for v in result_values(results))
 
 
-ARCHIVE_META_KEYS = ["mode", "n_angles", "emg_rate", "stride", "max_gap", "target_margin",
-                     "linear_baseline_nrmse"]
+CONFIG_KEYS = [f.name for f in dataclasses.fields(NetworkConfig)]
+# JSON values with sizes kept small: load_checkpoint builds the network its
+# config names before it compares the stored arrays, so a large size would
+# first allocate a large network
+CONFIG_VALUES = st.one_of(st.integers(-2, 40), st.sampled_from(["gru", "sru", "lstm", 15.0]),
+                          JSON_VALUES.filter(lambda v: type(v) is not int))
+
+
+@CONTRACT
+@given(edits=st.lists(st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(CONFIG_KEYS), CONFIG_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(CONFIG_KEYS))), min_size=1, max_size=3))
+def test_edited_checkpoint_config_keeps_exit_contract(archive_path, checkpoint_path, tmp_path,
+                                                      capsys, edits):
+    bad, results = tmp_path / "bad.npz", tmp_path / "r.csv"
+    results.unlink(missing_ok=True)
+    npz_edit(lambda arrays: rewrite_header(
+        arrays, lambda header: apply_meta_edits(header["config"], edits)))(checkpoint_path, bad)
+    code = exit_code(["evaluate", "--checkpoint", str(bad), "--archive", str(archive_path),
+                      "--results", str(results)])
+    assert code in EXIT_CODES
+    assert "Traceback" not in capsys.readouterr().err
+    assert all(np.isfinite(float(v)) for v in result_values(results))
+
+
+ARCHIVE_META_KEYS = ["mode", "n_angles", "emg_rate", "stride", "linear_baseline_nrmse"]
+SESSION_KEYS = ["subject", "session", "rows", "t_start", "t_end"]
 # what n_angles may become beside JSON_VALUES: the other wrist mode's count
 # and near misses of the archive's own 15
 N_ANGLES = st.sampled_from([0, 15, 18, 15.0, "15", True])
 
 
 def archive_meta_edits():
-    """("set", key, value) or ("drop", key) over the archive meta's keys."""
+    """("set", key, value) or ("drop", key) over the archive meta's keys, or
+    ("session", index, key, value) and ("session", index, key) over the
+    session table's rows."""
     return st.lists(st.one_of(
         st.tuples(st.just("set"), st.sampled_from(ARCHIVE_META_KEYS), JSON_VALUES),
         st.tuples(st.just("set"), st.just("n_angles"), N_ANGLES),
-        st.tuples(st.just("drop"), st.sampled_from(ARCHIVE_META_KEYS))), min_size=1, max_size=3)
+        st.tuples(st.just("drop"), st.sampled_from(ARCHIVE_META_KEYS)),
+        st.tuples(st.just("session"), st.integers(0, 5), st.sampled_from(SESSION_KEYS),
+                  JSON_VALUES),
+        st.tuples(st.just("session"), st.integers(0, 5), st.sampled_from(SESSION_KEYS))),
+        min_size=1, max_size=3)
+
+
+def apply_archive_edits(header, edits):
+    for how, *rest in edits:
+        if how != "session":
+            apply_meta_edits(header["meta"], [(how, *rest)])
+        elif len(rest) == 3:
+            header["sessions"][rest[0]][rest[1]] = rest[2]
+        else:
+            header["sessions"][rest[0]].pop(rest[1], None)
 
 
 @CONTRACT
@@ -763,7 +834,7 @@ def test_edited_archive_meta_keeps_exit_contract(archive_path, checkpoint_path, 
     shutil.rmtree(out_dir, ignore_errors=True)
     results.unlink(missing_ok=True)
     npz_edit(lambda arrays: rewrite_header(
-        arrays, lambda header: apply_meta_edits(header["meta"], edits)))(archive_path, bad)
+        arrays, lambda header: apply_archive_edits(header, edits)))(archive_path, bad)
     code = exit_code(["train", "--archive", str(bad), "--out-dir", str(out_dir),
                       "--model", "gru", "--protocol", "intra", "--hidden", "4",
                       "--predictor-hidden", "4", "--epochs", "1", "--patience", "1",
@@ -940,11 +1011,8 @@ CLI_SURFACE = {
                      n_subjects=2, sessions_per_subject=3, session_seconds=14.5,
                      mode="mobile", emg_rate=300.0, angle_rate=150.0, noise_std=2.5,
                      subject_mixing_perturbation=0.5, seed=7)),
-    "preprocess": (["--manifest", "m.json", "--out", "a.npz"],
-                   "--stride 16 --max-gap 7.5 --emg-cutoff 40 --angle-cutoff 6 "
-                   "--target-margin 32",
-                   cli.PreprocessConfig(stride=16, max_gap=7.5, emg_cutoff=40.0,
-                                        angle_cutoff=6.0, target_margin=32)),
+    "preprocess": (["--manifest", "m.json", "--out", "a.npz"], "--stride 16",
+                   cli.PreprocessConfig(stride=16)),
     "train": (["--archive", "a.npz", "--out-dir", "c"],
               "--model sru --protocol inter-subject --fold 1 --ada --seed 3 --hidden 16 "
               "--layers 1 --predictor-hidden 12 --lr 0.01 --epochs 5 --patience 4 "

@@ -196,7 +196,7 @@ def recording(rows, n_angles=15, subject=0, session=0, t0=0.0):
 class TestMakeWindows:
     def test_exactly_one_window(self):
         rec = recording(128)
-        ws = make_windows(rec, 128, stride=17)
+        ws = make_windows(rec, stride=17)
         assert len(ws) == 1
         x, y = ws.materialize(np.array([0]))
         np.testing.assert_array_equal(x[0], rec.emg)
@@ -205,30 +205,30 @@ class TestMakeWindows:
 
     def test_window_count_formula(self):
         # (200 - 128) // 8 + 1 = 10, targets at rows 127, 135, ..., 199
-        ws = make_windows(recording(200), 128, stride=8)
+        ws = make_windows(recording(200), stride=8)
         assert len(ws) == 10
         np.testing.assert_array_equal(ws.start_row, np.arange(0, 73, 8))
 
     def test_recording_too_short(self):
         with pytest.raises(DataError):
-            make_windows(recording(127), 128, stride=8)
+            make_windows(recording(127), stride=8)
 
     @given(st.integers(128, 2000), st.integers(1, 200))
     @settings(max_examples=60, deadline=None)
     def test_count_formula_property(self, rows, stride):
-        ws = make_windows(recording(rows), 128, stride=stride)
+        ws = make_windows(recording(rows), stride=stride)
         assert len(ws) == (rows - 128) // stride + 1
 
     def test_target_margin(self):
         # margin drops windows whose target sits in the last rows
-        ws = make_windows(recording(256), 128, stride=8, target_margin=64)
+        ws = make_windows(recording(256), stride=8, target_margin=64)
         assert np.all(ws.start_row + 127 < 256 - 64)
-        full = make_windows(recording(256), 128, stride=8)
+        full = make_windows(recording(256), stride=8)
         assert len(ws) < len(full)
 
     def test_concat_and_metadata(self):
-        a = make_windows(recording(150, subject=1, session=2), 128, 8)
-        b = make_windows(recording(140, subject=3, session=4, t0=1e6), 128, 8)
+        a = make_windows(recording(150, subject=1, session=2), stride=8)
+        b = make_windows(recording(140, subject=3, session=4, t0=1e6), stride=8)
         both = concat_windows([a, b])
         assert len(both) == len(a) + len(b)
         assert set(both.subject_ids) == {1, 3}
@@ -236,13 +236,23 @@ class TestMakeWindows:
         assert x.shape == (len(both), 128, 8)
         assert y.shape == (len(both), 15)
 
+    def test_targets_are_last_row_angles(self):
+        both = concat_windows([make_windows(recording(300, subject=1), stride=8),
+                               make_windows(recording(260, subject=2, t0=1e6), stride=5)])
+        idx = make_rng(4).permutation(len(both))[:25]
+        expected = [both.recordings[r].angles[s + datapipe.WINDOW_SIZE - 1]
+                    for r, s in zip(both.rec_index[idx], both.start_row[idx])]
+        np.testing.assert_array_equal(both.targets(idx), expected)
+        np.testing.assert_array_equal(both.materialize(idx)[1], expected)
+        assert both.targets(idx[:0]).shape == (0, 15)
+
 
 def window_set_of(windows):
-    """A WindowSet whose windows materialise to exactly ``windows`` (N, T, 8)."""
+    """A WindowSet whose windows materialise to exactly ``windows`` (N, WINDOW_SIZE, 8)."""
     n, t, _ = windows.shape
     rec = AlignedRecording(subject_id=0, session_id=0, timestamps_ms=np.arange(n * t) * 5.0,
                            emg=windows.reshape(n * t, 8), angles=np.zeros((n * t, 15)))
-    return make_windows(rec, t, stride=t)
+    return make_windows(rec, stride=t)
 
 
 class TestNormalize:
@@ -259,7 +269,7 @@ class TestNormalize:
         np.testing.assert_allclose(stats.apply(w), w, atol=1e-10)
 
     def test_constant_channel_clamped_with_warning(self):
-        w = make_rng(1).normal(size=(5, 16, 8))
+        w = make_rng(1).normal(size=(5, 128, 8))
         w[:, :, 3] = 42.0
         with pytest.warns(UserWarning):
             stats = channel_stats(window_set_of(w), np.arange(len(w)))
@@ -268,14 +278,14 @@ class TestNormalize:
 
     def test_train_stats_applied_to_shifted_test_reveal_shift(self):
         rng = make_rng(2)
-        train = rng.normal(size=(30, 64, 8))
+        train = rng.normal(size=(30, 128, 8))
         stats = channel_stats(window_set_of(train), np.arange(len(train)))
         out = stats.apply(train + 5.0)
         assert np.all(out.reshape(-1, 8).mean(axis=0) > 1.0)
 
     def test_streamed_stats_match(self):
         rec = recording(400)
-        ws = make_windows(rec, 128, 8)
+        ws = make_windows(rec, stride=8)
         idx = np.arange(len(ws))
         stats = channel_stats(ws, idx, chunk=7)
         x, _ = ws.materialize(idx)
@@ -285,7 +295,7 @@ class TestNormalize:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            channel_stats(make_windows(recording(128), 128, 8), np.array([], dtype=np.int64))
+            channel_stats(make_windows(recording(128), stride=8), np.array([], dtype=np.int64))
 
 
 class TestFileFormats:
@@ -377,8 +387,9 @@ class TestFileFormats:
         assert str(path) in str(info.value)
 
     def test_archive_roundtrip_and_idempotence(self, tmp_path):
-        ws = concat_windows([make_windows(recording(300, subject=0, session=0), 128, 8),
-                             make_windows(recording(280, subject=0, session=1, t0=5e5), 128, 8)])
+        ws = concat_windows([make_windows(recording(300, subject=0, session=0), stride=8),
+                             make_windows(recording(280, subject=0, session=1, t0=5e5),
+                                          stride=8)])
         meta = {"mode": "immobile", "n_angles": 15, "emg_rate": 200.0, "stride": 8}
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
         datapipe.save_archive(p1, ws, meta)
@@ -416,7 +427,7 @@ def test_preprocess_session_end_to_end():
     base = np.sin(np.arange(n // 2) / 40.0)
     ang = stream(at, np.outer(base, np.ones(15)) * 30 + 45, kind="angles", rate=100.0)
     ws, rec = datapipe.preprocess_session(emg, ang, stride=8)
-    assert ws.window == 128
+    assert ws.materialize([0])[0].shape == (1, datapipe.WINDOW_SIZE, 8)
     # margin keeps targets away from both filtered ends
     assert np.all(ws.start_row + 127 >= datapipe.EDGE_MARGIN_ROWS)
     assert np.all(ws.start_row + 127 < len(rec) - datapipe.EDGE_MARGIN_ROWS)
@@ -428,8 +439,8 @@ class TestWindowBounds:
     ])
     def test_out_of_range_index_is_data_error(self, rec_index, start_row):
         with pytest.raises(DataError):
-            WindowSet([recording(200)], rec_index, start_row, 128)
+            WindowSet([recording(200)], rec_index, start_row)
 
     def test_last_window_fits(self):
-        ws = WindowSet([recording(200)], [0], [200 - 128], 128)
+        ws = WindowSet([recording(200)], [0], [200 - 128])
         assert ws.end_ts[0] == ws.recordings[0].timestamps_ms[-1]

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,13 +46,40 @@ class TestPrepareRun:
         assert run.net.config.num_domains == run.plan.num_domains == 2
 
     def test_empty_validation_split_is_data_error(self):
-        # windows longer than a 3 s held-out period never fit inside one
-        rows = 36 * 200
-        rec = datapipe.AlignedRecording(0, 0, np.arange(rows) * 5.0,
+        # on a 25 ms clock a window spans 3.2 s, longer than a 3 s held-out
+        # period, so it never fits inside one
+        rows = 36 * 40
+        rec = datapipe.AlignedRecording(0, 0, np.arange(rows) * 25.0,
                                         np.ones((rows, 8)), np.ones((rows, 15)))
-        ws = datapipe.make_windows(rec, window=700, stride=64)
+        ws = datapipe.make_windows(rec, stride=16)
         with pytest.raises(DataError, match="empty"):
             prepare_run(ws, datapipe.session_table(ws.recordings), small())
+
+    def test_target_statistics_do_not_materialise_windows(self, monkeypatch):
+        # channel_stats bounds its own peak by its chunk; a small chunk leaves
+        # the rest of prepare_run's peak in view, which must stay far below
+        # the 8 KiB per training window that materialising them would take
+        rows = 60 * 200
+        rng = np.random.default_rng(0)
+        rec = datapipe.AlignedRecording(0, 0, np.arange(rows) * 5.0,
+                                        rng.normal(size=(rows, 8)), rng.normal(size=(rows, 15)))
+        ws = datapipe.make_windows(rec, stride=8)
+        sessions = datapipe.session_table(ws.recordings)
+        monkeypatch.setattr(datapipe, "channel_stats",
+                            functools.partial(datapipe.channel_stats, chunk=32))
+        tracemalloc.start()
+        try:
+            run = prepare_run(ws, sessions, small())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_train = len(run.train_src)
+        window_bytes = datapipe.WINDOW_SIZE * 8 * 8
+        assert n_train > 500
+        assert peak < n_train * window_bytes / 4
+        ref = TargetStats.fit(ws.materialize(run.train_src.indices)[1])
+        np.testing.assert_array_equal(run.target_stats.mean, ref.mean)
+        np.testing.assert_array_equal(run.target_stats.std, ref.std)
 
 
 class TestTrainRunConfig:

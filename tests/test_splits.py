@@ -25,7 +25,7 @@ def fake_dataset(n_subjects=2, n_sessions=3, seconds=36.0, stride=32, seed=0):
                                    timestamps_ms=ts,
                                    emg=rng.normal(size=(rows, 8)),
                                    angles=rng.normal(size=(rows, 15)))
-            sets.append(make_windows(rec, 128, stride))
+            sets.append(make_windows(rec, stride=stride))
             sessions.append({"subject": subject, "session": session,
                              "t_start": float(ts[0]), "t_end": float(ts[-1])})
     return concat_windows(sets), sessions
