@@ -44,6 +44,13 @@ call per block of ``BLOCK`` steps does, each started from the
 ``final_state`` of the block before: the network's inference streams its
 layer stack one block at a time this way.
 
+Every forward and backward computes in its parameters' dtype: float32 for
+a network's (``numerics.init_params``), float64 for the tests' gradient
+checks and reference comparisons.  Inputs, initial states and upstream
+gradients are cast to it on entry (the GRU and SRU cast ``x`` in their
+time-major copy, so a streamed call casts one block at a time), and every
+output, trace field, scratch array and gradient has it.
+
 Backward passes return exact gradients of the forward map and were written
 to be checked against central finite differences (see tests); the
 per-timestep pre-activation gradients are buffered so that all weight
@@ -177,7 +184,7 @@ def init_sru(input_dim: int, hidden: int, rng: np.random.Generator) -> SruParams
 
 
 def _check_seq(x: np.ndarray, input_dim: int, who: str) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.ndim != 3:
         raise ValueError(f"{who}: expected (batch, time, features) input, got shape {x.shape}")
     if x.shape[2] != input_dim:
@@ -185,10 +192,10 @@ def _check_seq(x: np.ndarray, input_dim: int, who: str) -> np.ndarray:
     return x
 
 
-def _init_state(state, batch: int, hidden: int, who: str) -> np.ndarray:
+def _init_state(state, batch: int, hidden: int, dtype, who: str) -> np.ndarray:
     if state is None:
-        return np.zeros((batch, hidden))
-    state = np.asarray(state, dtype=np.float64)
+        return np.zeros((batch, hidden), dtype)
+    state = np.asarray(state, dtype=dtype)
     if state.shape != (batch, hidden):
         raise ValueError(f"{who}: initial state shape {state.shape} != ({batch}, {hidden})")
     return state.copy()
@@ -202,26 +209,26 @@ BLOCK = 8
 class Buffers:
     """Arrays handed out by name to one layer's forward and backward passes.
 
-    Each name keeps one flat array that only grows: ``array(name, shape)``
-    hands out its first ``prod(shape)`` elements as a C-contiguous view of
-    that shape, so a smaller batch (an epoch's partial last one) reuses the
-    memory of a larger one.  Its contents are left as they are, like
-    ``np.empty``'s.
+    Each name keeps one flat array that only grows: ``array(name, shape,
+    dtype)`` hands out its first ``prod(shape)`` elements as a C-contiguous
+    view of that shape, so a smaller batch (an epoch's partial last one)
+    reuses the memory of a larger one; asking for another dtype replaces
+    the array.  Its contents are left as they are, like ``np.empty``'s.
     """
 
     def __init__(self):
         self._flat = {}
 
-    def array(self, name: str, shape: tuple) -> np.ndarray:
+    def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
         size = math.prod(shape)
         flat = self._flat.get(name)
-        if flat is None or flat.size < size:
-            flat = self._flat[name] = np.empty(size)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
 
-def _empty(buffers: Buffers | None, name: str, shape: tuple) -> np.ndarray:
-    return np.empty(shape) if buffers is None else buffers.array(name, shape)
+def _empty(buffers: Buffers | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    return np.empty(shape, dtype) if buffers is None else buffers.array(name, shape, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +244,7 @@ class VanillaTrace(_ArrayFields):
 def _blockwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
     """(B, T, K) @ W as one (B*n, K) GEMM per block of ``BLOCK`` steps."""
     B, T, K = a.shape
-    out = np.empty((B, T, W.shape[1]))
+    out = np.empty((B, T, W.shape[1]), W.dtype)
     for lo in range(0, T, BLOCK):
         out[:, lo:lo + BLOCK] = (a[:, lo:lo + BLOCK].reshape(-1, K) @ W).reshape(B, -1, W.shape[1])
     return out
@@ -249,14 +256,15 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
 
     Returns (outputs, trace) with outputs of shape (B, T, D_out).
     """
-    x = _check_seq(x, params.W_h.shape[1], "vanilla_forward")
+    dtype = params.W_h.dtype
+    x = _check_seq(x, params.W_h.shape[1], "vanilla_forward").astype(dtype, copy=False)
     B, T, _ = x.shape
     H = params.W_h.shape[0]
-    h = _init_state(h0, B, H, "vanilla_forward")
+    h = _init_state(h0, B, H, dtype, "vanilla_forward")
 
     xw = _blockwise_matmul(x, params.W_h.T) + params.b_h
 
-    hs = _empty(buffers, "hs", (B, T + 1, H))
+    hs = _empty(buffers, "hs", (B, T + 1, H), dtype)
     hs[:, 0] = h
     for t in range(T):
         h = np.tanh(xw[:, t] + h @ params.U_h.T)
@@ -276,7 +284,8 @@ def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
     x, hs = trace.x, trace.hs
     B, T, D = x.shape
     H = params.W_h.shape[0]
-    dy = np.asarray(dy, dtype=np.float64)
+    dtype = params.W_h.dtype
+    dy = np.asarray(dy, dtype=dtype)
     if dy.shape[:2] != (B, T):
         raise ValueError(f"vanilla_backward: upstream shape {dy.shape} mismatches trace ({B},{T},...)")
 
@@ -284,8 +293,8 @@ def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
     dh_from_y = dy.reshape(B * T, -1) @ params.W_y
     dh_from_y = dh_from_y.reshape(B, T, H)
 
-    da = _empty(buffers, "da", (B, T, H))
-    dh_next = np.zeros((B, H))
+    da = _empty(buffers, "da", (B, T, H), dtype)
+    dh_next = np.zeros((B, H), dtype)
     for t in range(T - 1, -1, -1):
         dh = dh_from_y[:, t] + dh_next
         da_t = dh * (1.0 - h_out[:, t] ** 2)
@@ -339,12 +348,13 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     elementwise work in place, with no per-step temporaries.  The outputs
     and the trace fields are (B, T, .) views of the time-major buffers.
     """
+    dtype = params.W_z.dtype
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
     B, T, D = x.shape
     H = params.W_z.shape[0]
-    h0 = _init_state(h0, B, H, "gru_forward")
+    h0 = _init_state(h0, B, H, dtype, "gru_forward")
 
-    xt = np.ascontiguousarray(_batch_major(x))
+    xt = np.ascontiguousarray(_batch_major(x), dtype=dtype)
     W = np.concatenate([params.W_z, params.W_r, params.W_h]).T
     b = np.stack([params.b_z, params.b_r, params.b_h], axis=1)
     U_zr = np.stack([params.U_z.T, params.U_r.T])   # (2, H, H)
@@ -353,11 +363,11 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     # scratch first, the states (they outlive the call) last: freed scratch
     # then lies below live memory, where the allocator reuses it instead of
     # returning it to the OS, and calls per block fault in no fresh pages
-    xg = np.empty((min(BLOCK, T), B, 3, H))   # input side of BLOCK steps
-    rh = np.empty((B, H))                     # r_t * h_{t-1}
-    zr = _empty(buffers, "zr", (T, 2, B, H))   # z_t, r_t
-    hc = _empty(buffers, "hc", (T, B, H))
-    hs = _empty(buffers, "hs", (T + 1, B, H))
+    xg = np.empty((min(BLOCK, T), B, 3, H), dtype)   # input side of BLOCK steps
+    rh = np.empty((B, H), dtype)                     # r_t * h_{t-1}
+    zr = _empty(buffers, "zr", (T, 2, B, H), dtype)   # z_t, r_t
+    hc = _empty(buffers, "hc", (T, B, H), dtype)
+    hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
     hs[0] = h0
     for t in range(T):
         k = t % BLOCK
@@ -396,18 +406,19 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
     """
     B, T, D = trace.x.shape
     H = trace.z.shape[2]
-    dh_up = np.asarray(dh_up, dtype=np.float64)
+    dtype = params.W_z.dtype
+    dh_up = np.asarray(dh_up, dtype=dtype)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"gru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
     xt, hs, z, r, hc, dh_up = (_batch_major(a) for a in
                                (trace.x, trace.hs, trace.z, trace.r, trace.hc, dh_up))
 
     U_zr = np.concatenate([params.U_z, params.U_r])
-    da = _empty(buffers, "da", (T, B, 3 * H))   # da_z | da_r | da_h
-    dh = np.zeros((B, H))          # dLoss/dh_t, then dLoss/dh_{t-1}
-    drh = np.empty((B, H))         # dLoss/d(r_t * h_{t-1})
-    one_minus_z = np.empty((B, H))
-    tmp = np.empty((B, H))
+    da = _empty(buffers, "da", (T, B, 3 * H), dtype)   # da_z | da_r | da_h
+    dh = np.zeros((B, H), dtype)          # dLoss/dh_t, then dLoss/dh_{t-1}
+    drh = np.empty((B, H), dtype)         # dLoss/d(r_t * h_{t-1})
+    one_minus_z = np.empty((B, H), dtype)
+    tmp = np.empty((B, H), dtype)
     for t in range(T - 1, -1, -1):
         h_prev, z_t, r_t, hc_t = hs[t], z[t], r[t], hc[t]
         da_z, da_r, da_h = da[t, :, :H], da[t, :, H:2 * H], da[t, :, 2 * H:]
@@ -442,7 +453,8 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
 
     x2 = xt.reshape(T * B, D)
     hp2 = hs[:-1].reshape(T * B, H)
-    rh2 = np.multiply(r, hs[:-1], out=_empty(buffers, "rh", (T, B, H))).reshape(T * B, H)
+    rh = np.multiply(r, hs[:-1], out=_empty(buffers, "rh", (T, B, H), dtype))
+    rh2 = rh.reshape(T * B, H)
     da2 = da.reshape(T * B, 3 * H)
     dW = da2.T @ x2
     dU_zr = da2[:, :2 * H].T @ hp2
@@ -452,7 +464,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
         W_r=dW[H:2 * H], U_r=dU_zr[H:], b_r=db[:, H:2 * H],
         W_h=dW[2 * H:], U_h=da2[:, 2 * H:].T @ rh2, b_h=db[:, 2 * H:],
     )
-    dx = _empty(buffers, "dx", (T, B, D))
+    dx = _empty(buffers, "dx", (T, B, D), dtype)
     np.matmul(da2, np.concatenate([params.W_z, params.W_r, params.W_h]),
               out=dx.reshape(T * B, D))
     return grads, _batch_major(dx), dh
@@ -486,10 +498,11 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     The outputs and the trace fields are (B, T, .) views of the time-major
     buffers.
     """
+    dtype = params.W.dtype
     x = _check_seq(x, params.W.shape[1], "sru_forward")
     B, T, D = x.shape
     H = params.W.shape[0]
-    c0 = _init_state(c0, B, H, "sru_forward")
+    c0 = _init_state(c0, B, H, dtype, "sru_forward")
 
     weights = [params.W, params.W_f, params.W_r]
     if params.W_p is not None:
@@ -499,17 +512,17 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
             f"sru: highway needs input dim == hidden dim ({D} != {H}) "
             "or a projection matrix W_p")
     k = len(weights)
-    xt = np.ascontiguousarray(_batch_major(x))
+    xt = np.ascontiguousarray(_batch_major(x), dtype=dtype)
     W = np.stack([w.T for w in weights])                 # (k, D, H)
     b = np.stack([params.b_f, params.b_r])[:, None]      # (2, 1, 1, H)
 
     # scratch first and the states last, as in gru_forward
-    tmp = np.empty((min(BLOCK, T), B, H))
-    fc = np.empty((B, H))              # f_t * c_{t-1}
-    slab = _empty(buffers, "slab", (k, T, B, H))   # xhat, f, r (, W_p x)
-    cs = _empty(buffers, "cs", (T + 1, B, H))
-    tanh_c = _empty(buffers, "tanh_c", (T, B, H))
-    hs = _empty(buffers, "hs", (T, B, H))
+    tmp = np.empty((min(BLOCK, T), B, H), dtype)
+    fc = np.empty((B, H), dtype)              # f_t * c_{t-1}
+    slab = _empty(buffers, "slab", (k, T, B, H), dtype)   # xhat, f, r (, W_p x)
+    cs = _empty(buffers, "cs", (T + 1, B, H), dtype)
+    tanh_c = _empty(buffers, "tanh_c", (T, B, H), dtype)
+    hs = _empty(buffers, "hs", (T, B, H), dtype)
     cs[0] = c0
     for lo in range(0, T, BLOCK):
         n = min(BLOCK, T - lo)
@@ -557,17 +570,18 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
     """
     B, T, D = trace.x.shape
     H = trace.f.shape[2]
-    dh_up = np.asarray(dh_up, dtype=np.float64)
+    dtype = params.W.dtype
+    dh_up = np.asarray(dh_up, dtype=dtype)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"sru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
     xt, xhat, f, r, cs, xh, tanh_c, dh_up = (_batch_major(a) for a in (
         trace.x, trace.xhat, trace.f, trace.r, trace.cs, trace.xh, trace.tanh_c, dh_up))
 
-    gc = np.empty((min(BLOCK, T), B, H))   # dLoss/dc_t over one block
+    gc = np.empty((min(BLOCK, T), B, H), dtype)   # dLoss/dc_t over one block
     tmp = np.empty_like(gc)
-    step = np.empty((B, H))
-    carry = np.zeros((B, H))               # f_t * dLoss/dc_t at the block's first t
-    da = _empty(buffers, "da", (4, T, B, H))   # d xhat | d a_f | d a_r | d xh
+    step = np.empty((B, H), dtype)
+    carry = np.zeros((B, H), dtype)               # f_t * dLoss/dc_t at the block's first t
+    da = _empty(buffers, "da", (4, T, B, H), dtype)   # d xhat | d a_f | d a_r | d xh
     for lo in reversed(range(0, T, BLOCK)):
         hi = min(lo + BLOCK, T)
         g, tm = gc[:hi - lo], tmp[:hi - lo]
@@ -606,8 +620,8 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
     db = da2[1:3].sum(axis=1, keepdims=True)
     grads = SruParams(W=dW[0], W_f=dW[1], b_f=db[0], W_r=dW[2], b_r=db[1],
                       W_p=dW[3] if params.W_p is not None else None)
-    dx = _empty(buffers, "dx", (T, B, D))
-    term = _empty(buffers, "dx_term", (T * B, D))
+    dx = _empty(buffers, "dx", (T, B, D), dtype)
+    term = _empty(buffers, "dx_term", (T * B, D), dtype)
     dx2 = np.matmul(da2[0], params.W, out=dx.reshape(T * B, D))
     dx2 += np.matmul(da2[1], params.W_f, out=term)
     dx2 += np.matmul(da2[2], params.W_r, out=term)

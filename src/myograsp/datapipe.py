@@ -301,6 +301,8 @@ def channel_stats(window_set: WindowSet, indices: np.ndarray,
     Fit on the training split only and applied (``NormStats.apply``) to
     validation and test windows, so nothing leaks from held-out rows.
     Zero-variance channels get their std clamped to 1 with a warning.
+    Each chunk is squared in place and dropped before the next one is
+    materialised, so the peak is about one chunk of windows.
     """
     indices = np.asarray(indices)
     if len(indices) == 0:
@@ -309,11 +311,11 @@ def channel_stats(window_set: WindowSet, indices: np.ndarray,
     total = np.zeros(8)
     total_sq = np.zeros(8)
     for lo in range(0, len(indices), chunk):
-        x, _ = window_set.materialize(indices[lo:lo + chunk])
-        flat = x.reshape(-1, 8)
+        flat = window_set.materialize(indices[lo:lo + chunk])[0].reshape(-1, 8)
         count += len(flat)
         total += flat.sum(axis=0)
-        total_sq += (flat ** 2).sum(axis=0)
+        total_sq += np.square(flat, out=flat).sum(axis=0)
+        del flat
     mean = total / count
     var = total_sq / count - mean ** 2
     std = np.sqrt(np.maximum(var, 0.0))

@@ -3,7 +3,8 @@
 RMSE averages squared errors over every (sample, angle) entry.  NRMSE first
 divides predictions and targets per angle by that angle's range of true
 values over the evaluation set, which makes errors comparable across joints
-with very different movement extents.
+with very different movement extents.  An error whose squares overflow
+float64 scores inf, without a warning; callers reject non-finite scores.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ def _pair(predictions, targets):
 def rmse(predictions, targets) -> float:
     """Root mean squared error over all entries."""
     p, t = _pair(predictions, targets)
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean((p - t) ** 2)))
 
 
 def nrmse(predictions, targets, ranges) -> float:
@@ -37,7 +39,8 @@ def nrmse(predictions, targets, ranges) -> float:
     r = np.asarray(ranges, dtype=np.float64)
     if np.any(r <= 0):
         raise ValueError("angle ranges must be strictly positive")
-    return float(np.sqrt(np.mean(((p - t) / r) ** 2)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.mean(((p - t) / r) ** 2)))
 
 
 def angle_ranges(targets, clamp_zero: bool = False) -> np.ndarray:

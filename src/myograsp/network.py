@@ -9,6 +9,11 @@ gradient reversal layer: the identity going forward, a negation going
 back, which makes the feature extractor adversarial to the domain
 classifier.  Each network owns its training workspace, one grow-only
 ``cells.Buffers`` per layer for the traced forward and the backward.
+
+The network computes in float32, the dtype of its parameters: the forward
+and the backward follow the predictor's dtype, and incoming windows and
+loss gradients (float64 from the data pipeline and the losses) are cast
+where they enter, windows one block at a time inside the cells.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import cells
-from .errors import NPZ_READ_ERRORS, ConfigError, DataError
+from .errors import NPZ_READ_ERRORS, ConfigError, DataError, NumericError
 from .numerics import init_params, relu
 
 __all__ = [
@@ -33,7 +38,7 @@ __all__ = [
     "CHECKPOINT_FORMAT",
 ]
 
-CHECKPOINT_FORMAT = "myograsp-checkpoint/2"
+CHECKPOINT_FORMAT = "myograsp-checkpoint/3"
 
 CELL_TYPES = ("vanilla", "gru", "sru")
 
@@ -183,16 +188,23 @@ class Network:
         arrays, so a trace stays valid until the network's next traced
         forward, and the ``dx`` its backward leaves until the next
         backward.  Inference does not touch the workspace.
+
+        Windows beyond the parameters' dtype range (float32's 3.4e38) raise
+        NumericError: cast, they would turn into infinities.
         """
-        x = np.asarray(windows, dtype=np.float64)
+        x = np.asarray(windows)
         if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
             raise ValueError(
                 f"forward expects (batch, time, {self.config.input_channels}) windows, "
                 f"got {x.shape}")
+        dtype = self.predictor.W1.dtype
+        limit = np.finfo(dtype).max
+        if x.size and (x.max() > limit or x.min() < -limit):
+            raise NumericError(f"windows exceed the {dtype} range of the network")
 
         B, T, _ = x.shape
         pool = self.config.cell_type == "sru"
-        total = np.zeros((B, self.config.hidden_size))   # the pool's running sum
+        total = np.zeros((B, self.config.hidden_size), dtype)   # the pool's running sum
         traces = [] if keep_trace else None
         states = [None] * len(self.layers)
         step = T if keep_trace else cells.BLOCK
@@ -240,10 +252,12 @@ class Network:
         dLoss/dlogits and flows through the gradient reversal layer, so its
         contribution to the feature extractor arrives negated.
         Passing ``domain_grad=None`` eliminates the discriminator path.
-        Returns a dict mapping parameter names to gradient arrays.
+        Both gradients are cast to the parameters' dtype here.  Returns a
+        dict mapping parameter names to gradient arrays.
         """
         feat = trace.features
-        angle_grad = np.asarray(angle_grad, dtype=np.float64)
+        dtype = self.predictor.W1.dtype
+        angle_grad = np.asarray(angle_grad, dtype=dtype)
         pred_grads, dfeat = self._head_backward(self.predictor, trace.pred_a1,
                                                 feat, angle_grad)
         grads = {f"predictor.{n}": a for n, a in pred_grads.named()}
@@ -253,7 +267,7 @@ class Network:
                 raise ValueError("domain_grad given but network has no discriminator")
             disc_grads, dfeat_disc = self._head_backward(
                 self.discriminator, trace.disc_a1, feat,
-                np.asarray(domain_grad, dtype=np.float64))
+                np.asarray(domain_grad, dtype=dtype))
             grads.update({f"discriminator.{n}": a for n, a in disc_grads.named()})
             dfeat = dfeat - dfeat_disc   # the gradient reversal layer
         elif self.discriminator is not None:
@@ -263,7 +277,7 @@ class Network:
 
         B, T = feat.shape[0], trace.seq_len
         H = self.config.hidden_size
-        dseq = np.zeros((B, T, H))
+        dseq = np.zeros((B, T, H), dtype)
         if self.config.cell_type == "sru":
             dseq += (dfeat / T)[:, None, :]
         else:
@@ -281,6 +295,33 @@ class Network:
 # ---------------------------------------------------------------------------
 # checkpoint container (single .npz: config + meta as JSON, arrays by name)
 # ---------------------------------------------------------------------------
+
+def _param_shapes(config: NetworkConfig):
+    """(name, shape) of every parameter of ``Network.init(config)``, in
+    ``named_params`` order, yielded one at a time and allocating nothing, so
+    a checkpoint's arrays are checked against its header config before a
+    network of that config is built."""
+    H, ph = config.hidden_size, config.predictor_hidden
+    in_dim = config.input_channels
+    for i in range(config.num_recurrent_layers):
+        w, u, b = (H, in_dim), (H, H), (1, H)
+        if config.cell_type == "vanilla":
+            layer = {"W_h": w, "U_h": u, "b_h": b, "W_y": u, "b_y": b}
+        elif config.cell_type == "gru":
+            layer = {f"{m}_{g}": s for g in "zrh" for m, s in (("W", w), ("U", u), ("b", b))}
+        else:
+            layer = {"W": w, "W_f": w, "b_f": b, "W_r": w, "b_r": b}
+            if in_dim != H:
+                layer["W_p"] = w
+        yield from ((f"layer{i}.{n}", s) for n, s in layer.items())
+        in_dim = H
+    heads = [("predictor", config.output_angles)]
+    if config.use_discriminator:
+        heads.append(("discriminator", config.num_domains))
+    for head, out in heads:
+        yield from ((f"{head}.{n}", s) for n, s in
+                    (("W1", (ph, H)), ("b1", (1, ph)), ("W2", (out, ph)), ("b2", (1, out))))
+
 
 def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
     """Write config, metadata and all matrices; round-trips bit-identically."""
@@ -304,8 +345,11 @@ def load_checkpoint(path):
 
     An unreadable container, a header that is not a JSON object, a header
     config that does not match ``NetworkConfig``'s fields and their types, or
-    a missing or misshapen parameter is a DataError; a readable file of
-    another format is a ConfigError.
+    a missing parameter or one that is not a float32 array of the shape the
+    config implies is a DataError, found before anything of the config's
+    size is allocated; a readable file of another format (``/2`` and older
+    stored float64 parameters, and no converter reads them) is a
+    ConfigError.
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -328,9 +372,17 @@ def load_checkpoint(path):
                 cfg = NetworkConfig(**config)
             except TypeError as exc:   # unknown config keys
                 raise DataError(f"{path}: bad checkpoint config: {exc}") from exc
+            stored = {}
+            for name, shape in _param_shapes(cfg):
+                if name not in data:
+                    raise DataError(f"{path}: checkpoint has no parameter {name}")
+                arr = stored[name] = data[name]
+                if arr.dtype != np.float32 or arr.shape != shape:
+                    raise DataError(f"{path}: parameter {name} is {arr.dtype} {arr.shape}, "
+                                    f"its config needs float32 {shape}")
             rng = np.random.default_rng(0)   # placeholder draws, overwritten below
             net = Network.init(cfg, rng)
-            net.set_params({name: data[name] for name, _ in net.named_params()})
+            net.set_params(stored)
             meta = header["meta"]
     except NPZ_READ_ERRORS as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc

@@ -1,11 +1,13 @@
-"""Float64 activations, parameter initialisation and seeded RNG.
+"""Activations, parameter initialisation and seeded RNG.
 
-Matrices are plain 2-d ``numpy.ndarray`` objects in C (row-major) order with
-dtype float64; biases are kept as 1 x n row vectors so they broadcast over
-batches.  Everything downstream (cells, network, training) builds on these
-few functions, and every random draw in the package flows through
-:func:`make_rng` / :func:`derive_rng` so that a single 64-bit seed pins the
-whole pipeline.
+Parameters are plain 2-d ``numpy.ndarray`` objects in C (row-major) order
+with dtype float32, the one compute dtype of the network: every kernel
+downstream follows its parameters' dtype, so the same code also runs on
+float64 parameters (the tests' gradient checks do).  Biases are kept as
+1 x n row vectors so they broadcast over batches.  Everything downstream
+(cells, network, training) builds on these few functions, and every random
+draw in the package flows through :func:`make_rng` / :func:`derive_rng` so
+that a single 64-bit seed pins the whole pipeline.
 """
 
 from __future__ import annotations
@@ -26,14 +28,16 @@ __all__ = [
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic function ``1 / (1 + exp(-x))``, computed in place.
 
-    Without ``out`` the result goes to a fresh float64 copy of ``x``, which
-    is left unchanged; with ``out`` it is written there (``out`` may be
-    ``x`` itself, or any view of matching shape).  ``exp(-x)`` overflows to
-    inf for x below about -709 and the result then saturates to exactly 0;
-    that overflow is expected and raises no warning.
+    Without ``out`` the result goes to a fresh copy of ``x`` in its own
+    floating dtype (float64 for other input), and ``x`` is left unchanged;
+    with ``out`` it is written there (``out`` may be ``x`` itself, or any
+    view of matching shape).  ``exp(-x)`` overflows to inf for x below
+    about -88 in float32 (-709 in float64) and the result then saturates to
+    exactly 0; that overflow is expected and raises no warning.
     """
     if out is None:
-        out = np.array(x, dtype=np.float64)
+        x = np.asarray(x)
+        out = np.array(x, dtype=np.result_type(x.dtype, np.float32))
         x = out
     with np.errstate(over="ignore"):
         np.negative(x, out=out)
@@ -43,22 +47,25 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    """``max(x, 0)`` in ``x``'s floating dtype (float64 for other input)."""
+    x = np.asarray(x)
+    return np.maximum(x, 0.0, dtype=np.result_type(x.dtype, np.float32))
 
 
 def init_params(rows: int, cols: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
-    """Create a rows x cols parameter matrix.
+    """Create a rows x cols float32 parameter matrix.
 
     ``uniform-scaled`` draws from U(-1/sqrt(fan_in), +1/sqrt(fan_in)) with
-    fan_in = cols; ``zeros`` returns an all-zero matrix (used for biases).
+    fan_in = cols, in float64 and then rounded; ``zeros`` returns an
+    all-zero matrix (used for biases).
     """
     if rows < 1 or cols < 1:
         raise ValueError(f"init_params needs rows, cols >= 1, got {rows}x{cols}")
     if scheme == "zeros":
-        return np.zeros((rows, cols), dtype=np.float64)
+        return np.zeros((rows, cols), dtype=np.float32)
     if scheme == "uniform-scaled":
         bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, size=(rows, cols))
+        return rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
     raise ValueError(f"unknown init scheme {scheme!r}")
 
 

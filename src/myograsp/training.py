@@ -268,8 +268,8 @@ def train(net: Network, train_source, val_source, config: TrainConfig,
 
     Every step runs in the network's own workspace (``net.buffers``),
     which outlives the call, so only a network's first step at its largest
-    batch maps fresh pages; at paper scale the GRU's holds 273 MB until
-    the network is freed.
+    batch maps fresh pages; at paper scale the GRU's holds 136 MB (float32)
+    until the network is freed.
     """
     if len(train_source) == 0:
         raise ValueError("empty training set")

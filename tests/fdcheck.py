@@ -1,14 +1,32 @@
 """Central finite-difference gradient checking used across the test suite.
 
 Relative error uses denominator max(|analytic|, |numeric|, 1e-8); the
-default step is 1e-5 and the default tolerance 1e-4.
+default step is 1e-5 and the default tolerance 1e-4.  A step of 1e-5 is
+below float32's resolution, so the checks run on float64 parameters:
+:func:`to_float64` converts the float32 ones the package builds, and the
+kernels then compute in float64 (they follow their parameters' dtype).
 """
 
 import numpy as np
 
+from myograsp.network import Network
+
 STEP = 1e-5
 TOL = 1e-4
 FLOOR = 1e-8
+
+
+def to_float64(obj):
+    """Replace every parameter of cell params, a head or a ``Network`` by a
+    float64 copy of itself; returns ``obj``."""
+    if isinstance(obj, Network):
+        for part in [*obj.layers, obj.predictor, obj.discriminator]:
+            if part is not None:
+                to_float64(part)
+        return obj
+    for name, arr in list(obj.named()):
+        setattr(obj, name, arr.astype(np.float64))
+    return obj
 
 
 def rel_err(analytic: float, numeric: float) -> float:

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_cells
-from fdcheck import TOL, max_array_rel_err, max_param_rel_err
+from fdcheck import TOL, max_array_rel_err, max_param_rel_err, to_float64
 from myograsp import cells
 from myograsp.network import _block_forward
 from myograsp.numerics import derive_rng, make_rng
@@ -33,7 +35,7 @@ class TestVanillaForward:
 
     def test_constant_fixed_point(self):
         # W_h = U_h = 0 and tanh(b_h) = 0.5 per unit -> h_t constant 0.5
-        p = cells.init_vanilla(2, 3, 1, make_rng(0))
+        p = to_float64(cells.init_vanilla(2, 3, 1, make_rng(0)))
         for _, arr in p.named():
             arr[...] = 0.0
         p.b_h[...] = np.arctanh(0.5)
@@ -129,7 +131,7 @@ class TestSruForward:
 
     def test_zero_params_decaying_state(self):
         # c1 = 0.5*c0 = 0.5; h1 = 0.5*tanh(0.5)
-        p = self.zero_sru()
+        p = to_float64(self.zero_sru())
         h, trace = cells.sru_forward(p, np.zeros((1, 1, 1)), np.array([[1.0]]))
         assert trace.cs[0, 1, 0] == 0.5
         np.testing.assert_allclose(h[0, 0, 0], 0.23105857863000487,
@@ -140,7 +142,7 @@ class TestSruForward:
     def test_batched_equals_naive(self, seed):
         rng = make_rng(seed)
         dim_in, hidden = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        p = randomized(cells.init_sru(dim_in, hidden, rng), rng)
+        p = randomized(to_float64(cells.init_sru(dim_in, hidden, rng)), rng)
         x = rng.normal(size=(3, 12, dim_in))
         c0 = rng.normal(size=(3, hidden))
         batched, _ = cells.sru_forward(p, x, c0)
@@ -204,7 +206,7 @@ CELL_SETUPS = {
 def run_cell_gradcheck(kind: str, seed: int, T: int = 6, B: int = 2) -> float:
     init_fn, fwd, bwd, input_dim, hidden = CELL_SETUPS[kind]
     rng = derive_rng(seed, "gradcheck", kind)
-    params = randomized(init_fn(rng), rng)
+    params = randomized(to_float64(init_fn(rng)), rng)
     x = rng.normal(size=(B, T, input_dim))
     s0 = rng.normal(size=(B, hidden)) * 0.5
     out, trace = fwd(params, x, s0)
@@ -278,17 +280,17 @@ ORACLES = {
 }
 
 
-def assert_oracle_close(actual, expected, what):
+def assert_oracle_close(actual, expected, what, rtol=ORACLE_RTOL):
     scale = float(np.max(np.abs(expected))) if expected.size else 0.0
-    np.testing.assert_allclose(actual, expected, rtol=ORACLE_RTOL,
-                               atol=ORACLE_RTOL * scale, err_msg=what)
+    np.testing.assert_allclose(actual, expected, rtol=rtol, atol=rtol * scale, err_msg=what)
 
 
 def check_against_reference(kind, input_dim, hidden, T, rng):
     """Forward and backward of one cell against the reference, with a
     nonzero initial state."""
     init_fn, fwd, bwd, ref_fwd, ref_bwd = ORACLES[kind]
-    params = randomized(init_fn(input_dim, hidden, rng), rng, scale=1.2 / np.sqrt(hidden))
+    params = randomized(to_float64(init_fn(input_dim, hidden, rng)), rng,
+                        scale=1.2 / np.sqrt(hidden))
     x = rng.normal(size=(3, T, input_dim))
     s0 = rng.normal(size=(3, hidden)) * 0.5
     upstream = rng.normal(size=(3, T, hidden))
@@ -329,6 +331,51 @@ def test_sru_blocked_scan_matches_reference_at_block_edges(wide_input, T):
     input_dim = 16 if wide_input else 8
     check_against_reference("sru", input_dim, 16, T,
                             derive_rng(0, "oracle-blocks", input_dim, T))
+
+
+# float32 round-off relative to the largest entry of each compared array,
+# about 80 float32 ulps over the 19 steps compared; fixed before the
+# comparison was first run
+FLOAT32_RTOL = 1e-5
+
+# kind -> float64 (forward, backward) the float32 kernels are compared with:
+# the unstacked references, and for the vanilla cell its own kernel, which
+# the finite-difference checks above hold to the exact gradient
+FLOAT64_REFERENCES = {
+    "vanilla": (cells.vanilla_forward, cells.vanilla_backward),
+    "gru": (reference_cells.gru_forward, reference_cells.gru_backward),
+    "sru-projected": (reference_cells.sru_forward, reference_cells.sru_backward),
+    "sru-highway": (reference_cells.sru_forward, reference_cells.sru_backward),
+}
+
+
+@pytest.mark.parametrize("kind", list(CELL_SETUPS))
+def test_float32_kernels_match_float64_reference(kind):
+    # the package's parameters are float32; the same parameters widened to
+    # float64 give the reference, which float32 round-off may miss only by
+    # FLOAT32_RTOL
+    init_fn, fwd, bwd, input_dim, hidden = CELL_SETUPS[kind]
+    ref_fwd, ref_bwd = FLOAT64_REFERENCES[kind]
+    rng = derive_rng(0, "float32", kind)
+    params = randomized(init_fn(rng), rng)
+    wide = to_float64(copy.deepcopy(params))
+    x = rng.normal(size=(3, 2 * cells.BLOCK + 3, input_dim))
+    s0 = rng.normal(size=(3, hidden)) * 0.5
+
+    out, trace = fwd(params, x, s0)
+    ref_out, ref_trace = ref_fwd(wide, x, s0)
+    upstream = rng.normal(size=out.shape)
+    grads, dx, ds0 = bwd(trace, params, upstream)
+    ref_grads, ref_dx, ref_ds0 = ref_bwd(ref_trace, wide, upstream)
+
+    ref_named = dict(ref_grads.named())
+    pairs = [("outputs", out, ref_out), ("dx", dx, ref_dx),
+             ("initial-state gradient", ds0, ref_ds0)]
+    pairs += [(f"trace.{n}", getattr(trace, n), a) for n, a in ref_trace.named()]
+    pairs += [(f"grad {n}", a, ref_named[n]) for n, a in grads.named()]
+    for what, actual, expected in pairs:
+        assert actual.dtype == np.float32, what
+        assert_oracle_close(actual, expected, what, rtol=FLOAT32_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +433,7 @@ UNTRACED_LENGTHS = [1, 2 * cells.BLOCK - 1, 2 * cells.BLOCK, 2 * cells.BLOCK + 1
 @pytest.mark.parametrize("T", UNTRACED_LENGTHS)
 def test_untraced_gru_matches_traced(T, with_h0):
     rng = derive_rng(0, "untraced", T, with_h0)
-    params = randomized(cells.init_gru(5, 6, rng), rng)
+    params = randomized(to_float64(cells.init_gru(5, 6, rng)), rng)
     x = rng.normal(size=(3, T, 5))
     h0 = rng.normal(size=(3, 6)) if with_h0 else None
     out, trace = cells.gru_forward(params, x, h0)
@@ -404,7 +451,7 @@ def test_untraced_gru_matches_traced(T, with_h0):
 @pytest.mark.parametrize("T", UNTRACED_LENGTHS)
 def test_untraced_sru_matches_traced(T, with_c0, input_dim):
     rng = derive_rng(0, "untraced-sru", T, with_c0, input_dim)
-    params = randomized(cells.init_sru(input_dim, 6, rng), rng)
+    params = randomized(to_float64(cells.init_sru(input_dim, 6, rng)), rng)
     x = rng.normal(size=(3, T, input_dim))
     c0 = rng.normal(size=(3, 6)) if with_c0 else None
     out, trace = cells.sru_forward(params, x, c0)

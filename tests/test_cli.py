@@ -543,6 +543,26 @@ def test_checkpoint_of_format_1_exits_config(archive_path, checkpoint_path, tmp_
     assert not results.exists()
 
 
+def test_checkpoint_of_format_2_exits_config(archive_path, checkpoint_path, tmp_path,
+                                             capsys):
+    # format 2 stored float64 parameters under the config format 3 keeps;
+    # no converter reads them
+    def as_format_2(arrays):
+        rewrite_header(arrays, lambda header: header.update(format="myograsp-checkpoint/2"))
+        for name in arrays:
+            if name != "__header__":
+                arrays[name] = arrays[name].astype(np.float64)
+
+    old, results = tmp_path / "old.npz", tmp_path / "r.csv"
+    npz_edit(as_format_2)(checkpoint_path, old)
+    with pytest.raises(ConfigError, match="unsupported checkpoint format"):
+        load_checkpoint(old)
+    assert main(["evaluate", "--checkpoint", str(old), "--archive", str(archive_path),
+                 "--results", str(results)]) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not results.exists()
+
+
 def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path, capsys):
     # a NaN weight gives NaN predictions: evaluate must not append nan rows
     def nan_weight(arrays):
@@ -771,10 +791,10 @@ def test_edited_checkpoint_meta_keeps_exit_contract(archive_path, checkpoint_pat
 
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(NetworkConfig)]
-# JSON values with sizes kept small: load_checkpoint builds the network its
-# config names before it compares the stored arrays, so a large size would
-# first allocate a large network
-CONFIG_VALUES = st.one_of(st.integers(-2, 40), st.sampled_from(["gru", "sru", "lstm", 15.0]),
+# sizes up to 2**40: load_checkpoint compares the stored arrays with the
+# shapes the config implies before it builds a network of that config
+CONFIG_VALUES = st.one_of(st.integers(-2, 40), st.integers(41, 2 ** 40),
+                          st.sampled_from(["gru", "sru", "lstm", 15.0]),
                           JSON_VALUES.filter(lambda v: type(v) is not int))
 
 

@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -296,6 +297,32 @@ class TestNormalize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             channel_stats(make_windows(recording(128), stride=8), np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("chunk", [4096, 40])
+    def test_squares_in_place_peak_and_bits(self, chunk):
+        # each chunk's squares are taken in its own materialised windows, not
+        # beside them: the peak stays near one chunk's window bytes, and the
+        # statistics are the ones squaring into a copy gives, bit for bit
+        ws = make_windows(recording(128 + 8 * 99), stride=8)
+        idx = np.arange(len(ws))
+        tracemalloc.start()
+        try:
+            stats = channel_stats(ws, idx, chunk=chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * min(chunk, len(idx)) * datapipe.WINDOW_SIZE * 8 * 8
+
+        count, total, total_sq = 0, np.zeros(8), np.zeros(8)
+        for lo in range(0, len(idx), chunk):
+            flat = ws.materialize(idx[lo:lo + chunk])[0].reshape(-1, 8)
+            count += len(flat)
+            total += flat.sum(axis=0)
+            total_sq += (flat ** 2).sum(axis=0)
+        mean = total / count
+        np.testing.assert_array_equal(stats.mean, mean)
+        np.testing.assert_array_equal(stats.std,
+                                      np.sqrt(np.maximum(total_sq / count - mean ** 2, 0.0)))
 
 
 class TestFileFormats:

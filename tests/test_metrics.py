@@ -28,6 +28,13 @@ class TestRmse:
         with pytest.raises(ValueError):
             rmse(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("error", [1.4e154, 1.0e308])
+    def test_overflowing_squares_score_inf(self, error):
+        # a finite error past sqrt(float64 max) squares to inf: the score is
+        # inf, for the caller's finiteness check, and not a RuntimeWarning
+        assert rmse([error, 0.0], [0.0, 0.0]) == np.inf
+        assert nrmse([[error], [0.0]], [[0.0], [1.0]], [1.0]) == np.inf
+
     def test_empty(self):
         with pytest.raises(ValueError):
             rmse(np.ones(0), np.ones(0))

@@ -1,10 +1,14 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fdcheck import TOL, max_param_rel_err
+from fdcheck import TOL, max_param_rel_err, to_float64
 from myograsp import cells
-from myograsp.errors import ConfigError
-from myograsp.network import Network, NetworkConfig, load_checkpoint, save_checkpoint
+from myograsp.errors import ConfigError, DataError, NumericError
+from myograsp.network import (Network, NetworkConfig, _param_shapes, load_checkpoint,
+                              save_checkpoint)
 from myograsp.numerics import derive_rng, make_rng
 from myograsp.training import cross_entropy_batch, mse_loss
 
@@ -117,6 +121,16 @@ class TestForward:
         with pytest.raises(ValueError, match="windows"):
             net.forward(np.zeros((2, 0, 3)), keep_trace=keep_trace)
 
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    @pytest.mark.parametrize("keep_trace", [True, False])
+    def test_windows_beyond_float32_rejected(self, keep_trace, value):
+        # float64 windows past float32's range would be cast to infinities
+        net = Network.init(small_config(), make_rng(0))
+        x = np.zeros((2, 4, 3))
+        x[1, 2, 0] = value
+        with pytest.raises(NumericError, match="float32 range"):
+            net.forward(x, keep_trace=keep_trace)
+
 
 class TestUntracedForward:
     """Inference streams the layer stack one block of ``cells.BLOCK`` steps at
@@ -221,8 +235,10 @@ class TestBackward:
 
     def test_feature_gradient_is_path_sum(self):
         # full backward == predictor-only + reversed discriminator path,
-        # the latter obtained with a zero angle gradient
+        # the latter obtained with a zero angle gradient; in float64, where
+        # the two sums differ only by round-off far below the tolerance
         net, x, y, labels = self.setup_case()
+        to_float64(net)
         angles, logits, trace = net.forward(x)
         _, dangles = mse_loss(angles, y)
         _, dlogits = cross_entropy_batch(logits, labels)
@@ -249,7 +265,7 @@ def run_network_gradcheck(cell: str, seed: int) -> float:
     group is checked against its group scalar.
     """
     rng = derive_rng(seed, "netgrad", cell)
-    net = Network.init(small_config(cell, disc=True), rng)
+    net = to_float64(Network.init(small_config(cell, disc=True), rng))
     x = rng.normal(size=(2, 6, 3))
     y = rng.normal(size=(2, 15))
     labels = rng.integers(0, 3, size=2)
@@ -274,7 +290,7 @@ def run_network_gradcheck(cell: str, seed: int) -> float:
 def run_head_gradcheck(head: str, seed: int) -> float:
     """Finite differences for one fully-connected head in isolation."""
     rng = derive_rng(seed, "headgrad", head)
-    net = Network.init(small_config("gru", disc=True), rng)
+    net = to_float64(Network.init(small_config("gru", disc=True), rng))
     x = rng.normal(size=(2, 6, 3))
     y = rng.normal(size=(2, 15))
     labels = rng.integers(0, 3, size=2)
@@ -332,3 +348,52 @@ class TestCheckpoint:
         np.savez(path, x=np.ones(3))
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("disc", [False, True])
+    @pytest.mark.parametrize("channels", [3, 4], ids=["projected", "square"])
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_param_shapes_are_those_init_builds(self, cell, channels, disc):
+        cfg = NetworkConfig(cell_type=cell, input_channels=channels, hidden_size=4,
+                            num_recurrent_layers=2, predictor_hidden=5,
+                            use_discriminator=disc, num_domains=3 if disc else 0)
+        net = Network.init(cfg, make_rng(0))
+        assert list(_param_shapes(cfg)) == [(n, a.shape) for n, a in net.named_params()]
+        assert all(a.dtype == np.float32 for _, a in net.named_params())
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A saved 8-unit GRU checkpoint with ``edit(header, arrays)`` applied."""
+        src, dst = tmp_path / "src.npz", tmp_path / "bad.npz"
+        cfg = NetworkConfig(cell_type="gru", hidden_size=8, predictor_hidden=8)
+        save_checkpoint(src, Network.init(cfg, make_rng(3)))
+        with np.load(src) as data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(bytes(arrays.pop("__header__")).decode("utf-8"))
+        edit(header, arrays)
+        np.savez(dst, __header__=np.frombuffer(json.dumps(header).encode("utf-8"),
+                                               dtype=np.uint8), **arrays)
+        return dst
+
+    BAD_ARRAYS = {
+        "float64 parameter": lambda h, a: a.update({"layer1.U_h": a["layer1.U_h"].astype(
+            np.float64)}),
+        "misshapen parameter": lambda h, a: a.update({"predictor.b2": a["predictor.b2"][:, :3]}),
+        "missing layer": lambda h, a: h["config"].update(num_recurrent_layers=3),
+        "header hidden_size over 8-unit arrays": lambda h, a: h["config"].update(
+            hidden_size=1000),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_ARRAYS))
+    def test_arrays_not_of_the_config_are_data_errors(self, tmp_path, case):
+        # every stored array is checked against the header's config before a
+        # network of that config is built: a header claiming hidden_size
+        # 1000 once drew a 69 MB network before the mismatch was seen
+        bad = self.edited(tmp_path, self.BAD_ARRAYS[case])
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="parameter"):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

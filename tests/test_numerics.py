@@ -63,7 +63,36 @@ class TestActivations:
         np.testing.assert_array_equal(a[:, 1::2], 7.0)
 
 
+    def test_sigmoid_float32_saturates_without_warning(self):
+        # exp(-x) overflows float32 below about -88: the result saturates to
+        # exactly 0, in the input's dtype, with no RuntimeWarning
+        x = np.array([-1e4, -100.0, 100.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+            sigmoid(x, out=x)
+        assert out.dtype == np.float32 and x.dtype == np.float32
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(x, out)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_activations_keep_the_input_dtype(self, dtype):
+        x = np.array([-2.0, 0.0, 3.0], dtype=dtype)
+        assert sigmoid(x).dtype == dtype
+        assert relu(x).dtype == dtype
+        np.testing.assert_array_equal(relu(x), [0.0, 0.0, 3.0])
+
+
 class TestInitParams:
+    def test_float32_of_the_float64_draws(self):
+        # the draws stay those of float64 parameters, rounded once
+        out = init_params(5, 7, "uniform-scaled", make_rng(42))
+        bound = 1.0 / np.sqrt(7)
+        expected = make_rng(42).uniform(-bound, bound, size=(5, 7)).astype(np.float32)
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, expected)
+        assert init_params(1, 3, "zeros", make_rng(0)).dtype == np.float32
+
     def test_zeros(self):
         out = init_params(2, 2, "zeros", make_rng(0))
         np.testing.assert_array_equal(out, np.zeros((2, 2)))

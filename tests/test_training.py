@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fdcheck import max_array_rel_err
-from myograsp import cells
+from myograsp import cells, training
 from myograsp.errors import NumericError
 from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
@@ -384,6 +384,40 @@ def test_sru_predict_peak_bounded_by_layer_states():
         tracemalloc.stop()
     states = T * B * H * 8
     assert peak <= 3 * states, peak / states
+
+
+@pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+def test_training_and_inference_stay_float32(cell, monkeypatch):
+    # one float64 array in a step upcasts the step's arithmetic and throws
+    # the float32 speed-up away without failing anything else
+    states, step_grads = [], []
+    adam_step_ = training.adam_step
+
+    def recording_adam_step(params, grads, state, lr):
+        states.append(state)
+        step_grads.append(grads)
+        return adam_step_(params, grads, state, lr)
+
+    monkeypatch.setattr(training, "adam_step", recording_adam_step)
+    net, src = tiny_setup(cell, disc=True)
+    train(net, src, src, TrainConfig(max_epochs=1, patience=1, batch_size=len(src)),
+          RAW_TARGETS)
+    preds = predict(net, src.x)
+    _, _, trace = net.forward(src.x)
+
+    assert len(states) == 1
+    arrays = [(f"parameter {n}", a) for n, a in net.named_params()]
+    arrays += [(f"gradient {n}", a) for n, a in step_grads[0].items()]
+    arrays += [(f"adam {k} {n}", a) for k in ("m", "v") for n, a in getattr(states[0], k).items()]
+    arrays += [(f"buffers[{i}] {n}", a) for i, b in enumerate(net.buffers)
+               for n, a in b._flat.items()]
+    arrays += [(f"trace layer{i} {n}", a) for i, t in enumerate(trace.cell_traces)
+               for n, a in t.named()]
+    arrays += [("features", trace.features), ("predictor hidden", trace.pred_a1),
+               ("discriminator hidden", trace.disc_a1), ("predictions", preds)]
+    assert len(states[0].m) == len(net.named_params()) and net.buffers[0]._flat
+    for what, a in arrays:
+        assert a.dtype == np.float32, what
 
 
 @pytest.mark.parametrize("cell", ["gru", "sru"])
