@@ -21,10 +21,10 @@ import warnings
 
 import numpy as np
 
-from myograsp import splits, synthgen
+from myograsp import datapipe, splits, synthgen
 from myograsp.experiment import PAPER_COLUMNS, TrainRunConfig, prepare_run, synthesize
 from myograsp.metrics import angle_ranges, nrmse
-from myograsp.training import predict, train
+from myograsp.training import predict_source, train
 
 MODES = ("immobile", "mobile")
 MODELS = ("sru", "gru")
@@ -37,11 +37,11 @@ def cell_key(mode, model, protocol, ada):
 def run_cell(ws, sessions, cfg):
     """(trained, untrained) test NRMSE of one run."""
     run = prepare_run(ws, sessions, cfg)
-    xs, ys = ws.materialize(run.plan.indices(splits.TEST))
-    xs = run.stats.apply(xs)
+    test = datapipe.WindowSource(ws, run.plan.indices(splits.TEST), run.stats)
 
     def score(net):
-        return nrmse(run.target_stats.denormalize(predict(net, xs)), ys, angle_ranges(ys))
+        preds, ys = predict_source(net, test, run.target_stats)
+        return nrmse(preds, ys, angle_ranges(ys))
 
     untrained = score(run.net)
     with warnings.catch_warnings():

@@ -28,7 +28,8 @@ from .errors import ConfigError, DataError, NumericError
 from .experiment import PAPER_COLUMNS, TrainRunConfig, checkpoint_name, prepare_run
 from .metrics import angle_ranges, nrmse, rmse
 from .network import load_checkpoint, save_checkpoint
-from .training import TargetStats, predict, train
+# ``predict`` stays importable here: perfbench/tracing.py wraps it by this name
+from .training import TargetStats, predict, predict_source, train
 
 log = logging.getLogger("myograsp.cli")
 
@@ -285,11 +286,11 @@ def cmd_evaluate(args) -> int:
     if len(test_idx) == 0:
         raise DataError("split produced an empty test set")
 
-    xs, ys = window_set.materialize(test_idx)
+    preds, ys = predict_source(net, datapipe.WindowSource(window_set, test_idx, stats),
+                               target_stats)
     ranges = angle_ranges(ys)
     if np.any(ranges <= 0):
         raise DataError("an angle is constant over the test split: its NRMSE is undefined")
-    preds = target_stats.denormalize(predict(net, stats.apply(xs)))
     test_rmse = rmse(preds, ys)
     test_nrmse = nrmse(preds, ys, ranges)
     if not np.isfinite([test_rmse, test_nrmse]).all():

@@ -12,7 +12,9 @@ The pipeline per (subject, session):
    vector at each window's last row.
 
 Windows are kept as (recording, start_row) indices and materialised per
-batch, which avoids duplicating overlapping window data in memory.
+batch, which avoids duplicating overlapping window data in memory.  Channel
+statistics never materialise windows: each covered emg row counts once per
+window over it, so they cost O(rows) however far the windows overlap.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ FILTER_ORDER = 4
 # rows at each end of a filtered recording whose targets are not trusted
 EDGE_MARGIN_ROWS = 64
 ARCHIVE_FORMAT = "myograsp-archive/1"
+# rows per piece of channel_stats' passes: two scratch arrays of 256 KB, in cache
+STATS_BLOCK_ROWS = 4096
 # rows formatted per block by write_csv: on 60 s streams 1024 wrote about 8%
 # faster than 512 and as fast as 2048 or 4096, with a block's temporaries near 1 MB
 CSV_BLOCK_ROWS = 1024
@@ -290,38 +294,79 @@ class NormStats:
     mean: np.ndarray  # (8,)
     std: np.ndarray   # (8,)
 
-    def apply(self, windows: np.ndarray) -> np.ndarray:
-        return (windows - self.mean) / self.std
+    def apply(self, windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(windows - mean) / std, written into ``out`` when given (may be ``windows``)."""
+        out = np.subtract(windows, self.mean, out=out)
+        out /= self.std
+        return out
 
 
-def channel_stats(window_set: WindowSet, indices: np.ndarray,
-                  chunk: int = 4096) -> NormStats:
-    """Training-set channel statistics, streamed to bound memory.
+def _covered_runs(window_set: WindowSet, indices: np.ndarray) -> list:
+    """(emg rows, row weights) of each run of rows that the windows cover,
+    cut into pieces of at most ``STATS_BLOCK_ROWS`` rows.
+
+    A row's weight is the number of windows over it, a repeated index
+    counting each time: per recording, a difference array over the window
+    starts, then a cumulative sum.
+    """
+    rec_of = window_set.rec_index[indices]
+    starts = window_set.start_row[indices]
+    runs = []
+    for r in np.unique(rec_of):
+        emg = window_set.recordings[r].emg
+        s = starts[rec_of == r]
+        edges = np.bincount(s, minlength=len(emg) + 1)
+        edges -= np.bincount(s + WINDOW_SIZE, minlength=len(emg) + 1)
+        weights = np.cumsum(edges[:-1]).astype(np.float64)
+        bounds = np.flatnonzero(np.diff(weights > 0, prepend=False, append=False))
+        for lo, hi in bounds.reshape(-1, 2).tolist():
+            for a in range(lo, hi, STATS_BLOCK_ROWS):
+                b = min(a + STATS_BLOCK_ROWS, hi)
+                runs.append((emg[a:b], weights[a:b]))
+    return runs
+
+
+def channel_stats(window_set: WindowSet, indices: np.ndarray) -> NormStats:
+    """Training-set channel statistics, taken from the recording rows.
 
     Fit on the training split only and applied (``NormStats.apply``) to
-    validation and test windows, so nothing leaks from held-out rows.
-    Zero-variance channels get their std clamped to 1 with a warning.
-    Each chunk is squared in place and dropped before the next one is
-    materialised, so the peak is about one chunk of windows.
+    validation and test windows, so nothing leaks from held-out rows.  The
+    statistics are those of the materialised windows, but each covered emg
+    row is read once per pass, weighted by the number of windows over it,
+    so time and memory are O(rows).  The variance is taken about the mean
+    by the corrected two-pass formula of Chan, Golub & LeVeque (1983).
+
+    A channel whose covered values are all equal is constant: its mean is
+    exactly that value and its std is clamped to 1 with a warning, so it
+    normalises to exactly 0.  Only a channel whose std comes out at most
+    ``1e-6 * |mean|`` has its values compared: rounding leaves a constant
+    channel's std below ``(n + 2) * 2**-53 * |mean|`` for n covered rows,
+    under that threshold for any n below about 9e9.
     """
     indices = np.asarray(indices)
     if len(indices) == 0:
         raise ValueError("channel_stats needs a non-empty training set")
-    count = 0
-    total = np.zeros(8)
-    total_sq = np.zeros(8)
-    for lo in range(0, len(indices), chunk):
-        flat = window_set.materialize(indices[lo:lo + chunk])[0].reshape(-1, 8)
-        count += len(flat)
-        total += flat.sum(axis=0)
-        total_sq += np.square(flat, out=flat).sum(axis=0)
-        del flat
-    mean = total / count
-    var = total_sq / count - mean ** 2
-    std = np.sqrt(np.maximum(var, 0.0))
-    if np.any(std == 0):
+    runs = _covered_runs(window_set, indices)
+    count = len(indices) * WINDOW_SIZE
+    mean = sum(w @ emg for emg, w in runs) / count
+    # the mean tiled to whole rows: a same-shape subtraction runs about
+    # twice as fast as one broadcasting (8,) over every row
+    longest = max(len(w) for _, w in runs)
+    tiled, scratch = np.tile(mean, longest), np.empty(8 * longest)
+    dev, dev_sq = np.zeros(8), np.zeros(8)
+    for emg, w in runs:
+        n = emg.size
+        d = np.subtract(emg.reshape(-1), tiled[:n], out=scratch[:n]).reshape(emg.shape)
+        dev += w @ d
+        dev_sq += w @ np.square(d, out=d)
+    std = np.sqrt(np.maximum(dev_sq - dev ** 2 / count, 0.0) / count)
+    constant = False
+    for c in np.flatnonzero(std <= 1e-6 * np.abs(mean)):
+        first = runs[0][0][0, c]
+        if all((emg[:, c] == first).all() for emg, _ in runs):
+            mean[c], std[c], constant = first, 1.0, True
+    if constant:
         warnings.warn("zero-variance channel; std clamped to 1")
-        std = np.where(std == 0, 1.0, std)
     return NormStats(mean=mean, std=std)
 
 
@@ -343,7 +388,7 @@ class WindowSource:
     def batch(self, idx: np.ndarray):
         x, y = self.window_set.materialize(self.indices[idx])
         d = None if self.domains is None else self.domains[idx]
-        return self.stats.apply(x), y, d
+        return self.stats.apply(x, out=x), y, d
 
 
 # ---------------------------------------------------------------------------

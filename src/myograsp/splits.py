@@ -151,11 +151,21 @@ def _assign_windows_to_periods(assignment: np.ndarray, mask: np.ndarray,
     assignment[idx[hanging]] = EXCLUDED
 
 
+def _packed_keys(subjects, sessions) -> np.ndarray:
+    """One int64 per (subject, session) pair of int32 ids."""
+    return (np.asarray(subjects, dtype=np.int64) << 32
+            | np.asarray(sessions, dtype=np.int64) & 0xFFFFFFFF)
+
+
 def _session_keys(window_set: WindowSet, sessions: list) -> list:
-    known = {(s["subject"], s["session"]) for s in sessions}
-    if not set(zip(window_set.subject_ids, window_set.session_ids)) <= known:
+    """The session table's (subject, session) keys, sorted; a window of a
+    session the table misses is a DataError."""
+    known = sorted({(s["subject"], s["session"]) for s in sessions})
+    present = np.unique(_packed_keys(window_set.subject_ids, window_set.session_ids))
+    if not np.isin(present, _packed_keys([k[0] for k in known],
+                                         [k[1] for k in known])).all():
         raise DataError("window set contains sessions missing from the session table")
-    return sorted(known)
+    return known
 
 
 def _session_bounds(sessions: list) -> dict:

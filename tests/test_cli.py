@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import tracemalloc
 import warnings
 import zipfile
 
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from myograsp import cli, synthgen
+from myograsp import cli, datapipe, splits, synthgen, training
 from myograsp.cli import main
 from myograsp.errors import ConfigError, DataError
-from myograsp.experiment import TrainRunConfig
-from myograsp.network import Network, NetworkConfig, load_checkpoint
+from myograsp.experiment import TrainRunConfig, prepare_run
+from myograsp.metrics import angle_ranges, nrmse, rmse
+from myograsp.network import Network, NetworkConfig, load_checkpoint, save_checkpoint
 
 
 def sha(path):
@@ -244,6 +246,28 @@ class TestTrain:
         assert header.startswith("sample_id,protocol,fold")
 
 
+@pytest.fixture(scope="module")
+def long_split(tmp_path_factory):
+    """(archive, checkpoint, test indices): an inter-subject test split of
+    thousands of windows (stride 1) and an untrained SRU checkpoint for it."""
+    root = tmp_path_factory.mktemp("long")
+    assert main(["generate", "--out", str(root / "data"), "--subjects", "2",
+                 "--sessions", "1", "--seconds", "24", "--seed", "5"]) == 0
+    archive = root / "samples.npz"
+    assert main(["preprocess", "--manifest", str(root / "data" / "manifest.json"),
+                 "--out", str(archive), "--stride", "1"]) == 0
+    ws, meta = datapipe.load_archive(archive)
+    run = prepare_run(ws, meta["sessions"], TrainRunConfig(
+        model="sru", protocol="inter-subject", hidden=4, predictor_hidden=4))
+    checkpoint = root / "sru.ckpt"
+    save_checkpoint(checkpoint, run.net, meta={
+        "model": "sru", "protocol": run.plan.protocol, "fold": 0, "seed": 0, "ada": False,
+        "mode": meta["mode"], "norm_mean": run.stats.mean.tolist(),
+        "norm_std": run.stats.std.tolist(), "target_mean": run.target_stats.mean.tolist(),
+        "target_std": run.target_stats.std.tolist()})
+    return archive, checkpoint, run.plan.indices(splits.TEST)
+
+
 class TestEvaluate:
     def test_appends_two_rows(self, archive_path, checkpoint_path, tmp_path):
         results = tmp_path / "results.csv"
@@ -319,6 +343,48 @@ class TestEvaluate:
                      "--archive", str(arch), "--results", str(tmp_path / "r.csv")])
         assert code == cli.EXIT_CONFIG
 
+    def test_chunked_scoring_equals_whole_split(self, long_split, tmp_path):
+        # evaluate scores a few predict chunks at a time; the rows and the dump
+        # equal, byte for byte, those of the whole split materialised,
+        # normalised and predicted at once under the same checkpoint
+        archive, checkpoint, test_idx = long_split
+        results, dump = tmp_path / "r.csv", tmp_path / "t.csv"
+        assert main(["evaluate", "--checkpoint", str(checkpoint), "--archive", str(archive),
+                     "--results", str(results), "--dump-trajectories", str(dump)]) == 0
+
+        net, meta = load_checkpoint(checkpoint)
+        stats, target_stats = cli.evaluation_meta(meta, checkpoint, net)
+        ws, _ = datapipe.load_archive(archive)
+        xs, ys = ws.materialize(test_idx)
+        preds = target_stats.denormalize(training.predict(net, stats.apply(xs)))
+        assert len(test_idx) > 2 * training.SCORE_CHUNK
+        expected_results = tmp_path / "expected.csv"
+        cli.append_results(expected_results, [
+            [metric, "sru", "inter-subject", "false", 0, 0, f"{value:.10g}"]
+            for metric, value in (("rmse", rmse(preds, ys)),
+                                  ("nrmse", nrmse(preds, ys, angle_ranges(ys))))])
+        assert results.read_bytes() == expected_results.read_bytes()
+        order = np.argsort(ws.end_ts[test_idx], kind="stable")
+        expected_dump = tmp_path / "expected_t.csv"
+        datapipe.write_csv(expected_dump, dump.read_text().splitlines()[0],
+                           np.column_stack([ws.end_ts[test_idx][order], ys[order],
+                                            preds[order]]))
+        assert dump.read_bytes() == expected_dump.read_bytes()
+
+    def test_peak_stays_below_a_quarter_of_the_split(self, long_split, tmp_path):
+        archive, checkpoint, test_idx = long_split
+        args = ["evaluate", "--checkpoint", str(checkpoint), "--archive", str(archive),
+                "--results", str(tmp_path / "r.csv")]
+        assert main(args) == 0   # warm-up outside the measurement
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        split_bytes = len(test_idx) * datapipe.WINDOW_SIZE * 8 * 8
+        assert peak < split_bytes / 4, (peak, split_bytes)
+
     def test_perfect_oracle_scores_zero_rmse(self, archive_path, checkpoint_path,
                                              tmp_path, monkeypatch):
         # inject targets as predictions: the metric floor must be exactly 0
@@ -334,9 +400,15 @@ class TestEvaluate:
         _, ys = ws.materialize(plan.indices(sp.TEST))
         tstats = TargetStats(mean=_np.asarray(meta["target_mean"]),
                              std=_np.asarray(meta["target_std"]))
-        # evaluate de-normalises, so the oracle supplies normalised targets
-        monkeypatch.setattr(cli, "predict",
-                            lambda net, x, chunk=256: tstats.normalize(ys))
+        # evaluate de-normalises, so the oracle supplies normalised targets,
+        # one chunk of the test split per call, in order
+        done = [0]
+
+        def oracle(net, x, chunk=256):
+            lo, done[0] = done[0], done[0] + len(x)
+            return tstats.normalize(ys[lo:done[0]])
+
+        monkeypatch.setattr(training, "predict", oracle)
 
         results = tmp_path / "oracle.csv"
         assert main(["evaluate", "--checkpoint", str(checkpoint_path),

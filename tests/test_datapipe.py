@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import tempfile
 import tracemalloc
@@ -284,45 +285,127 @@ class TestNormalize:
         out = stats.apply(train + 5.0)
         assert np.all(out.reshape(-1, 8).mean(axis=0) > 1.0)
 
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 42.0, -7.7])
+    def test_every_constant_channel_clamped(self, value):
+        # E[x^2] - mean^2 rounds to a tiny positive variance for 0.1 and 1/3;
+        # comparing every covered value with the first catches each constant
+        w = make_rng(1).normal(size=(5, 128, 8))
+        w[:, :, 3] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = channel_stats(window_set_of(w), np.arange(len(w)))
+        assert [c.category for c in caught] == [UserWarning]
+        assert stats.std[3] == 1.0 and stats.mean[3] == value
+        np.testing.assert_array_equal(stats.apply(w)[:, :, 3], 0.0)
+        assert np.all(stats.std[[0, 1, 2, 4, 5, 6, 7]] != 1.0)
+
+    def test_nearly_constant_channel_keeps_its_std(self):
+        # a std within 1e-6 of the mean sends the channel to the exact
+        # comparison, which finds values that differ: no clamp, no warning
+        w = make_rng(3).normal(size=(5, 128, 8))
+        w[:, :, 3] = 1000.0 + 1e-7 * w[:, :, 3]
+        stats = channel_stats(window_set_of(w), np.arange(len(w)))
+        assert stats.std[3] < 1e-6 * stats.mean[3]
+        np.testing.assert_allclose(stats.std[3], w[:, :, 3].std(), rtol=1e-5)
+
     def test_streamed_stats_match(self):
         rec = recording(400)
         ws = make_windows(rec, stride=8)
         idx = np.arange(len(ws))
-        stats = channel_stats(ws, idx, chunk=7)
+        stats = channel_stats(ws, idx)
         x, _ = ws.materialize(idx)
         flat = x.reshape(-1, 8)
         np.testing.assert_allclose(stats.mean, flat.mean(axis=0), atol=1e-10)
         np.testing.assert_allclose(stats.std, flat.std(axis=0), atol=1e-10)
 
+    @pytest.mark.parametrize("block_rows", [datapipe.STATS_BLOCK_ROWS, 100])
+    def test_match_exact_sums_over_materialised_windows(self, monkeypatch, block_rows):
+        # two recordings cut at different strides, a third the subset skips,
+        # rows no window covers between covered ones, indices out of order
+        # with repeats, and runs of covered rows cut into pieces or not
+        monkeypatch.setattr(datapipe, "STATS_BLOCK_ROWS", block_rows)
+        recs = [recording(900, subject=s) for s in range(3)]
+        for k, rec in enumerate(recs):
+            rec.emg += 3.0 + np.arange(8) * (k + 1)
+        ws = concat_windows([make_windows(recs[0], stride=8),
+                             make_windows(recs[1], stride=5),
+                             make_windows(recs[2], stride=3)])
+        first = np.flatnonzero((ws.rec_index == 0)
+                               & ((ws.start_row < 200) | (ws.start_row > 600)))
+        second = np.flatnonzero(ws.rec_index == 1)
+        rng = make_rng(6)
+        idx = rng.permutation(np.concatenate([first, rng.permutation(second)[:60],
+                                              second[[3, 3, 3, 40, -1]]]))
+        stats = channel_stats(ws, idx)
+        flat = ws.materialize(idx)[0].reshape(-1, 8)
+        mean = np.array([math.fsum(col) / len(col) for col in flat.T])
+        std = np.sqrt([math.fsum((col - m) ** 2) / len(col) for col, m in zip(flat.T, mean)])
+        np.testing.assert_allclose(stats.mean, mean, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(stats.std, std, rtol=1e-14, atol=0)
+
+    def test_statistics_never_materialise_windows(self, monkeypatch):
+        def refuse(self, idx):
+            raise AssertionError("channel_stats materialised windows")
+
+        ws = make_windows(recording(600), stride=4)
+        expected = channel_stats(ws, np.arange(len(ws)))
+        monkeypatch.setattr(WindowSet, "materialize", refuse)
+        stats = channel_stats(ws, np.arange(len(ws)))
+        np.testing.assert_array_equal(stats.mean, expected.mean)
+        np.testing.assert_array_equal(stats.std, expected.std)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             channel_stats(make_windows(recording(128), stride=8), np.array([], dtype=np.int64))
 
-    @pytest.mark.parametrize("chunk", [4096, 40])
-    def test_squares_in_place_peak_and_bits(self, chunk):
-        # each chunk's squares are taken in its own materialised windows, not
-        # beside them: the peak stays near one chunk's window bytes, and the
-        # statistics are the ones squaring into a copy gives, bit for bit
-        ws = make_windows(recording(128 + 8 * 99), stride=8)
+    @pytest.mark.parametrize("block_rows", [4096, 40])
+    def test_squares_in_place_peak_and_bits(self, monkeypatch, block_rows):
+        # each piece's deviations are squared in place in one scratch array, not
+        # beside it: the peak stays near the tiled mean and scratch of one piece
+        # plus the per-row counts of the recording, and the statistics are the
+        # ones squaring into a copy gives, bit for bit
+        monkeypatch.setattr(datapipe, "STATS_BLOCK_ROWS", block_rows)
+        rec = recording(128 + 8 * 999)
+        rows = len(rec.emg)
+        ws = make_windows(rec, stride=8)
         idx = np.arange(len(ws))
         tracemalloc.start()
         try:
-            stats = channel_stats(ws, idx, chunk=chunk)
+            stats = channel_stats(ws, idx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * min(chunk, len(idx)) * datapipe.WINDOW_SIZE * 8 * 8
+        assert peak <= 2 * 8 * 8 * min(block_rows, rows) + 4 * 8 * (rows + 1)
 
-        count, total, total_sq = 0, np.zeros(8), np.zeros(8)
-        for lo in range(0, len(idx), chunk):
-            flat = ws.materialize(idx[lo:lo + chunk])[0].reshape(-1, 8)
-            count += len(flat)
-            total += flat.sum(axis=0)
-            total_sq += (flat ** 2).sum(axis=0)
-        mean = total / count
+        weights = np.zeros(rows)
+        for s in ws.start_row[idx]:
+            weights[s:s + datapipe.WINDOW_SIZE] += 1
+        pieces = [(rec.emg[a:a + block_rows], weights[a:a + block_rows])
+                  for a in range(0, rows, block_rows)]
+        count = len(idx) * datapipe.WINDOW_SIZE
+        mean = sum(w @ emg for emg, w in pieces) / count
+        dev, dev_sq = np.zeros(8), np.zeros(8)
+        for emg, w in pieces:
+            d = emg - mean
+            dev += w @ d
+            dev_sq += w @ (d ** 2)
         np.testing.assert_array_equal(stats.mean, mean)
-        np.testing.assert_array_equal(stats.std,
-                                      np.sqrt(np.maximum(total_sq / count - mean ** 2, 0.0)))
+        np.testing.assert_array_equal(
+            stats.std, np.sqrt(np.maximum(dev_sq - dev ** 2 / count, 0.0) / count))
+
+    def test_peak_is_rows_of_one_recording(self):
+        # stride 1 puts every row in 128 windows (160 MB of them materialised);
+        # the statistics read the rows, so the peak stays near one recording
+        recs = [recording(20_000, subject=s) for s in range(2)]
+        ws = concat_windows([make_windows(rec, stride=1) for rec in recs])
+        idx = np.arange(len(ws))
+        tracemalloc.start()
+        try:
+            channel_stats(ws, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * recs[0].emg.nbytes
 
 
 class TestFileFormats:

@@ -1,4 +1,3 @@
-import functools
 import tracemalloc
 
 import numpy as np
@@ -55,18 +54,16 @@ class TestPrepareRun:
         with pytest.raises(DataError, match="empty"):
             prepare_run(ws, datapipe.session_table(ws.recordings), small())
 
-    def test_target_statistics_do_not_materialise_windows(self, monkeypatch):
-        # channel_stats bounds its own peak by its chunk; a small chunk leaves
-        # the rest of prepare_run's peak in view, which must stay far below
-        # the 8 KiB per training window that materialising them would take
+    def test_target_statistics_do_not_materialise_windows(self):
+        # channel_stats reads recording rows, not windows, so prepare_run's
+        # peak must stay far below the 8 KiB per training window that
+        # materialising them would take
         rows = 60 * 200
         rng = np.random.default_rng(0)
         rec = datapipe.AlignedRecording(0, 0, np.arange(rows) * 5.0,
                                         rng.normal(size=(rows, 8)), rng.normal(size=(rows, 15)))
         ws = datapipe.make_windows(rec, stride=8)
         sessions = datapipe.session_table(ws.recordings)
-        monkeypatch.setattr(datapipe, "channel_stats",
-                            functools.partial(datapipe.channel_stats, chunk=32))
         tracemalloc.start()
         try:
             run = prepare_run(ws, sessions, small())

@@ -1,5 +1,9 @@
+import types
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myograsp import splits
 from myograsp.datapipe import AlignedRecording, concat_windows, make_windows
@@ -259,3 +263,22 @@ class TestMakeSplitAndAudit:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + len(ws)
         assert lines[0].startswith("sample_id,protocol,fold")
+
+
+ids = st.integers(0, 2 ** 31 - 1) | st.integers(0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows=st.lists(st.tuples(ids, ids), max_size=40),
+       table=st.lists(st.tuples(ids, ids), max_size=8))
+def test_session_keys_are_the_tables_and_cover_every_window(windows, table):
+    # the packed-id check agrees with a set of (subject, session) tuples
+    window_set = types.SimpleNamespace(
+        subject_ids=np.array([w[0] for w in windows], dtype=np.int32),
+        session_ids=np.array([w[1] for w in windows], dtype=np.int32))
+    sessions = [{"subject": a, "session": b} for a, b in table]
+    if set(windows) <= set(table):
+        assert splits._session_keys(window_set, sessions) == sorted(set(table))
+    else:
+        with pytest.raises(DataError, match="missing from the session table"):
+            splits._session_keys(window_set, sessions)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from fdcheck import max_array_rel_err
-from myograsp import cells, training
+from myograsp import cells, datapipe, training
 from myograsp.errors import NumericError
 from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
 from myograsp.training import (AdamState, EarlyStopper, TrainConfig, adam_step,
-                               cross_entropy_batch, mse_loss, predict, train)
+                               TargetStats, cross_entropy_batch, mse_loss, predict, train)
 from training_helpers import RAW_TARGETS, UNRUNNABLE, ArraySource, cross_entropy_loss
 
 
@@ -342,6 +342,32 @@ class TestPredict:
         predict(net, x[:64], chunk=64)   # warm-up outside the measurement
         one, four = peak_bytes(64), peak_bytes(4 * 64)
         assert four <= 1.1 * one, (one, four)
+
+    @pytest.mark.parametrize("cell", ["gru", "sru"])
+    def test_source_scored_chunk_by_chunk_equals_whole_split(self, cell):
+        # 600 windows span two gathers and three predict chunks, the last ones
+        # partial; the whole split materialised, normalised and predicted at
+        # once gives the same bits
+        cfg = NetworkConfig(cell_type=cell, hidden_size=6, num_recurrent_layers=2,
+                            predictor_hidden=8, output_angles=15)
+        net = Network.init(cfg, derive_rng(0, "predict-source", cell))
+        rows = 600 * 4 + datapipe.WINDOW_SIZE
+        rng = make_rng(7)
+        rec = datapipe.AlignedRecording(0, 0, np.arange(rows) * 5.0,
+                                        rng.normal(2.0, 3.0, size=(rows, 8)),
+                                        rng.normal(40.0, 9.0, size=(rows, 15)))
+        ws = datapipe.make_windows(rec, stride=4)
+        idx = make_rng(8).permutation(len(ws))[:600]
+        stats = datapipe.channel_stats(ws, idx)
+        target_stats = TargetStats(mean=np.full(15, 40.0), std=np.full(15, 9.0))
+
+        preds, ys = training.predict_source(net, datapipe.WindowSource(ws, idx, stats),
+                                            target_stats)
+        xs, expected_ys = ws.materialize(idx)
+        expected = target_stats.denormalize(predict(net, stats.apply(xs)))
+        assert len(idx) > training.SCORE_CHUNK
+        np.testing.assert_array_equal(preds, expected)
+        np.testing.assert_array_equal(ys, expected_ys)
 
 
 def test_gru_predict_peak_bounded_by_layer_states():
