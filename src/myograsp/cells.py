@@ -27,8 +27,9 @@ W_p x_t.  The SRU gates depend only on x_t, so the matrix products for every
 timestep are one batched GEMM over the stacked W|W_f|W_r(|W_p) before the
 light sequential scan over c_t (Lei et al., 2018).  The GRU likewise stacks
 W_z|W_r|W_h for the input side and U_z|U_r for the per-step recurrent gate
-products.  Stacks are built per call; the parameter dataclasses keep one
-array per matrix.
+products.  A call builds its stacks unless it is given them: the network's
+streamed inference builds them once per forward (``gate_stacks``) for all
+its blocks.  The parameter dataclasses keep one array per matrix.
 
 The GRU and the SRU store their recurrences time-major, in (T, B, .)
 buffers, so that each of their T sequential steps reads and writes
@@ -66,6 +67,15 @@ buffers-backed call is overwritten by the next call with the same
 buffers: a forward's outputs and trace stay valid until the next
 forward, a backward's ``dx`` until the next backward.  Without buffers,
 every call allocates its own arrays.
+
+A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
+which makes it a streamed call: the arrays that die with the call (the
+cast input block, the GRU's input slab, r * h and gates, the SRU's gate
+slab, c_t, tanh(c_t) and scan scratch) come from it, so one scratch
+serves every layer of a network's inference, and the GRU keeps its gates
+for one step only.  Its trace then serves ``final_state`` until the next
+call with that scratch, and no backward.  A backward's ``input_grad=False``
+skips ``dx``, which nothing reads below the bottom layer.
 """
 
 from __future__ import annotations
@@ -97,6 +107,7 @@ __all__ = [
     "cell_forward",
     "cell_backward",
     "final_state",
+    "gate_stacks",
 ]
 
 
@@ -195,10 +206,10 @@ def _check_seq(x: np.ndarray, input_dim: int, who: str) -> np.ndarray:
 def _init_state(state, batch: int, hidden: int, dtype, who: str) -> np.ndarray:
     if state is None:
         return np.zeros((batch, hidden), dtype)
-    state = np.asarray(state, dtype=dtype)
+    state = np.asarray(state, dtype=dtype)   # only read: no copy
     if state.shape != (batch, hidden):
         raise ValueError(f"{who}: initial state shape {state.shape} != ({batch}, {hidden})")
-    return state.copy()
+    return state
 
 
 # time steps per input-side GEMM of every cell, per block of the SRU's
@@ -231,6 +242,23 @@ def _empty(buffers: Buffers | None, name: str, shape: tuple, dtype) -> np.ndarra
     return np.empty(shape, dtype) if buffers is None else buffers.array(name, shape, dtype)
 
 
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """(T, B, .) <-> (B, T, .) as a view."""
+    return a.transpose(1, 0, 2)
+
+
+def _time_major(x: np.ndarray, dtype, scratch: Buffers | None) -> np.ndarray:
+    """(B, T, D) ``x`` as a C-contiguous (T, B, D) array of ``dtype``: a view
+    when it already is one (a GRU or SRU layer's output), else a cast copy,
+    in ``scratch`` if given."""
+    xt = _batch_major(x)
+    if xt.dtype == dtype and xt.flags.c_contiguous:
+        return xt
+    out = _empty(scratch, "x", xt.shape, dtype)
+    np.copyto(out, xt, casting="unsafe")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # vanilla RNN
 # ---------------------------------------------------------------------------
@@ -251,10 +279,14 @@ def _blockwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
-                    buffers: Buffers | None = None):
+                    buffers: Buffers | None = None, scratch: Buffers | None = None,
+                    stacks=None):
     """Run the vanilla cell over a sequence batch.
 
-    Returns (outputs, trace) with outputs of shape (B, T, D_out).
+    Returns (outputs, trace) with outputs of shape (B, T, D_out).  The
+    vanilla cell has no gate stacks and, as nothing runs it at scale,
+    takes no ``scratch``: both are accepted only to share the GRU's and
+    the SRU's signature.
     """
     dtype = params.W_h.dtype
     x = _check_seq(x, params.W_h.shape[1], "vanilla_forward").astype(dtype, copy=False)
@@ -275,11 +307,11 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
 
 
 def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
-                     buffers: Buffers | None = None):
+                     buffers: Buffers | None = None, input_grad: bool = True):
     """BPTT through the vanilla cell.
 
     ``dy`` holds the loss gradient w.r.t. every output y_t, shape (B, T, O).
-    Returns (grads, dx, dh0).
+    Returns (grads, dx, dh0), ``dx`` None with ``input_grad=False``.
     """
     x, hs = trace.x, trace.hs
     B, T, D = x.shape
@@ -312,7 +344,7 @@ def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
         W_y=dy2.T @ h_out.reshape(B * T, H),
         b_y=dy2.sum(axis=0, keepdims=True),
     )
-    dx = (da2 @ params.W_h).reshape(B, T, D)
+    dx = (da2 @ params.W_h).reshape(B, T, D) if input_grad else None
     return grads, dx, dh0
 
 
@@ -330,12 +362,17 @@ class GruTrace(_ArrayFields):
     hc: np.ndarray    # (B, T, H) tanh candidate
 
 
-def _batch_major(a: np.ndarray) -> np.ndarray:
-    """(T, B, .) <-> (B, T, .) as a view."""
-    return a.transpose(1, 0, 2)
+def _gru_stacks(params: GruParams):
+    """W_z|W_r|W_h as one (D, 3H) matrix, the biases as (1, 3, H), U_z|U_r
+    as (2, H, H) and U_h transposed: the matrices a GRU forward computes with."""
+    W = np.concatenate([params.W_z, params.W_r, params.W_h]).T
+    b = np.stack([params.b_z, params.b_r, params.b_h], axis=1)
+    U_zr = np.stack([params.U_z.T, params.U_r.T])
+    return W, b, U_zr, params.U_h.T
 
 
-def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | None = None):
+def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | None = None,
+                scratch: Buffers | None = None, stacks=None):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
     The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
@@ -347,6 +384,9 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     ``h @ U_r.T`` straight into its (2, B, H) gate block and does its
     elementwise work in place, with no per-step temporaries.  The outputs
     and the trace fields are (B, T, .) views of the time-major buffers.
+    A streamed call (given ``scratch``) keeps z, r and the candidate for
+    one step only, in ``scratch``: the loop indexes them modulo their
+    length.
     """
     dtype = params.W_z.dtype
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
@@ -354,19 +394,17 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     H = params.W_z.shape[0]
     h0 = _init_state(h0, B, H, dtype, "gru_forward")
 
-    xt = np.ascontiguousarray(_batch_major(x), dtype=dtype)
-    W = np.concatenate([params.W_z, params.W_r, params.W_h]).T
-    b = np.stack([params.b_z, params.b_r, params.b_h], axis=1)
-    U_zr = np.stack([params.U_z.T, params.U_r.T])   # (2, H, H)
-    U_h = params.U_h.T
+    xt = _time_major(x, dtype, scratch)
+    W, b, U_zr, U_h = _gru_stacks(params) if stacks is None else stacks
+    kept, held = (T, buffers) if scratch is None else (1, scratch)
 
-    # scratch first, the states (they outlive the call) last: freed scratch
-    # then lies below live memory, where the allocator reuses it instead of
-    # returning it to the OS, and calls per block fault in no fresh pages
-    xg = np.empty((min(BLOCK, T), B, 3, H), dtype)   # input side of BLOCK steps
-    rh = np.empty((B, H), dtype)                     # r_t * h_{t-1}
-    zr = _empty(buffers, "zr", (T, 2, B, H), dtype)   # z_t, r_t
-    hc = _empty(buffers, "hc", (T, B, H), dtype)
+    # without a workspace, scratch first and the states (they outlive the
+    # call) last: freed scratch then lies below live memory, where the
+    # allocator reuses it instead of returning it to the OS
+    xg = _empty(scratch, "xg", (min(BLOCK, T), B, 3, H), dtype)   # input side of BLOCK steps
+    rh = _empty(scratch, "rh", (B, H), dtype)                     # r_t * h_{t-1}
+    zr = _empty(held, "zr", (kept, 2, B, H), dtype)               # z_t, r_t
+    hc = _empty(held, "hc", (kept, B, H), dtype)
     hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
     hs[0] = h0
     for t in range(T):
@@ -376,12 +414,12 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
             np.matmul(xt[t:t + n].reshape(n * B, D), W, out=xg[:n].reshape(n * B, 3 * H))
             xg[:n] += b
         h = hs[t]
-        zr_t = np.matmul(h, U_zr, out=zr[t])
+        zr_t = np.matmul(h, U_zr, out=zr[t % kept])
         zr_t += xg[k, :, :2].swapaxes(0, 1)
         sigmoid(zr_t, out=zr_t)
         z_t, r_t = zr_t
         np.multiply(r_t, h, out=rh)
-        hc_t = np.matmul(rh, U_h, out=hc[t])
+        hc_t = np.matmul(rh, U_h, out=hc[t % kept])
         hc_t += xg[k, :, 2]
         np.tanh(hc_t, out=hc_t)
         # h_t = h + z_t * (hc_t - h)
@@ -395,14 +433,15 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
-                 buffers: Buffers | None = None):
+                 buffers: Buffers | None = None, input_grad: bool = True):
     """BPTT through the GRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
     Returns (grads, dx, dh0).  Runs time-major like the forward: the trace
     fields and ``dh_up`` are read as (T, B, .) views, and each step works
     in place in its (B, 3H) block of the gate pre-activation gradient
     buffer and a few reused (B, H) arrays.  The weight gradients are
-    stacked GEMMs after the loop, and ``dx`` is a (B, T, D) view.
+    stacked GEMMs after the loop, and ``dx`` is a (B, T, D) view, or None
+    with ``input_grad=False``, which skips its GEMM.
     """
     B, T, D = trace.x.shape
     H = trace.z.shape[2]
@@ -464,6 +503,8 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
         W_r=dW[H:2 * H], U_r=dU_zr[H:], b_r=db[:, H:2 * H],
         W_h=dW[2 * H:], U_h=da2[:, 2 * H:].T @ rh2, b_h=db[:, 2 * H:],
     )
+    if not input_grad:
+        return grads, None, dh
     dx = _empty(buffers, "dx", (T, B, D), dtype)
     np.matmul(da2, np.concatenate([params.W_z, params.W_r, params.W_h]),
               out=dx.reshape(T * B, D))
@@ -485,7 +526,17 @@ class SruTrace(_ArrayFields):
     tanh_c: np.ndarray  # (B, T, H)
 
 
-def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | None = None):
+def _sru_stacks(params: SruParams):
+    """W|W_f|W_r(|W_p) transposed as one (k, D, H) stack and the gate biases
+    as (2, 1, 1, H): the matrices an SRU forward computes with."""
+    weights = [params.W, params.W_f, params.W_r]
+    if params.W_p is not None:
+        weights.append(params.W_p)
+    return np.stack([w.T for w in weights]), np.stack([params.b_f, params.b_r])[:, None]
+
+
+def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | None = None,
+                scratch: Buffers | None = None, stacks=None):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
     Runs time-major like ``gru_forward``: ``x`` is copied once into a
@@ -496,32 +547,29 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     gate biases and sigmoids are applied in place; only the elementwise
     c_t scan is sequential, and it steps over contiguous (B, H) blocks.
     The outputs and the trace fields are (B, T, .) views of the time-major
-    buffers.
+    buffers, or of ``scratch`` in a streamed call (given it).
     """
     dtype = params.W.dtype
     x = _check_seq(x, params.W.shape[1], "sru_forward")
     B, T, D = x.shape
     H = params.W.shape[0]
     c0 = _init_state(c0, B, H, dtype, "sru_forward")
-
-    weights = [params.W, params.W_f, params.W_r]
-    if params.W_p is not None:
-        weights.append(params.W_p)
-    elif D != H:
+    if params.W_p is None and D != H:
         raise ValueError(
             f"sru: highway needs input dim == hidden dim ({D} != {H}) "
             "or a projection matrix W_p")
-    k = len(weights)
-    xt = np.ascontiguousarray(_batch_major(x), dtype=dtype)
-    W = np.stack([w.T for w in weights])                 # (k, D, H)
-    b = np.stack([params.b_f, params.b_r])[:, None]      # (2, 1, 1, H)
+
+    xt = _time_major(x, dtype, scratch)
+    W, b = _sru_stacks(params) if stacks is None else stacks
+    k = len(W)
+    held = buffers if scratch is None else scratch
 
     # scratch first and the states last, as in gru_forward
-    tmp = np.empty((min(BLOCK, T), B, H), dtype)
-    fc = np.empty((B, H), dtype)              # f_t * c_{t-1}
-    slab = _empty(buffers, "slab", (k, T, B, H), dtype)   # xhat, f, r (, W_p x)
-    cs = _empty(buffers, "cs", (T + 1, B, H), dtype)
-    tanh_c = _empty(buffers, "tanh_c", (T, B, H), dtype)
+    tmp = _empty(scratch, "tmp", (min(BLOCK, T), B, H), dtype)
+    fc = _empty(scratch, "fc", (B, H), dtype)              # f_t * c_{t-1}
+    slab = _empty(held, "slab", (k, T, B, H), dtype)       # xhat, f, r (, W_p x)
+    cs = _empty(held, "cs", (T + 1, B, H), dtype)
+    tanh_c = _empty(held, "tanh_c", (T, B, H), dtype)
     hs = _empty(buffers, "hs", (T, B, H), dtype)
     cs[0] = c0
     for lo in range(0, T, BLOCK):
@@ -556,7 +604,7 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
 
 
 def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
-                 buffers: Buffers | None = None):
+                 buffers: Buffers | None = None, input_grad: bool = True):
     """BPTT through the SRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
     Returns (grads, dx, dc0).  Runs time-major like the forward: the trace
@@ -566,7 +614,8 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
     before, so dLoss/dc_t needs one block of scratch.  The gradients of
     xhat, the f and r pre-activations and the highway input go gate-major
     into one (4, T, B, H) buffer, so after the loop the weight gradients
-    are one batched GEMM, and ``dx`` is a (B, T, D) view.
+    are one batched GEMM, and ``dx`` is a (B, T, D) view, or None with
+    ``input_grad=False``, which skips its GEMMs.
     """
     B, T, D = trace.x.shape
     H = trace.f.shape[2]
@@ -620,6 +669,8 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
     db = da2[1:3].sum(axis=1, keepdims=True)
     grads = SruParams(W=dW[0], W_f=dW[1], b_f=db[0], W_r=dW[2], b_r=db[1],
                       W_p=dW[3] if params.W_p is not None else None)
+    if not input_grad:
+        return grads, None, carry
     dx = _empty(buffers, "dx", (T, B, D), dtype)
     term = _empty(buffers, "dx_term", (T * B, D), dtype)
     dx2 = np.matmul(da2[0], params.W, out=dx.reshape(T * B, D))
@@ -633,11 +684,11 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
 # dispatch helpers used by the network module
 # ---------------------------------------------------------------------------
 
-# parameter type -> (forward, backward, trace type)
+# parameter type -> (forward, backward, trace type, gate stacks)
 _CELLS = {
-    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace),
-    GruParams: (gru_forward, gru_backward, GruTrace),
-    SruParams: (sru_forward, sru_backward, SruTrace),
+    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace, lambda params: None),
+    GruParams: (gru_forward, gru_backward, GruTrace, _gru_stacks),
+    SruParams: (sru_forward, sru_backward, SruTrace, _sru_stacks),
 }
 
 
@@ -648,10 +699,18 @@ def _cell(params: CellParams):
         raise TypeError(f"unknown cell parameter type {type(params)}") from None
 
 
+def gate_stacks(params: CellParams):
+    """The stacked gate matrices a forward over ``params`` computes with
+    (None for the vanilla cell): built once, they serve every block of a
+    streamed pass as its ``stacks``, until the parameters change."""
+    return _cell(params)[3](params)
+
+
 def cell_forward(params: CellParams, x: np.ndarray, state0=None,
-                 buffers: Buffers | None = None):
+                 buffers: Buffers | None = None, scratch: Buffers | None = None,
+                 stacks=None):
     """Dispatch to the matching forward pass."""
-    return _cell(params)[0](params, x, state0, buffers)
+    return _cell(params)[0](params, x, state0, buffers, scratch, stacks)
 
 
 def final_state(trace) -> np.ndarray:
@@ -661,10 +720,10 @@ def final_state(trace) -> np.ndarray:
 
 
 def cell_backward(trace, params: CellParams, upstream: np.ndarray,
-                  buffers: Buffers | None = None):
+                  buffers: Buffers | None = None, input_grad: bool = True):
     """Dispatch to the matching backward pass; trace and params must pair up."""
-    _, backward, trace_type = _cell(params)
+    _, backward, trace_type, _ = _cell(params)
     if not isinstance(trace, trace_type):
         raise TypeError(f"trace/params mismatch: {type(params).__name__} "
                         f"need a {trace_type.__name__}")
-    return backward(trace, params, upstream, buffers)
+    return backward(trace, params, upstream, buffers, input_grad)

@@ -172,7 +172,11 @@ def lowpass(values: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarray
     if values.shape[0] <= 3 * max(len(a), len(b)):
         raise DataError(f"{values.shape[0]} rows are too few for zero-phase "
                         f"filtering at order {FILTER_ORDER}")
-    return filtfilt(b, a, values, axis=0)
+    try:
+        return filtfilt(b, a, values, axis=0)
+    except np.linalg.LinAlgError as exc:   # a cutoff too far below the rate
+        raise DataError(f"cannot low-pass at {cutoff} Hz from a sample rate of "
+                        f"{sample_rate} Hz: {exc}") from exc
 
 
 def filter_recording(rec: AlignedRecording, sample_rate: float) -> AlignedRecording:

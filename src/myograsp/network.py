@@ -7,8 +7,10 @@ two-layer predictor head (ReLU hidden, linear output over the joint
 angles) and, optionally, a two-layer domain discriminator behind a
 gradient reversal layer: the identity going forward, a negation going
 back, which makes the feature extractor adversarial to the domain
-classifier.  Each network owns its training workspace, one grow-only
-``cells.Buffers`` per layer for the traced forward and the backward.
+classifier.  Each network owns two workspaces of grow-only
+``cells.Buffers``: for training, one per layer for the traced forward and
+the backward; for inference, one per layer for its block output and the
+state it carries, and one scratch shared by all layers.
 
 The network computes in float32, the dtype of its parameters: the forward
 and the backward follow the predictor's dtype, and incoming windows and
@@ -91,11 +93,12 @@ def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
 
 
 def _block_forward(layer, seq: np.ndarray, state, traces: list | None,
-                   buffers: cells.Buffers | None = None):
+                   buffers: cells.Buffers | None = None, scratch: cells.Buffers | None = None,
+                   stacks=None):
     """One layer over one block from its carried state; returns the block's
     outputs and the state it leaves.  The trace goes to ``traces`` if given,
     else it is dropped here."""
-    out, trace = cells.cell_forward(layer, seq, state, buffers)
+    out, trace = cells.cell_forward(layer, seq, state, buffers, scratch, stacks)
     if traces is not None:
         traces.append(trace)
     return out, cells.final_state(trace)
@@ -116,9 +119,14 @@ class Network:
     layers: list = field(default_factory=list)          # cell params per layer
     predictor: HeadParams | None = None
     discriminator: HeadParams | None = None
-    # the training workspace, one cells.Buffers per layer for the network's
-    # lifetime; state, not a parameter or a setting, and not checkpointed
+    # the workspaces, kept for the network's lifetime: state, not parameters
+    # or settings, and not checkpointed.  Training: one cells.Buffers per
+    # layer.  Inference: one per layer for its block output and carried
+    # state, and one shared by all layers for what dies within a block call
     buffers: list = field(default_factory=list, repr=False, compare=False)
+    stream_buffers: list = field(default_factory=list, repr=False, compare=False)
+    stream_scratch: cells.Buffers = field(default_factory=cells.Buffers, repr=False,
+                                          compare=False)
 
     # -- construction -------------------------------------------------------
 
@@ -140,6 +148,7 @@ class Network:
             else:
                 net.layers.append(cells.init_sru(in_dim, config.hidden_size, rng))
             net.buffers.append(cells.Buffers())
+            net.stream_buffers.append(cells.Buffers())
             in_dim = config.hidden_size
         net.predictor = init_head(config.hidden_size, config.predictor_hidden,
                                   config.output_angles, rng)
@@ -183,11 +192,15 @@ class Network:
         buffer is built; the outputs are bit-identical to the traced pass,
         which is the same loop over one block of T steps.
 
-        The traced pass takes its trace arrays from the network's own
+        The traced pass takes its trace arrays from the network's training
         workspace, ``self.buffers``, and :meth:`backward` its gradient
         arrays, so a trace stays valid until the network's next traced
         forward, and the ``dx`` its backward leaves until the next
-        backward.  Inference does not touch the workspace.
+        backward.  Inference runs in a workspace of its own, so it
+        changes no trace: every block call of every layer takes its
+        scratch from ``self.stream_scratch``, and writes its block output
+        to the layer's ``self.stream_buffers``, where the state it leaves
+        is copied too.  The gate stacks are built once per call.
 
         Windows beyond the parameters' dtype range (float32's 3.4e38) raise
         NumericError: cast, they would turn into infinities.
@@ -203,16 +216,26 @@ class Network:
             raise NumericError(f"windows exceed the {dtype} range of the network")
 
         B, T, _ = x.shape
+        H = self.config.hidden_size
         pool = self.config.cell_type == "sru"
-        total = np.zeros((B, self.config.hidden_size), dtype)   # the pool's running sum
-        traces = [] if keep_trace else None
-        states = [None] * len(self.layers)
-        step = T if keep_trace else cells.BLOCK
+        total = np.zeros((B, H), dtype)   # the pool's running sum
+        if keep_trace:
+            step, traces, buffers, scratch = T, [], self.buffers, None
+            states = stacks = [None] * len(self.layers)   # one call per layer
+        else:
+            step, traces, buffers, scratch = (cells.BLOCK, None, self.stream_buffers,
+                                              self.stream_scratch)
+            stacks = [cells.gate_stacks(layer) for layer in self.layers]
+            states = [b.array("state", (B, H), dtype) for b in buffers]
+            for state in states:
+                state.fill(0.0)
         for lo in range(0, T, step):
             seq = x[:, lo:lo + step]
             for i, layer in enumerate(self.layers):
-                seq, states[i] = _block_forward(layer, seq, states[i], traces,
-                                                self.buffers[i] if keep_trace else None)
+                seq, final = _block_forward(layer, seq, states[i], traces, buffers[i], scratch,
+                                            stacks[i])
+                if not keep_trace:   # copied out before the next call reuses the scratch
+                    np.copyto(states[i], final)
             if pool:
                 _pool_sum(total, seq)
         feat = total / T if pool else seq[:, -1, :].copy()
@@ -285,8 +308,8 @@ class Network:
 
         upstream = dseq
         for i in range(len(self.layers) - 1, -1, -1):
-            layer_grads, dx, _ = cells.cell_backward(
-                trace.cell_traces[i], self.layers[i], upstream, self.buffers[i])
+            layer_grads, dx, _ = cells.cell_backward(   # nothing reads layer 0's dx
+                trace.cell_traces[i], self.layers[i], upstream, self.buffers[i], i > 0)
             grads.update({f"layer{i}.{n}": a for n, a in layer_grads.named()})
             upstream = dx
         return grads

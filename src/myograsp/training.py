@@ -46,17 +46,10 @@ __all__ = [
     "predict",
     "predict_source",
     "PREDICT_CHUNK",
-    "SCORE_CHUNK",
 ]
 
-# windows per untraced forward of ``predict``
+# windows per untraced forward of ``predict``, and per gather of ``predict_source``
 PREDICT_CHUNK = 256
-# windows ``predict_source`` gathers at a time.  Gathering one predict chunk
-# (2 MB of float64 windows) left glibc's dynamic trim threshold below the
-# untraced forward's per-block working set, so every block returned and
-# re-faulted the heap top: a fresh-process evaluate of 3,695 windows with a
-# 64-unit SRU took 64k minor faults and about 8% more time, 17-19k at two.
-SCORE_CHUNK = 2 * PREDICT_CHUNK
 
 
 @dataclass
@@ -251,8 +244,9 @@ def predict(net: Network, x: np.ndarray, chunk: int = PREDICT_CHUNK) -> np.ndarr
     """Batched inference over (N, T, C) windows; returns (N, angles).
 
     Runs the untraced forward, which streams each chunk through the layer
-    stack one block of ``cells.BLOCK`` steps at a time, so peak memory is
-    one block of one chunk, whatever the window length and chunk count.
+    stack one block of ``cells.BLOCK`` steps at a time in the network's
+    inference workspace, so peak memory is that workspace, sized by one
+    block of one chunk, whatever the window length and chunk count.
     """
     outs = [net.forward(x[lo:lo + chunk], keep_trace=False)[0]
             for lo in range(0, len(x), chunk)]
@@ -262,14 +256,14 @@ def predict(net: Network, x: np.ndarray, chunk: int = PREDICT_CHUNK) -> np.ndarr
 def predict_source(net: Network, source, target_stats: TargetStats):
     """(predictions, targets) in angle units over every window of a source.
 
-    The one way a split is scored: each ``SCORE_CHUNK`` of windows is
+    The one way a split is scored: each ``PREDICT_CHUNK`` of windows is
     gathered, normalised and predicted before the next, so the split is
     never held whole, and the predictions equal ``predict`` over the whole
     normalised split bit for bit.
     """
     preds, targets = [], []
-    for lo in range(0, len(source), SCORE_CHUNK):
-        x, y, _ = source.batch(np.arange(lo, min(lo + SCORE_CHUNK, len(source))))
+    for lo in range(0, len(source), PREDICT_CHUNK):
+        x, y, _ = source.batch(np.arange(lo, min(lo + PREDICT_CHUNK, len(source))))
         preds.append(target_stats.denormalize(predict(net, x)))
         targets.append(y)
         del x   # else it lives on while the next chunk is gathered

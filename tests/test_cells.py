@@ -415,12 +415,18 @@ def test_split_forward_from_carried_state_is_bit_identical(kind, k):
 
 def stream_untraced(params, x, state0):
     """Run one layer over ``x`` the way ``Network.forward(keep_trace=False)``
-    does: one block of BLOCK steps at a time from the carried state, no
-    trace kept."""
-    outs, state = [], state0
+    does: one block of BLOCK steps at a time in one reused workspace (a
+    Buffers for the block outputs, one for scratch, the gate stacks built
+    once), from the state copied into an array of its own, no trace kept."""
+    buffers, scratch, stacks = cells.Buffers(), cells.Buffers(), cells.gate_stacks(params)
+    H = next(iter(params.named()))[1].shape[0]
+    state = np.zeros((x.shape[0], H)) if state0 is None else state0.copy()
+    outs = []
     for lo in range(0, x.shape[1], cells.BLOCK):
-        out, state = _block_forward(params, x[:, lo:lo + cells.BLOCK], state, None)
-        outs.append(out)
+        out, final = _block_forward(params, x[:, lo:lo + cells.BLOCK], state, None,
+                                    buffers, scratch, stacks)
+        outs.append(out.copy())   # the next block overwrites it
+        np.copyto(state, final)
     return np.concatenate(outs, axis=1), state
 
 

@@ -344,7 +344,7 @@ class TestEvaluate:
         assert code == cli.EXIT_CONFIG
 
     def test_chunked_scoring_equals_whole_split(self, long_split, tmp_path):
-        # evaluate scores a few predict chunks at a time; the rows and the dump
+        # evaluate scores one predict chunk at a time; the rows and the dump
         # equal, byte for byte, those of the whole split materialised,
         # normalised and predicted at once under the same checkpoint
         archive, checkpoint, test_idx = long_split
@@ -357,7 +357,7 @@ class TestEvaluate:
         ws, _ = datapipe.load_archive(archive)
         xs, ys = ws.materialize(test_idx)
         preds = target_stats.denormalize(training.predict(net, stats.apply(xs)))
-        assert len(test_idx) > 2 * training.SCORE_CHUNK
+        assert len(test_idx) > 4 * training.PREDICT_CHUNK
         expected_results = tmp_path / "expected.csv"
         cli.append_results(expected_results, [
             [metric, "sru", "inter-subject", "false", 0, 0, f"{value:.10g}"]

@@ -185,6 +185,12 @@ class TestLowpass:
         with pytest.raises(ValueError, match="Nyquist"):
             lowpass(np.zeros(100), 200.0, 100.0)
 
+    def test_degenerate_filter_is_a_data_error(self):
+        # a manifest rate of 10 MHz puts a 4 Hz cutoff where the filter's
+        # initial-state solve is singular: a DataError (exit 3), not a crash
+        with pytest.raises(DataError, match="cannot low-pass"):
+            lowpass(make_rng(2).normal(size=(500, 8)), 1e7, 4.0)
+
 
 def recording(rows, n_angles=15, subject=0, session=0, t0=0.0):
     ts = t0 + np.arange(rows) * 5.0

@@ -207,6 +207,27 @@ class TestBuffers:
                 if name != "x":   # layer 0's input is the caller's
                     assert any(np.shares_memory(a, b) for _, a in layer_full.named()), name
 
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_inference_between_forward_and_backward_changes_no_gradient(self, cell):
+        # inference runs in a workspace of its own: a streamed forward between
+        # a traced forward and its backward leaves the trace and every
+        # gradient as they were
+        cfg = small_config(cell, disc=True)
+        rng = derive_rng(2, "stream-between", cell)
+        x, labels = rng.normal(size=(5, 2 * cells.BLOCK + 3, 3)), rng.integers(0, 3, size=5)
+        other = rng.normal(size=(7, 3 * cells.BLOCK + 1, 3))
+        net = Network.init(cfg, derive_rng(0, "stream-between", cell))
+        angles, logits, trace = net.forward(x)
+        net.forward(other, keep_trace=False)
+        _, dangles = mse_loss(angles, np.zeros_like(angles))
+        _, dlogits = cross_entropy_batch(logits, labels)
+        grads = net.backward(trace, dangles, dlogits)
+        twin = Network.init(cfg, derive_rng(0, "stream-between", cell))
+        expected = self.step(twin, x, labels)[2]
+        assert grads.keys() == expected.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, expected[name], err_msg=name)
+
 
 class TestBackward:
     def setup_case(self, cell="gru", seed=7):

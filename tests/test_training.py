@@ -252,9 +252,12 @@ class TestTrainLoop:
             calls.append(list(seen))
         first, second = calls
         assert len(first) == len(second) == 4
+        # layer 1's backward, then layer 0's, which computes no dx
+        assert [a["dx"] is None for a in first + second] == [False, True] * 4
         for a, b in zip(first, second):
             for name in a.keys() - {"x"}:   # layer 0's input is the batch's
-                assert np.shares_memory(a[name], b[name]), name
+                if a[name] is not None:
+                    assert np.shares_memory(a[name], b[name]), name
 
         fresh, _ = tiny_setup(seed=7)
         for _ in range(2):
@@ -327,11 +330,13 @@ class TestPredict:
 
     @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_peak_memory_independent_of_chunk_count(self, cell):
-        # no chunk's activations may outlive it: four chunks peak where one does
-        net = self.net(cell, hidden=32)
+        # no chunk's activations may outlive it: four chunks peak where one
+        # does, each measured on a fresh network, whose inference workspace
+        # grows inside the measurement
         x = make_rng(2).normal(size=(4 * 64, 48, 3))
 
         def peak_bytes(n):
+            net = self.net(cell, hidden=32)
             tracemalloc.start()
             try:
                 predict(net, x[:n], chunk=64)
@@ -339,13 +344,23 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
 
-        predict(net, x[:64], chunk=64)   # warm-up outside the measurement
         one, four = peak_bytes(64), peak_bytes(4 * 64)
         assert four <= 1.1 * one, (one, four)
 
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_reused_workspace_is_bit_identical_to_fresh(self, cell):
+        # one network's inference workspace serves chunks of 256, 7 and 256
+        # windows (a partial last block each); a fresh network per call
+        # gives the same bits
+        x = make_rng(5).normal(size=(256, 2 * cells.BLOCK + 3, 3))
+        net = self.net(cell, hidden=6)
+        for n in (256, 7, 256):
+            got = predict(net, x[:n])
+            np.testing.assert_array_equal(got, predict(self.net(cell, hidden=6), x[:n]))
+
     @pytest.mark.parametrize("cell", ["gru", "sru"])
     def test_source_scored_chunk_by_chunk_equals_whole_split(self, cell):
-        # 600 windows span two gathers and three predict chunks, the last ones
+        # 600 windows span three gathers of one predict chunk each, the last
         # partial; the whole split materialised, normalised and predicted at
         # once gives the same bits
         cfg = NetworkConfig(cell_type=cell, hidden_size=6, num_recurrent_layers=2,
@@ -365,51 +380,69 @@ class TestPredict:
                                             target_stats)
         xs, expected_ys = ws.materialize(idx)
         expected = target_stats.denormalize(predict(net, stats.apply(xs)))
-        assert len(idx) > training.SCORE_CHUNK
+        assert len(idx) > 2 * training.PREDICT_CHUNK
         np.testing.assert_array_equal(preds, expected)
         np.testing.assert_array_equal(ys, expected_ys)
 
 
-def test_gru_predict_peak_bounded_by_layer_states():
-    # an untraced GRU layer keeps alive its states (T+1, B, H), which are its
-    # output, and one slab of BLOCK steps' input-side products, but no gates:
-    # two layers' states and a slab stay under three state buffers, where
-    # full traces (input slab, gates, candidates) would peak near eight
-    B, T, H = 64, 128, 32
-    cfg = NetworkConfig(cell_type="gru", input_channels=3, hidden_size=H,
-                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
-    net = Network.init(cfg, derive_rng(0, "predict-peak"))
-    x = make_rng(3).normal(size=(B, T, 3))
-    predict(net, x, chunk=B)   # warm-up outside the measurement
+def first_predict_peak(net, x):
+    """tracemalloc peak of the first ``predict`` on a fresh network, the
+    growth of its inference workspace included."""
+    assert not net.stream_scratch._flat
     tracemalloc.start()
     try:
-        predict(net, x, chunk=B)
-        peak = tracemalloc.get_traced_memory()[1]
+        predict(net, x, chunk=len(x))
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    states = (T + 1) * B * H * 8
-    assert peak <= 3 * states, peak / states
+
+
+PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D = 64, 128, 32, 3
+
+
+def design_bound(net, scratch, block_output):
+    """Bytes the untraced forward holds by design, given its scratch and one
+    layer's block output in float32 elements: one set of scratch shared by
+    the two layers, and per layer its block output and the (B, H) state it
+    carries; the gate stacks are a copy of the layers' parameters, and 12
+    (B, H) cover the heads' few (B, .) arrays and the buffers of the
+    windows' cast to float32."""
+    B, H = PREDICT_B, PREDICT_H
+    layers = sum(a.size for n, a in net.named_params() if n.startswith("layer"))
+    return 4 * (scratch + 2 * (block_output + B * H) + layers + 12 * B * H)
+
+
+def test_gru_predict_peak_bounded_by_layer_states():
+    # a streamed GRU layer keeps its block output h_0..h_BLOCK and its
+    # carried state; the cast input block, the input slab of BLOCK steps,
+    # r * h and one step of z, r and the candidate are scratch shared by
+    # both layers.  Scratch per layer, or gates kept for a whole block,
+    # break the bound
+    B, T, H, D = PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D
+    cfg = NetworkConfig(cell_type="gru", input_channels=D, hidden_size=H,
+                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
+    net = Network.init(cfg, derive_rng(0, "predict-peak"))
+    peak = first_predict_peak(net, make_rng(3).normal(size=(B, T, D)))
+    scratch = cells.BLOCK * B * (D + 3 * H) + B * H + 3 * B * H   # x, slab, r*h, z|r, candidate
+    bound = design_bound(net, scratch, (cells.BLOCK + 1) * B * H)
+    assert peak <= bound, (peak, bound)
 
 
 def test_sru_predict_peak_bounded_by_layer_states():
-    # an untraced SRU layer keeps alive its states (T, B, H), which are its
-    # output, and one block of gates, c_t and tanh(c_t), but no full slab:
-    # two layers' states and a block stay under three state buffers, where
-    # full traces (input slab, c_t, tanh(c_t)) would peak near eight
-    B, T, H = 64, 128, 32
-    cfg = NetworkConfig(cell_type="sru", input_channels=3, hidden_size=H,
+    # a streamed SRU layer keeps its block output and its carried c; the
+    # cast input block, the gate slab (four gates in layer 0, which
+    # projects its highway input), c_t, tanh(c_t) and the scan's scratch
+    # are shared by both layers.  Scratch per layer breaks the bound
+    B, T, H, D = PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D
+    cfg = NetworkConfig(cell_type="sru", input_channels=D, hidden_size=H,
                         num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
     net = Network.init(cfg, derive_rng(0, "predict-peak"))
-    x = make_rng(3).normal(size=(B, T, 3))
-    predict(net, x, chunk=B)   # warm-up outside the measurement
-    tracemalloc.start()
-    try:
-        predict(net, x, chunk=B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    states = T * B * H * 8
-    assert peak <= 3 * states, peak / states
+    peak = first_predict_peak(net, make_rng(3).normal(size=(B, T, D)))
+    n = cells.BLOCK
+    # x, slab, c_t (with c_{t-1}), tanh(c_t) and tmp, f * c
+    scratch = n * B * D + 4 * n * B * H + (n + 1) * B * H + 2 * n * B * H + B * H
+    bound = design_bound(net, scratch, n * B * H)
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
@@ -435,35 +468,33 @@ def test_training_and_inference_stay_float32(cell, monkeypatch):
     arrays = [(f"parameter {n}", a) for n, a in net.named_params()]
     arrays += [(f"gradient {n}", a) for n, a in step_grads[0].items()]
     arrays += [(f"adam {k} {n}", a) for k in ("m", "v") for n, a in getattr(states[0], k).items()]
-    arrays += [(f"buffers[{i}] {n}", a) for i, b in enumerate(net.buffers)
-               for n, a in b._flat.items()]
+    workspace = [("buffers", b) for b in net.buffers]
+    workspace += [("stream_buffers", b) for b in net.stream_buffers]
+    workspace += [("stream_scratch", net.stream_scratch)]
+    arrays += [(f"{what} {n}", a) for what, b in workspace for n, a in b._flat.items()]
     arrays += [(f"trace layer{i} {n}", a) for i, t in enumerate(trace.cell_traces)
                for n, a in t.named()]
     arrays += [("features", trace.features), ("predictor hidden", trace.pred_a1),
                ("discriminator hidden", trace.disc_a1), ("predictions", preds)]
-    assert len(states[0].m) == len(net.named_params()) and net.buffers[0]._flat
+    assert len(states[0].m) == len(net.named_params())
+    used = workspace[:-1] if cell == "vanilla" else workspace   # vanilla takes no scratch
+    assert all(b._flat for _, b in used), "a workspace stayed empty"
     for what, a in arrays:
         assert a.dtype == np.float32, what
 
 
 @pytest.mark.parametrize("cell", ["gru", "sru"])
 def test_predict_peak_independent_of_window_length(cell):
-    # inference streams the layer stack one block of BLOCK steps at a time and
-    # builds no (T, B, H) buffer: windows eight times as long peak no higher
+    # inference streams the layer stack one block of BLOCK steps at a time in
+    # a workspace of one block, and builds no (T, B, H) buffer: on a fresh
+    # network, windows eight times as long peak no higher
     B, H = 64, 32
     cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=H,
                         num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
-    net = Network.init(cfg, derive_rng(0, "predict-length", cell))
 
     def peak_bytes(T):
-        x = make_rng(4).normal(size=(B, T, 3))
-        predict(net, x, chunk=B)   # warm-up outside the measurement
-        tracemalloc.start()
-        try:
-            predict(net, x, chunk=B)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        net = Network.init(cfg, derive_rng(0, "predict-length", cell))
+        return first_predict_peak(net, make_rng(4).normal(size=(B, T, 3)))
 
     short, long = peak_bytes(2 * cells.BLOCK), peak_bytes(16 * cells.BLOCK)
     assert long <= 1.1 * short, (short, long)
