@@ -25,11 +25,14 @@ SRU:      xhat_t = W x_t
 where xh_t is x_t itself when D_in == hidden, else a learned projection
 W_p x_t.  The SRU gates depend only on x_t, so the matrix products for every
 timestep are one batched GEMM over the stacked W|W_f|W_r(|W_p) before the
-light sequential scan over c_t (Lei et al., 2018).  The GRU likewise stacks
-W_z|W_r|W_h for the input side and U_z|U_r for the per-step recurrent gate
-products.  A call builds its stacks unless it is given them: the network's
-streamed inference builds them once per forward (``gate_stacks``) for all
-its blocks.  The parameter dataclasses keep one array per matrix.
+light sequential scan over c_t (Lei et al., 2018).  The GRU's gates depend
+on h_{t-1}, so each step computes them with two GEMMs against augmented
+matrices that hold the input projections and biases as well as U (see
+``gru_forward``; Appleyard et al., 2016, likewise stack gate matrices into
+fewer, larger GEMMs).  A call builds its stacks unless it is given them:
+the network's streamed inference builds them once per forward
+(``gate_stacks``) for all its blocks.  The parameter dataclasses keep one
+array per matrix.
 
 The GRU and the SRU store their recurrences time-major, in (T, B, .)
 buffers, so that each of their T sequential steps reads and writes
@@ -37,13 +40,13 @@ contiguous (B, .) blocks instead of strided x[:, t] slices of a (B, T, .)
 array (the usual RNN layout, Appleyard et al., 2016).  Their outputs,
 ``dx`` and trace fields are (B, T, .) views of those buffers, so callers
 see the same shapes as for the vanilla cell, which stays batch-major
-because nothing here runs it at scale.  Their input-side GEMMs run over
-blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM over
+because nothing here runs it at scale.  The SRU's input-side GEMMs run
+over blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM over
 groups of steps in the same way), and so do the vanilla cell's input and
-readout GEMMs.  So a call over a sequence computes bit for bit what a
-call per block of ``BLOCK`` steps does, each started from the
-``final_state`` of the block before: the network's inference streams its
-layer stack one block at a time this way.
+readout GEMMs; the GRU's work is all per step.  So a call over a sequence
+computes bit for bit what a call per block of ``BLOCK`` steps does, each
+started from the ``final_state`` of the block before: the network's
+inference streams its layer stack one block at a time this way.
 
 Every forward and backward computes in its parameters' dtype: float32 for
 a network's (``numerics.init_params``), float64 for the tests' gradient
@@ -70,12 +73,12 @@ every call allocates its own arrays.
 
 A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
-cast input block, the GRU's input slab, r * h and gates, the SRU's gate
-slab, c_t, tanh(c_t) and scan scratch) come from it, so one scratch
-serves every layer of a network's inference, and the GRU keeps its gates
-for one step only.  Its trace then serves ``final_state`` until the next
-call with that scratch, and no backward.  A backward's ``input_grad=False``
-skips ``dx``, which nothing reads below the bottom layer.
+cast input block, the GRU's row buffer and gates, the SRU's gate slab,
+c_t, tanh(c_t) and scan scratch) come from it, so one scratch serves every
+layer of a network's inference, and the GRU keeps its gates for one step
+only.  Its trace then serves ``final_state`` until the next call with
+that scratch, and no backward.  A backward's ``input_grad=False`` skips
+``dx``, which nothing reads below the bottom layer.
 """
 
 from __future__ import annotations
@@ -212,8 +215,9 @@ def _init_state(state, batch: int, hidden: int, dtype, who: str) -> np.ndarray:
     return state
 
 
-# time steps per input-side GEMM of every cell, per block of the SRU's
-# backward scan, and per step of the network's streamed inference
+# time steps per input-side GEMM of the SRU and the vanilla cell, per block
+# of the SRU's backward scan, and per step of the network's streamed
+# inference (the GRU computes everything per step and does not use it)
 BLOCK = 8
 
 
@@ -363,12 +367,14 @@ class GruTrace(_ArrayFields):
 
 
 def _gru_stacks(params: GruParams):
-    """W_z|W_r|W_h as one (D, 3H) matrix, the biases as (1, 3, H), U_z|U_r
-    as (2, H, H) and U_h transposed: the matrices a GRU forward computes with."""
-    W = np.concatenate([params.W_z, params.W_r, params.W_h]).T
-    b = np.stack([params.b_z, params.b_r, params.b_h], axis=1)
-    U_zr = np.stack([params.U_z.T, params.U_r.T])
-    return W, b, U_zr, params.U_h.T
+    """A_zr = [U_z|U_r; W_z|W_r; b_z|b_r], (H+D+1, 2H), and
+    A_h = [W_h; b_h; U_h], (D+1+H, H), with every matrix transposed: the
+    augmented matrices a GRU forward computes with."""
+    A_zr = np.block([[params.U_z.T, params.U_r.T],
+                     [params.W_z.T, params.W_r.T],
+                     [params.b_z, params.b_r]])
+    A_h = np.concatenate([params.W_h.T, params.b_h, params.U_h.T])
+    return A_zr, A_h
 
 
 def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | None = None,
@@ -378,15 +384,17 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
     array (no copy when it already is a view of one, as the output of a
     GRU layer below is), and every per-step read and write is a contiguous
-    (B, .) block.  The input side of all three gates is one GEMM over the
-    stacked W_z|W_r|W_h per block of ``BLOCK`` steps, written into one
-    reused (BLOCK, B, 3, H) slab; each step writes ``h @ U_z.T`` and
-    ``h @ U_r.T`` straight into its (2, B, H) gate block and does its
-    elementwise work in place, with no per-step temporaries.  The outputs
-    and the trace fields are (B, T, .) views of the time-major buffers.
-    A streamed call (given ``scratch``) keeps z, r and the candidate for
-    one step only, in ``scratch``: the loop indexes them modulo their
-    length.
+    (B, .) block.  Each step fills one (B, 2H+D+1) row buffer
+    [h_{t-1} | x_t | 1 | r_t * h_{t-1}] and computes its gate
+    pre-activations with two GEMMs over column windows of it: [h | x | 1]
+    times A_zr gives z|r as one (B, 2H) block, and [x | 1 | r*h] times A_h
+    the candidate's, so the input projection and the biases ride in the
+    recurrent products (see ``_gru_stacks``).  The elementwise work is done
+    in place, with no per-step temporaries.  The outputs and the trace
+    fields are (B, T, .) views of the time-major buffers; ``z`` and ``r``
+    are the column halves of the z|r blocks.  A streamed call (given
+    ``scratch``) keeps z|r and the candidate for one step only, in
+    ``scratch``: the loop indexes them modulo their length.
     """
     dtype = params.W_z.dtype
     x = _check_seq(x, params.W_z.shape[1], "gru_forward")
@@ -395,40 +403,37 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     h0 = _init_state(h0, B, H, dtype, "gru_forward")
 
     xt = _time_major(x, dtype, scratch)
-    W, b, U_zr, U_h = _gru_stacks(params) if stacks is None else stacks
+    A_zr, A_h = _gru_stacks(params) if stacks is None else stacks
     kept, held = (T, buffers) if scratch is None else (1, scratch)
 
     # without a workspace, scratch first and the states (they outlive the
     # call) last: freed scratch then lies below live memory, where the
     # allocator reuses it instead of returning it to the OS
-    xg = _empty(scratch, "xg", (min(BLOCK, T), B, 3, H), dtype)   # input side of BLOCK steps
-    rh = _empty(scratch, "rh", (B, H), dtype)                     # r_t * h_{t-1}
-    zr = _empty(held, "zr", (kept, 2, B, H), dtype)               # z_t, r_t
+    row = _empty(scratch, "row", (B, 2 * H + D + 1), dtype)   # [h_{t-1} | x_t | 1 | r_t * h_{t-1}]
+    zr = _empty(held, "zr", (kept, B, 2 * H), dtype)          # z_t | r_t
     hc = _empty(held, "hc", (kept, B, H), dtype)
     hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
+    h_row, x_row, rh = row[:, :H], row[:, H:H + D], row[:, H + D + 1:]
+    zr_in, hc_in = row[:, :H + D + 1], row[:, H:]
+    row[:, H + D] = 1.0
     hs[0] = h0
     for t in range(T):
-        k = t % BLOCK
-        if k == 0:
-            n = min(BLOCK, T - t)
-            np.matmul(xt[t:t + n].reshape(n * B, D), W, out=xg[:n].reshape(n * B, 3 * H))
-            xg[:n] += b
         h = hs[t]
-        zr_t = np.matmul(h, U_zr, out=zr[t % kept])
-        zr_t += xg[k, :, :2].swapaxes(0, 1)
+        np.copyto(h_row, h)
+        np.copyto(x_row, xt[t])
+        zr_t = np.matmul(zr_in, A_zr, out=zr[t % kept])
         sigmoid(zr_t, out=zr_t)
-        z_t, r_t = zr_t
+        z_t, r_t = zr_t[:, :H], zr_t[:, H:]
         np.multiply(r_t, h, out=rh)
-        hc_t = np.matmul(rh, U_h, out=hc[t % kept])
-        hc_t += xg[k, :, 2]
+        hc_t = np.matmul(hc_in, A_h, out=hc[t % kept])
         np.tanh(hc_t, out=hc_t)
         # h_t = h + z_t * (hc_t - h)
         h_t = np.subtract(hc_t, h, out=hs[t + 1])
         h_t *= z_t
         h_t += h
 
-    trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, 0]),
-                     r=_batch_major(zr[:, 1]), hc=_batch_major(hc))
+    trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, :, :H]),
+                     r=_batch_major(zr[:, :, H:]), hc=_batch_major(hc))
     return _batch_major(hs)[:, 1:], trace
 
 

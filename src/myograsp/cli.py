@@ -158,6 +158,25 @@ class PreprocessConfig:
             raise ValueError(f"need stride >= 1, got {self.stride}")
 
 
+# how far, relative, an emg stream's mean sample interval may lie from
+# 1000 / the manifest's emg_rate: the filter's cutoff is set from that rate
+EMG_RATE_TOLERANCE = 0.05
+
+
+def check_emg_rate(emg: datapipe.RawStream, path) -> None:
+    """DataError unless ``emg``'s mean sample interval, (last - first
+    timestamp) / (rows - 1), lies within ``EMG_RATE_TOLERANCE`` of
+    1000 / its nominal rate; a one-row stream has no interval to check."""
+    ts = emg.timestamps_ms
+    if len(ts) < 2:
+        return
+    interval = (ts[-1] - ts[0]) / (len(ts) - 1)
+    nominal = 1000.0 / emg.nominal_rate
+    if abs(interval - nominal) > EMG_RATE_TOLERANCE * nominal:
+        raise DataError(f"{path}: mean sample interval {interval:.4g} ms does not match the "
+                        f"manifest emg_rate {emg.nominal_rate:g} Hz ({nominal:.4g} ms)")
+
+
 def cmd_preprocess(args) -> int:
     cfg = resolve_config(PreprocessConfig, args)
     manifest = datapipe.read_manifest(args.manifest)
@@ -168,6 +187,7 @@ def cmd_preprocess(args) -> int:
         emg = datapipe.read_stream_csv(os.path.join(base, entry["emg"]),
                                        entry["subject"], entry["session"],
                                        "emg", manifest["emg_rate"])
+        check_emg_rate(emg, entry["emg"])
         ang = datapipe.read_stream_csv(os.path.join(base, entry["angles"]),
                                        entry["subject"], entry["session"],
                                        "angles", manifest["angle_rate"])

@@ -101,13 +101,17 @@ class TestGruForward:
         assert np.all(np.abs(h) <= 1.0 + 1e-12)
 
     def test_time_major_layout(self):
-        # every step reads and writes one contiguous (B, H) block, and the
-        # output is a view of the stored states, not a copy
+        # each step's z|r is one contiguous (B, 2H) GEMM output whose column
+        # halves are z and r, its states and candidate are contiguous (B, H)
+        # blocks, and the output is a view of the stored states, not a copy
         rng = make_rng(5)
         p = cells.init_gru(2, 4, rng)
         h, trace = cells.gru_forward(p, rng.normal(size=(3, 6, 2)))
         for t in range(6):
-            for name in ("hs", "z", "hc"):
+            z_t, r_t = trace.z[:, t], trace.r[:, t]
+            assert z_t.strides == r_t.strides == (8 * z_t.itemsize, z_t.itemsize), t
+            assert r_t.ctypes.data == z_t.ctypes.data + 4 * z_t.itemsize, t
+            for name in ("hs", "hc"):
                 assert getattr(trace, name)[:, t].flags.c_contiguous, (name, t)
         assert np.shares_memory(h, trace.hs)
 

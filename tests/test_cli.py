@@ -694,6 +694,8 @@ CORRUPT_DATASET = {
     "recording without emg": manifest_edit(lambda m: m["recordings"][0].pop("emg")),
     "string emg_rate": manifest_edit(lambda m: m.update(emg_rate="200")),
     "emg_rate at the 20 Hz bound": manifest_edit(lambda m: m.update(emg_rate=20)),
+    "200 Hz emg stream under a 400 Hz manifest": manifest_edit(lambda m: m.update(emg_rate=400)),
+    "emg_rate 6% off its stream": manifest_edit(lambda m: m.update(emg_rate=212)),
     "recordings not a list": manifest_edit(
         lambda m: m.update(recordings=dict(enumerate(m["recordings"])))),
 }
@@ -708,6 +710,19 @@ def test_corrupt_dataset_exits_io(dataset_dir, tmp_path, capsys, case):
                  "--out", str(out)]) == cli.EXIT_IO
     assert "Traceback" not in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gen_rate, manifest_rate", [(300, None), (200, 208)])
+def test_emg_rate_within_tolerance_preprocesses(tmp_path, gen_rate, manifest_rate):
+    # a 300 Hz dataset is read at its own rate, and a manifest rate 4% off
+    # a 200 Hz stream is within EMG_RATE_TOLERANCE
+    data = tmp_path / "data"
+    assert main(["generate", "--out", str(data), "--emg-rate", str(gen_rate)]
+                + SMALL_GEN_ARGS) == 0
+    if manifest_rate is not None:
+        manifest_edit(lambda m: m.update(emg_rate=manifest_rate))(data)
+    assert main(["preprocess", "--manifest", str(data / "manifest.json"),
+                 "--out", str(tmp_path / "x.npz")]) == cli.EXIT_OK
 
 
 # ---------------------------------------------------------------------------

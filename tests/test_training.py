@@ -414,16 +414,16 @@ def design_bound(net, scratch, block_output):
 
 def test_gru_predict_peak_bounded_by_layer_states():
     # a streamed GRU layer keeps its block output h_0..h_BLOCK and its
-    # carried state; the cast input block, the input slab of BLOCK steps,
-    # r * h and one step of z, r and the candidate are scratch shared by
-    # both layers.  Scratch per layer, or gates kept for a whole block,
-    # break the bound
+    # carried state; the cast input block, the one (B, 2H+D+1) row
+    # [h | x | 1 | r*h] and one step of z|r and the candidate are scratch
+    # shared by both layers.  Scratch per layer, gates kept for a whole
+    # block, or an input slab of BLOCK steps break the bound
     B, T, H, D = PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D
     cfg = NetworkConfig(cell_type="gru", input_channels=D, hidden_size=H,
                         num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
     net = Network.init(cfg, derive_rng(0, "predict-peak"))
     peak = first_predict_peak(net, make_rng(3).normal(size=(B, T, D)))
-    scratch = cells.BLOCK * B * (D + 3 * H) + B * H + 3 * B * H   # x, slab, r*h, z|r, candidate
+    scratch = cells.BLOCK * B * D + B * (2 * H + D + 1) + 3 * B * H   # x, row, z|r, candidate
     bound = design_bound(net, scratch, (cells.BLOCK + 1) * B * H)
     assert peak <= bound, (peak, bound)
 
