@@ -2,9 +2,10 @@
 
 All forward functions take a batch of sequences ``x`` of shape (B, T, D_in)
 and return per-timestep outputs of shape (B, T, D_out) plus a trace holding
-the cached activations the backward pass needs.  Weight matrices are stored
+the cached activations the backward pass needs.  Weight matrices are named
 hidden x input (so the batched product is ``x @ W.T``) and biases as 1 x n
-row vectors.
+row vectors; the GRU and the SRU store theirs stacked, input x hidden, in
+the matrices their kernels compute with, and serve those names as views.
 
 Cell equations
 --------------
@@ -29,10 +30,8 @@ light sequential scan over c_t (Lei et al., 2018).  The GRU's gates depend
 on h_{t-1}, so each step computes them with two GEMMs against augmented
 matrices that hold the input projections and biases as well as U (see
 ``gru_forward``; Appleyard et al., 2016, likewise stack gate matrices into
-fewer, larger GEMMs).  A call builds its stacks unless it is given them:
-the network's streamed inference builds them once per forward
-(``gate_stacks``) for all its blocks.  The parameter dataclasses keep one
-array per matrix.
+fewer, larger GEMMs).  ``GruParams`` and ``SruParams`` hold exactly
+these stacks, so no call builds them.
 
 The GRU and the SRU store their recurrences time-major, in (T, B, .)
 buffers, so that each of their T sequential steps reads and writes
@@ -110,18 +109,21 @@ __all__ = [
     "cell_forward",
     "cell_backward",
     "final_state",
-    "gate_stacks",
 ]
 
 
 class _ArrayFields:
-    """Mixin: iterate dataclass ndarray fields as (name, array) pairs."""
+    """Mixin: iterate dataclass ndarray fields as (name, array) pairs, or,
+    for a class that stores fused arrays, the per-matrix views it names in
+    ``_NAMES``."""
+
+    _NAMES = ()
 
     def named(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._NAMES or [f.name for f in fields(self)]:
+            value = getattr(self, name)
             if value is not None:
-                yield f.name, value
+                yield name, value
 
 
 @dataclass
@@ -133,27 +135,52 @@ class VanillaParams(_ArrayFields):
     b_y: np.ndarray  # (1, D_out)
 
 
+def _gru_view(name: str) -> property:
+    """The matrix ``name`` (W_z ... b_h) as a view of a GRU's augmented
+    matrices; W and U read transposed, as (H, D_in) and (H, H)."""
+    kind, gate = name.split("_")
+
+    def view(p):
+        H = p.A_h.shape[1]
+        D = len(p.A_h) - 1 - H
+        if gate == "h":   # A_h = [W_h; b_h; U_h]
+            block = p.A_h[{"W": slice(0, D), "b": slice(D, D + 1), "U": slice(D + 1, None)}[kind]]
+        else:             # A_zr = [U_z|U_r; W_z|W_r; b_z|b_r]
+            rows = {"U": slice(0, H), "W": slice(H, H + D), "b": slice(H + D, None)}[kind]
+            col = "zr".index(gate) * H
+            block = p.A_zr[rows, col:col + H]
+        return block if kind == "b" else block.T
+    return property(view)
+
+
 @dataclass
 class GruParams(_ArrayFields):
-    W_z: np.ndarray
-    U_z: np.ndarray
-    b_z: np.ndarray
-    W_r: np.ndarray
-    U_r: np.ndarray
-    b_r: np.ndarray
-    W_h: np.ndarray
-    U_h: np.ndarray
-    b_h: np.ndarray
+    """A GRU layer's two augmented matrices, every matrix in them transposed
+    (see ``gru_forward``); the per-matrix names are views of them.  Both are
+    column-major, so W_z ... U_h are row-major, with strided rows; row-major
+    A_zr and A_h would round the forward's GEMMs differently at some sizes."""
+    A_zr: np.ndarray   # [U_z|U_r; W_z|W_r; b_z|b_r], (H+D_in+1, 2H)
+    A_h: np.ndarray    # [W_h; b_h; U_h], (D_in+1+H, H)
+
+    _NAMES = ("W_z", "U_z", "b_z", "W_r", "U_r", "b_r", "W_h", "U_h", "b_h")
+    W_z, U_z, b_z, W_r, U_r, b_r, W_h, U_h, b_h = map(_gru_view, _NAMES)
 
 
 @dataclass
 class SruParams(_ArrayFields):
-    W: np.ndarray    # (H, D_in)
-    W_f: np.ndarray
-    b_f: np.ndarray
-    W_r: np.ndarray
-    b_r: np.ndarray
-    W_p: np.ndarray | None = None  # highway projection, only when D_in != H
+    """An SRU layer's weight stack and gate biases (see ``sru_forward``);
+    the per-matrix names are views of them, W_p None when D_in == H.  Each
+    matrix of the stack is column-major, so W ... W_p are C-contiguous."""
+    W_stack: np.ndarray   # [W; W_f; W_r(; W_p)] transposed, (k, D_in, H)
+    b_fr: np.ndarray      # [b_f; b_r], (2, 1, H)
+
+    _NAMES = ("W", "W_f", "b_f", "W_r", "b_r", "W_p")
+    W = property(lambda p: p.W_stack[0].T)
+    W_f = property(lambda p: p.W_stack[1].T)
+    W_r = property(lambda p: p.W_stack[2].T)
+    W_p = property(lambda p: p.W_stack[3].T if len(p.W_stack) == 4 else None)
+    b_f = property(lambda p: p.b_fr[0])
+    b_r = property(lambda p: p.b_fr[1])
 
 
 # gradient containers share the parameter structure
@@ -172,29 +199,23 @@ def init_vanilla(input_dim: int, hidden: int, output_dim: int,
 
 
 def init_gru(input_dim: int, hidden: int, rng: np.random.Generator) -> GruParams:
-    def w():
-        return init_params(hidden, input_dim, "uniform-scaled", rng)
-
-    def u():
-        return init_params(hidden, hidden, "uniform-scaled", rng)
-
-    def b():
-        return init_params(1, hidden, "zeros", rng)
-
-    return GruParams(W_z=w(), U_z=u(), b_z=b(),
-                     W_r=w(), U_r=u(), b_r=b(),
-                     W_h=w(), U_h=u(), b_h=b())
+    """W and U drawn in ``named()`` order, each as its own matrix; biases zero."""
+    params = GruParams(A_zr=np.zeros((2 * hidden, hidden + input_dim + 1), np.float32).T,
+                       A_h=np.zeros((hidden, input_dim + 1 + hidden), np.float32).T)
+    for name, view in params.named():
+        if name[0] != "b":
+            view[...] = init_params(*view.shape, "uniform-scaled", rng)
+    return params
 
 
 def init_sru(input_dim: int, hidden: int, rng: np.random.Generator) -> SruParams:
-    def w():
-        return init_params(hidden, input_dim, "uniform-scaled", rng)
-
-    def b():
-        return init_params(1, hidden, "zeros", rng)
-
-    proj = None if input_dim == hidden else init_params(hidden, input_dim, "uniform-scaled", rng)
-    return SruParams(W=w(), W_f=w(), b_f=b(), W_r=w(), b_r=b(), W_p=proj)
+    """W_p (when D_in != H) drawn first, then W, W_f and W_r; biases zero."""
+    k = 3 if input_dim == hidden else 4
+    params = SruParams(W_stack=np.empty((k, hidden, input_dim), np.float32).transpose(0, 2, 1),
+                       b_fr=np.zeros((2, 1, hidden), np.float32))
+    for name in ["W_p", "W", "W_f", "W_r"][4 - k:]:
+        getattr(params, name)[...] = init_params(hidden, input_dim, "uniform-scaled", rng)
+    return params
 
 
 def _check_seq(x: np.ndarray, input_dim: int, who: str) -> np.ndarray:
@@ -283,14 +304,12 @@ def _blockwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
-                    buffers: Buffers | None = None, scratch: Buffers | None = None,
-                    stacks=None):
+                    buffers: Buffers | None = None, scratch: Buffers | None = None):
     """Run the vanilla cell over a sequence batch.
 
-    Returns (outputs, trace) with outputs of shape (B, T, D_out).  The
-    vanilla cell has no gate stacks and, as nothing runs it at scale,
-    takes no ``scratch``: both are accepted only to share the GRU's and
-    the SRU's signature.
+    Returns (outputs, trace) with outputs of shape (B, T, D_out).  As
+    nothing runs the vanilla cell at scale, it takes no ``scratch``: the
+    argument is accepted only to share the GRU's and the SRU's signature.
     """
     dtype = params.W_h.dtype
     x = _check_seq(x, params.W_h.shape[1], "vanilla_forward").astype(dtype, copy=False)
@@ -366,19 +385,8 @@ class GruTrace(_ArrayFields):
     hc: np.ndarray    # (B, T, H) tanh candidate
 
 
-def _gru_stacks(params: GruParams):
-    """A_zr = [U_z|U_r; W_z|W_r; b_z|b_r], (H+D+1, 2H), and
-    A_h = [W_h; b_h; U_h], (D+1+H, H), with every matrix transposed: the
-    augmented matrices a GRU forward computes with."""
-    A_zr = np.block([[params.U_z.T, params.U_r.T],
-                     [params.W_z.T, params.W_r.T],
-                     [params.b_z, params.b_r]])
-    A_h = np.concatenate([params.W_h.T, params.b_h, params.U_h.T])
-    return A_zr, A_h
-
-
 def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | None = None,
-                scratch: Buffers | None = None, stacks=None):
+                scratch: Buffers | None = None):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
     The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
@@ -389,21 +397,21 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     pre-activations with two GEMMs over column windows of it: [h | x | 1]
     times A_zr gives z|r as one (B, 2H) block, and [x | 1 | r*h] times A_h
     the candidate's, so the input projection and the biases ride in the
-    recurrent products (see ``_gru_stacks``).  The elementwise work is done
-    in place, with no per-step temporaries.  The outputs and the trace
-    fields are (B, T, .) views of the time-major buffers; ``z`` and ``r``
-    are the column halves of the z|r blocks.  A streamed call (given
-    ``scratch``) keeps z|r and the candidate for one step only, in
-    ``scratch``: the loop indexes them modulo their length.
+    recurrent products; ``params`` holds A_zr and A_h as they are.  The
+    elementwise work is done in place, with no per-step temporaries.  The
+    outputs and the trace fields are (B, T, .) views of the time-major
+    buffers; ``z`` and ``r`` are the column halves of the z|r blocks.  A
+    streamed call (given ``scratch``) keeps z|r and the candidate for one
+    step only, in ``scratch``: the loop indexes them modulo their length.
     """
-    dtype = params.W_z.dtype
-    x = _check_seq(x, params.W_z.shape[1], "gru_forward")
-    B, T, D = x.shape
-    H = params.W_z.shape[0]
+    A_zr, A_h = params.A_zr, params.A_h
+    dtype = A_h.dtype
+    H, D = params.W_z.shape
+    x = _check_seq(x, D, "gru_forward")
+    B, T, _ = x.shape
     h0 = _init_state(h0, B, H, dtype, "gru_forward")
 
     xt = _time_major(x, dtype, scratch)
-    A_zr, A_h = _gru_stacks(params) if stacks is None else stacks
     kept, held = (T, buffers) if scratch is None else (1, scratch)
 
     # without a workspace, scratch first and the states (they outlive the
@@ -444,20 +452,22 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
     Returns (grads, dx, dh0).  Runs time-major like the forward: the trace
     fields and ``dh_up`` are read as (T, B, .) views, and each step works
     in place in its (B, 3H) block of the gate pre-activation gradient
-    buffer and a few reused (B, H) arrays.  The weight gradients are
-    stacked GEMMs after the loop, and ``dx`` is a (B, T, D) view, or None
-    with ``input_grad=False``, which skips its GEMM.
+    buffer and a few reused (B, H) arrays.  After the loop, three GEMMs
+    fill the row blocks of the gradient's A_zr and A_h, and ``dx`` is a
+    (B, T, D) view, or None with ``input_grad=False``, which skips its
+    GEMM.
     """
     B, T, D = trace.x.shape
     H = trace.z.shape[2]
-    dtype = params.W_z.dtype
+    A_zr, A_h = params.A_zr, params.A_h
+    dtype = A_h.dtype
     dh_up = np.asarray(dh_up, dtype=dtype)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"gru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
     xt, hs, z, r, hc, dh_up = (_batch_major(a) for a in
                                (trace.x, trace.hs, trace.z, trace.r, trace.hc, dh_up))
 
-    U_zr = np.concatenate([params.U_z, params.U_r])
+    U_zr, U_h = A_zr[:H].T, A_h[D + 1:].T   # [U_z; U_r], (2H, H), and U_h
     da = _empty(buffers, "da", (T, B, 3 * H), dtype)   # da_z | da_r | da_h
     dh = np.zeros((B, H), dtype)          # dLoss/dh_t, then dLoss/dh_{t-1}
     drh = np.empty((B, H), dtype)         # dLoss/d(r_t * h_{t-1})
@@ -473,7 +483,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
         np.subtract(1.0, tmp, out=tmp)
         np.multiply(dh, z_t, out=da_h)
         da_h *= tmp
-        np.matmul(da_h, params.U_h, out=drh)
+        np.matmul(da_h, U_h, out=drh)
 
         # da_z = dh * (hc_t - h_prev) * z_t * (1 - z_t)
         np.subtract(1.0, z_t, out=one_minus_z)
@@ -495,19 +505,16 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
         np.matmul(da[t, :, :2 * H], U_zr, out=tmp)
         dh += tmp
 
-    x2 = xt.reshape(T * B, D)
-    hp2 = hs[:-1].reshape(T * B, H)
     rh = np.multiply(r, hs[:-1], out=_empty(buffers, "rh", (T, B, H), dtype))
-    rh2 = rh.reshape(T * B, H)
     da2 = da.reshape(T * B, 3 * H)
-    dW = da2.T @ x2
-    dU_zr = da2[:, :2 * H].T @ hp2
-    db = da2.sum(axis=0, keepdims=True)
-    grads = GruParams(
-        W_z=dW[:H], U_z=dU_zr[:H], b_z=db[:, :H],
-        W_r=dW[H:2 * H], U_r=dU_zr[H:], b_r=db[:, H:2 * H],
-        W_h=dW[2 * H:], U_h=da2[:, 2 * H:].T @ rh2, b_h=db[:, 2 * H:],
-    )
+    grads = GruParams(A_zr=np.empty_like(A_zr), A_h=np.empty_like(A_h))
+    dA_zr, dA_h = grads.A_zr, grads.A_h
+    np.matmul(da2[:, :2 * H].T, hs[:-1].reshape(T * B, H), out=dA_zr[:H].T)   # [dU_z; dU_r]
+    np.matmul(da2[:, 2 * H:].T, rh.reshape(T * B, H), out=dA_h[D + 1:].T)
+    # [dW_z; dW_r; dW_h] as one GEMM: as two, the dW_h rows can round differently
+    dW, db = da2.T @ xt.reshape(T * B, D), da2.sum(axis=0)
+    dA_zr[H:H + D], dA_h[:D] = dW[:2 * H].T, dW[2 * H:].T
+    dA_zr[H + D], dA_h[D] = db[:2 * H], db[2 * H:]
     if not input_grad:
         return grads, None, dh
     dx = _empty(buffers, "dx", (T, B, D), dtype)
@@ -531,42 +538,32 @@ class SruTrace(_ArrayFields):
     tanh_c: np.ndarray  # (B, T, H)
 
 
-def _sru_stacks(params: SruParams):
-    """W|W_f|W_r(|W_p) transposed as one (k, D, H) stack and the gate biases
-    as (2, 1, 1, H): the matrices an SRU forward computes with."""
-    weights = [params.W, params.W_f, params.W_r]
-    if params.W_p is not None:
-        weights.append(params.W_p)
-    return np.stack([w.T for w in weights]), np.stack([params.b_f, params.b_r])[:, None]
-
-
 def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | None = None,
-                scratch: Buffers | None = None, stacks=None):
+                scratch: Buffers | None = None):
     """SRU over a sequence batch; returns (outputs (B,T,H), trace).
 
     Runs time-major like ``gru_forward``: ``x`` is copied once into a
     (T, B, D) array (no copy when it already is a view of one, as the
     output of an SRU layer below is).  W x_t, W_f x_t, W_r x_t (and
-    W_p x_t) are one batched GEMM over the stacked matrices per block of
+    W_p x_t) are one batched GEMM over ``params.W_stack`` per block of
     ``BLOCK`` steps, written gate-major into (k, ., B, H) slab blocks whose
     gate biases and sigmoids are applied in place; only the elementwise
     c_t scan is sequential, and it steps over contiguous (B, H) blocks.
     The outputs and the trace fields are (B, T, .) views of the time-major
     buffers, or of ``scratch`` in a streamed call (given it).
     """
-    dtype = params.W.dtype
-    x = _check_seq(x, params.W.shape[1], "sru_forward")
-    B, T, D = x.shape
-    H = params.W.shape[0]
+    W, b = params.W_stack, params.b_fr[:, None]
+    k, D, H = W.shape
+    dtype = W.dtype
+    x = _check_seq(x, D, "sru_forward")
+    B, T, _ = x.shape
     c0 = _init_state(c0, B, H, dtype, "sru_forward")
-    if params.W_p is None and D != H:
+    if k == 3 and D != H:
         raise ValueError(
             f"sru: highway needs input dim == hidden dim ({D} != {H}) "
             "or a projection matrix W_p")
 
     xt = _time_major(x, dtype, scratch)
-    W, b = _sru_stacks(params) if stacks is None else stacks
-    k = len(W)
     held = buffers if scratch is None else scratch
 
     # scratch first and the states last, as in gru_forward
@@ -585,7 +582,7 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
         gates += b
         sigmoid(gates, out=gates)
         xhat, f, r = blk[:3]
-        xh = blk[3] if params.W_p is not None else xt[lo:lo + n]
+        xh = blk[3] if k == 4 else xt[lo:lo + n]
 
         # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs
         c = cs[lo:lo + n + 1]
@@ -602,7 +599,7 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
         h += np.multiply(r, th, out=tmp[:n])
 
     xhat, f, r = (_batch_major(a) for a in slab[:3])
-    xh = slab[3] if params.W_p is not None else xt
+    xh = slab[3] if k == 4 else xt
     trace = SruTrace(x=_batch_major(xt), xhat=xhat, f=f, r=r, cs=_batch_major(cs),
                      xh=_batch_major(xh), tanh_c=_batch_major(tanh_c))
     return _batch_major(hs), trace
@@ -618,13 +615,14 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
     block back, carrying f_t * dLoss/dc_t from each block to the one
     before, so dLoss/dc_t needs one block of scratch.  The gradients of
     xhat, the f and r pre-activations and the highway input go gate-major
-    into one (4, T, B, H) buffer, so after the loop the weight gradients
-    are one batched GEMM, and ``dx`` is a (B, T, D) view, or None with
+    into one (4, T, B, H) buffer, so after the loop the gradient's weight
+    stack is one batched GEMM, and ``dx`` is a (B, T, D) view, or None with
     ``input_grad=False``, which skips its GEMMs.
     """
     B, T, D = trace.x.shape
     H = trace.f.shape[2]
-    dtype = params.W.dtype
+    W = params.W_stack
+    dtype = W.dtype
     dh_up = np.asarray(dh_up, dtype=dtype)
     if dh_up.shape != (B, T, H):
         raise ValueError(f"sru_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
@@ -667,21 +665,19 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
         da_f *= f_b
         da_f *= tm
 
-    k = 3 if params.W_p is None else 4
-    x2 = xt.reshape(T * B, D)
+    k = len(W)
     da2 = da.reshape(4, T * B, H)
-    dW = np.matmul(da2[:k].transpose(0, 2, 1), x2)   # (k, H, D)
-    db = da2[1:3].sum(axis=1, keepdims=True)
-    grads = SruParams(W=dW[0], W_f=dW[1], b_f=db[0], W_r=dW[2], b_r=db[1],
-                      W_p=dW[3] if params.W_p is not None else None)
+    dW = np.matmul(da2[:k].transpose(0, 2, 1), xt.reshape(T * B, D))   # (k, H, D)
+    grads = SruParams(W_stack=dW.transpose(0, 2, 1), b_fr=da2[1:3].sum(axis=1, keepdims=True))
     if not input_grad:
         return grads, None, carry
     dx = _empty(buffers, "dx", (T, B, D), dtype)
     term = _empty(buffers, "dx_term", (T * B, D), dtype)
-    dx2 = np.matmul(da2[0], params.W, out=dx.reshape(T * B, D))
-    dx2 += np.matmul(da2[1], params.W_f, out=term)
-    dx2 += np.matmul(da2[2], params.W_r, out=term)
-    dx2 += np.matmul(da2[3], params.W_p, out=term) if params.W_p is not None else da2[3]
+    dx2 = np.matmul(da2[0], W[0].T, out=dx.reshape(T * B, D))
+    for j in range(1, k):
+        dx2 += np.matmul(da2[j], W[j].T, out=term)
+    if k == 3:   # the identity highway
+        dx2 += da2[3]
     return grads, _batch_major(dx), carry
 
 
@@ -689,11 +685,11 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
 # dispatch helpers used by the network module
 # ---------------------------------------------------------------------------
 
-# parameter type -> (forward, backward, trace type, gate stacks)
+# parameter type -> (forward, backward, trace type)
 _CELLS = {
-    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace, lambda params: None),
-    GruParams: (gru_forward, gru_backward, GruTrace, _gru_stacks),
-    SruParams: (sru_forward, sru_backward, SruTrace, _sru_stacks),
+    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace),
+    GruParams: (gru_forward, gru_backward, GruTrace),
+    SruParams: (sru_forward, sru_backward, SruTrace),
 }
 
 
@@ -704,18 +700,10 @@ def _cell(params: CellParams):
         raise TypeError(f"unknown cell parameter type {type(params)}") from None
 
 
-def gate_stacks(params: CellParams):
-    """The stacked gate matrices a forward over ``params`` computes with
-    (None for the vanilla cell): built once, they serve every block of a
-    streamed pass as its ``stacks``, until the parameters change."""
-    return _cell(params)[3](params)
-
-
 def cell_forward(params: CellParams, x: np.ndarray, state0=None,
-                 buffers: Buffers | None = None, scratch: Buffers | None = None,
-                 stacks=None):
+                 buffers: Buffers | None = None, scratch: Buffers | None = None):
     """Dispatch to the matching forward pass."""
-    return _cell(params)[0](params, x, state0, buffers, scratch, stacks)
+    return _cell(params)[0](params, x, state0, buffers, scratch)
 
 
 def final_state(trace) -> np.ndarray:
@@ -727,7 +715,7 @@ def final_state(trace) -> np.ndarray:
 def cell_backward(trace, params: CellParams, upstream: np.ndarray,
                   buffers: Buffers | None = None, input_grad: bool = True):
     """Dispatch to the matching backward pass; trace and params must pair up."""
-    _, backward, trace_type, _ = _cell(params)
+    _, backward, trace_type = _cell(params)
     if not isinstance(trace, trace_type):
         raise TypeError(f"trace/params mismatch: {type(params).__name__} "
                         f"need a {trace_type.__name__}")

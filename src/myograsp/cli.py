@@ -158,23 +158,25 @@ class PreprocessConfig:
             raise ValueError(f"need stride >= 1, got {self.stride}")
 
 
-# how far, relative, an emg stream's mean sample interval may lie from
-# 1000 / the manifest's emg_rate: the filter's cutoff is set from that rate
-EMG_RATE_TOLERANCE = 0.05
+# how far, relative, a stream's mean sample interval may lie from 1000 / its
+# manifest rate (emg_rate or angle_rate): the filter's cutoff is set from
+# the emg rate, and a wrong angle rate means the manifest misdescribes the data
+RATE_TOLERANCE = 0.05
 
 
-def check_emg_rate(emg: datapipe.RawStream, path) -> None:
-    """DataError unless ``emg``'s mean sample interval, (last - first
-    timestamp) / (rows - 1), lies within ``EMG_RATE_TOLERANCE`` of
-    1000 / its nominal rate; a one-row stream has no interval to check."""
-    ts = emg.timestamps_ms
+def check_stream_rate(stream: datapipe.RawStream, path, key: str) -> None:
+    """DataError unless ``stream``'s mean sample interval, (last - first
+    timestamp) / (rows - 1), lies within ``RATE_TOLERANCE`` of 1000 / its
+    nominal rate, the manifest's ``key``; a one-row stream has no interval
+    to check."""
+    ts = stream.timestamps_ms
     if len(ts) < 2:
         return
     interval = (ts[-1] - ts[0]) / (len(ts) - 1)
-    nominal = 1000.0 / emg.nominal_rate
-    if abs(interval - nominal) > EMG_RATE_TOLERANCE * nominal:
+    nominal = 1000.0 / stream.nominal_rate
+    if abs(interval - nominal) > RATE_TOLERANCE * nominal:
         raise DataError(f"{path}: mean sample interval {interval:.4g} ms does not match the "
-                        f"manifest emg_rate {emg.nominal_rate:g} Hz ({nominal:.4g} ms)")
+                        f"manifest {key} {stream.nominal_rate:g} Hz ({nominal:.4g} ms)")
 
 
 def cmd_preprocess(args) -> int:
@@ -187,10 +189,11 @@ def cmd_preprocess(args) -> int:
         emg = datapipe.read_stream_csv(os.path.join(base, entry["emg"]),
                                        entry["subject"], entry["session"],
                                        "emg", manifest["emg_rate"])
-        check_emg_rate(emg, entry["emg"])
+        check_stream_rate(emg, entry["emg"], "emg_rate")
         ang = datapipe.read_stream_csv(os.path.join(base, entry["angles"]),
                                        entry["subject"], entry["session"],
                                        "angles", manifest["angle_rate"])
+        check_stream_rate(ang, entry["angles"], "angle_rate")
         ws, _ = datapipe.preprocess_session(emg, ang, stride=cfg.stride)
         window_sets.append(ws)
     combined = datapipe.concat_windows(window_sets)

@@ -93,12 +93,11 @@ def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
 
 
 def _block_forward(layer, seq: np.ndarray, state, traces: list | None,
-                   buffers: cells.Buffers | None = None, scratch: cells.Buffers | None = None,
-                   stacks=None):
+                   buffers: cells.Buffers | None = None, scratch: cells.Buffers | None = None):
     """One layer over one block from its carried state; returns the block's
     outputs and the state it leaves.  The trace goes to ``traces`` if given,
     else it is dropped here."""
-    out, trace = cells.cell_forward(layer, seq, state, buffers, scratch, stacks)
+    out, trace = cells.cell_forward(layer, seq, state, buffers, scratch)
     if traces is not None:
         traces.append(trace)
     return out, cells.final_state(trace)
@@ -160,7 +159,8 @@ class Network:
     # -- parameter bookkeeping ---------------------------------------------
 
     def named_params(self):
-        """Deterministically ordered (name, array) pairs over all parameters."""
+        """Deterministically ordered (name, array) pairs over all parameters;
+        a GRU or SRU layer's are views of its fused arrays."""
         out = []
         for i, layer in enumerate(self.layers):
             out.extend((f"layer{i}.{n}", a) for n, a in layer.named())
@@ -200,7 +200,7 @@ class Network:
         changes no trace: every block call of every layer takes its
         scratch from ``self.stream_scratch``, and writes its block output
         to the layer's ``self.stream_buffers``, where the state it leaves
-        is copied too.  The gate stacks are built once per call.
+        is copied too.
 
         Windows beyond the parameters' dtype range (float32's 3.4e38) raise
         NumericError: cast, they would turn into infinities.
@@ -221,19 +221,17 @@ class Network:
         total = np.zeros((B, H), dtype)   # the pool's running sum
         if keep_trace:
             step, traces, buffers, scratch = T, [], self.buffers, None
-            states = stacks = [None] * len(self.layers)   # one call per layer
+            states = [None] * len(self.layers)   # one call per layer
         else:
             step, traces, buffers, scratch = (cells.BLOCK, None, self.stream_buffers,
                                               self.stream_scratch)
-            stacks = [cells.gate_stacks(layer) for layer in self.layers]
             states = [b.array("state", (B, H), dtype) for b in buffers]
             for state in states:
                 state.fill(0.0)
         for lo in range(0, T, step):
             seq = x[:, lo:lo + step]
             for i, layer in enumerate(self.layers):
-                seq, final = _block_forward(layer, seq, states[i], traces, buffers[i], scratch,
-                                            stacks[i])
+                seq, final = _block_forward(layer, seq, states[i], traces, buffers[i], scratch)
                 if not keep_trace:   # copied out before the next call reuses the scratch
                     np.copyto(states[i], final)
             if pool:

@@ -7,6 +7,8 @@ below float32's resolution, so the checks run on float64 parameters:
 kernels then compute in float64 (they follow their parameters' dtype).
 """
 
+from dataclasses import fields
+
 import numpy as np
 
 from myograsp.network import Network
@@ -17,15 +19,16 @@ FLOOR = 1e-8
 
 
 def to_float64(obj):
-    """Replace every parameter of cell params, a head or a ``Network`` by a
-    float64 copy of itself; returns ``obj``."""
+    """Replace every stored array of cell params, a head or a ``Network`` by
+    a float64 copy of itself (the fused arrays of a GRU or SRU layer, whose
+    per-matrix views then read float64 too); returns ``obj``."""
     if isinstance(obj, Network):
         for part in [*obj.layers, obj.predictor, obj.discriminator]:
             if part is not None:
                 to_float64(part)
         return obj
-    for name, arr in list(obj.named()):
-        setattr(obj, name, arr.astype(np.float64))
+    for f in fields(obj):
+        setattr(obj, f.name, getattr(obj, f.name).astype(np.float64))
     return obj
 
 

@@ -7,7 +7,9 @@ buffers.  ``sru_forward_naive`` also takes the SRU's gate products step
 by step rather than for all steps at once.  ``myograsp.cells`` computes
 the same maps with stacked gate GEMMs and an exp-form sigmoid computed in
 place; ``tests/test_cells.py`` asserts that both agree to float64
-round-off.
+round-off.  The references read the parameters by their per-matrix names
+and return their weight gradients as a dict keyed by those names, in
+``named()`` order, so they do not depend on how the cells store them.
 """
 
 import numpy as np
@@ -94,7 +96,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray):
     rh2 = (r * hs[:, :-1]).reshape(B * T, H)
     dz2, dr2, dc2 = (da_z.reshape(B * T, H), da_r.reshape(B * T, H),
                      da_h.reshape(B * T, H))
-    grads = GruParams(
+    grads = dict(
         W_z=dz2.T @ x2, U_z=dz2.T @ hp2, b_z=dz2.sum(axis=0, keepdims=True),
         W_r=dr2.T @ x2, U_r=dr2.T @ hp2, b_r=dr2.sum(axis=0, keepdims=True),
         W_h=dc2.T @ x2, U_h=dc2.T @ rh2, b_h=dc2.sum(axis=0, keepdims=True),
@@ -175,12 +177,13 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray):
     dar2 = da_r.reshape(B * T, H)
     dxh2 = dxh.reshape(B * T, H)
 
-    grads = SruParams(
+    grads = dict(
         W=dxhat2.T @ x2,
         W_f=daf2.T @ x2, b_f=daf2.sum(axis=0, keepdims=True),
         W_r=dar2.T @ x2, b_r=dar2.sum(axis=0, keepdims=True),
-        W_p=dxh2.T @ x2 if params.W_p is not None else None,
     )
+    if params.W_p is not None:
+        grads["W_p"] = dxh2.T @ x2
     dx2 = dxhat2 @ params.W + daf2 @ params.W_f + dar2 @ params.W_r
     if params.W_p is not None:
         dx2 = dx2 + dxh2 @ params.W_p

@@ -172,8 +172,8 @@ class TestSruForward:
         assert p.W_p is not None
         p_square = cells.init_sru(4, 4, make_rng(0))
         assert p_square.W_p is None
-        p_square_broken = cells.SruParams(W=p.W, W_f=p.W_f, b_f=p.b_f,
-                                          W_r=p.W_r, b_r=p.b_r, W_p=None)
+        p_square_broken = cells.SruParams(W_stack=p.W_stack[:3], b_fr=p.b_fr)
+        assert p_square_broken.W_p is None
         with pytest.raises(ValueError, match="highway"):
             cells.sru_forward(p_square_broken, np.zeros((1, 2, 3)))
 
@@ -309,11 +309,10 @@ def check_against_reference(kind, input_dim, hidden, T, rng):
     ref_grads, ref_dx, ref_ds0 = ref_bwd(ref_trace, params, upstream)
     assert_oracle_close(dx, ref_dx, "dx")
     assert_oracle_close(ds0, ref_ds0, "initial-state gradient")
-    ref_named = dict(ref_grads.named())
-    assert [n for n, _ in grads.named()] == list(ref_named)
+    assert [n for n, _ in grads.named()] == list(ref_grads)
     for name, arr in grads.named():
-        assert arr.shape == ref_named[name].shape
-        assert_oracle_close(arr, ref_named[name], f"grad {name}")
+        assert arr.shape == ref_grads[name].shape
+        assert_oracle_close(arr, ref_grads[name], f"grad {name}")
 
 
 @pytest.mark.parametrize("hidden", [16, 64])
@@ -372,7 +371,7 @@ def test_float32_kernels_match_float64_reference(kind):
     grads, dx, ds0 = bwd(trace, params, upstream)
     ref_grads, ref_dx, ref_ds0 = ref_bwd(ref_trace, wide, upstream)
 
-    ref_named = dict(ref_grads.named())
+    ref_named = ref_grads if isinstance(ref_grads, dict) else dict(ref_grads.named())
     pairs = [("outputs", out, ref_out), ("dx", dx, ref_dx),
              ("initial-state gradient", ds0, ref_ds0)]
     pairs += [(f"trace.{n}", getattr(trace, n), a) for n, a in ref_trace.named()]
@@ -420,15 +419,15 @@ def test_split_forward_from_carried_state_is_bit_identical(kind, k):
 def stream_untraced(params, x, state0):
     """Run one layer over ``x`` the way ``Network.forward(keep_trace=False)``
     does: one block of BLOCK steps at a time in one reused workspace (a
-    Buffers for the block outputs, one for scratch, the gate stacks built
-    once), from the state copied into an array of its own, no trace kept."""
-    buffers, scratch, stacks = cells.Buffers(), cells.Buffers(), cells.gate_stacks(params)
+    Buffers for the block outputs, one for scratch), from the state copied
+    into an array of its own, no trace kept."""
+    buffers, scratch = cells.Buffers(), cells.Buffers()
     H = next(iter(params.named()))[1].shape[0]
     state = np.zeros((x.shape[0], H)) if state0 is None else state0.copy()
     outs = []
     for lo in range(0, x.shape[1], cells.BLOCK):
         out, final = _block_forward(params, x[:, lo:lo + cells.BLOCK], state, None,
-                                    buffers, scratch, stacks)
+                                    buffers, scratch)
         outs.append(out.copy())   # the next block overwrites it
         np.copyto(state, final)
     return np.concatenate(outs, axis=1), state

@@ -696,6 +696,8 @@ CORRUPT_DATASET = {
     "emg_rate at the 20 Hz bound": manifest_edit(lambda m: m.update(emg_rate=20)),
     "200 Hz emg stream under a 400 Hz manifest": manifest_edit(lambda m: m.update(emg_rate=400)),
     "emg_rate 6% off its stream": manifest_edit(lambda m: m.update(emg_rate=212)),
+    "angle_rate twice its streams' rate": manifest_edit(
+        lambda m: m.update(angle_rate=2 * m["angle_rate"])),
     "recordings not a list": manifest_edit(
         lambda m: m.update(recordings=dict(enumerate(m["recordings"])))),
 }
@@ -715,7 +717,7 @@ def test_corrupt_dataset_exits_io(dataset_dir, tmp_path, capsys, case):
 @pytest.mark.parametrize("gen_rate, manifest_rate", [(300, None), (200, 208)])
 def test_emg_rate_within_tolerance_preprocesses(tmp_path, gen_rate, manifest_rate):
     # a 300 Hz dataset is read at its own rate, and a manifest rate 4% off
-    # a 200 Hz stream is within EMG_RATE_TOLERANCE
+    # a 200 Hz stream is within RATE_TOLERANCE
     data = tmp_path / "data"
     assert main(["generate", "--out", str(data), "--emg-rate", str(gen_rate)]
                 + SMALL_GEN_ARGS) == 0
