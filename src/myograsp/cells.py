@@ -44,14 +44,18 @@ over blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM over
 groups of steps in the same way), and so do the vanilla cell's input and
 readout GEMMs; the GRU's work is all per step.  So a call over a sequence
 computes bit for bit what a call per block of ``BLOCK`` steps does, each
-started from the ``final_state`` of the block before: the network's
-inference streams its layer stack one block at a time this way.
+started from the ``final_state`` of the block before, and for the GRU what
+a call per step does: the network's inference streams its layer stack
+that way, the GRU one step per call and the other cells one block per
+call.  The SRU and the vanilla cell keep their blocks because an SGEMM
+row's bits can depend on how many rows the GEMM has, so their per-step
+products would differ from the traced pass's per-block ones.
 
 Every forward and backward computes in its parameters' dtype: float32 for
 a network's (``numerics.init_params``), float64 for the tests' gradient
 checks and reference comparisons.  Inputs, initial states and upstream
 gradients are cast to it on entry (the GRU and SRU cast ``x`` in their
-time-major copy, so a streamed call casts one block at a time), and every
+time-major copy, so a streamed call casts only its own steps), and every
 output, trace field, scratch array and gradient has it.
 
 Backward passes return exact gradients of the forward map and were written
@@ -72,12 +76,14 @@ every call allocates its own arrays.
 
 A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
-cast input block, the GRU's row buffer and gates, the SRU's gate slab,
-c_t, tanh(c_t) and scan scratch) come from it, so one scratch serves every
-layer of a network's inference, and the GRU keeps its gates for one step
-only.  Its trace then serves ``final_state`` until the next call with
-that scratch, and no backward.  A backward's ``input_grad=False`` skips
-``dx``, which nothing reads below the bottom layer.
+cast input block, the GRU's row buffer and gates, the SRU's gate slab and
+f_t * c_{t-1}) come from it, so one scratch serves every layer of a
+network's inference, and ``buffers`` holds only the block output and the
+state the call leaves (the GRU's h_0 and h_T, the SRU's c_T: its c_t and
+tanh(c_t) live in the slab).  Its trace serves ``final_state``, a view of
+``buffers``, until the next call with those buffers, and no backward.
+A backward's ``input_grad=False`` skips ``dx``, which nothing reads below
+the bottom layer.
 """
 
 from __future__ import annotations
@@ -227,18 +233,23 @@ def _check_seq(x: np.ndarray, input_dim: int, who: str) -> np.ndarray:
     return x
 
 
-def _init_state(state, batch: int, hidden: int, dtype, who: str) -> np.ndarray:
+def _init_state(state, out: np.ndarray, who: str) -> np.ndarray:
+    """Write the initial state (zeros if None) into the (B, H) array ``out``
+    and return ``out``.  ``state`` may share memory with ``out``, as the
+    state a previous call left in the same buffers does."""
     if state is None:
-        return np.zeros((batch, hidden), dtype)
-    state = np.asarray(state, dtype=dtype)   # only read: no copy
-    if state.shape != (batch, hidden):
-        raise ValueError(f"{who}: initial state shape {state.shape} != ({batch}, {hidden})")
-    return state
+        out.fill(0.0)
+        return out
+    state = np.asarray(state)
+    if state.shape != out.shape:
+        raise ValueError(f"{who}: initial state shape {state.shape} != {out.shape}")
+    np.copyto(out, state, casting="unsafe")
+    return out
 
 
 # time steps per input-side GEMM of the SRU and the vanilla cell, per block
-# of the SRU's backward scan, and per step of the network's streamed
-# inference (the GRU computes everything per step and does not use it)
+# of the SRU's backward scan, and per call of their streamed inference in
+# the network (the GRU computes everything per step and does not use it)
 BLOCK = 8
 
 
@@ -315,12 +326,11 @@ def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
     x = _check_seq(x, params.W_h.shape[1], "vanilla_forward").astype(dtype, copy=False)
     B, T, _ = x.shape
     H = params.W_h.shape[0]
-    h = _init_state(h0, B, H, dtype, "vanilla_forward")
 
     xw = _blockwise_matmul(x, params.W_h.T) + params.b_h
 
     hs = _empty(buffers, "hs", (B, T + 1, H), dtype)
-    hs[:, 0] = h
+    h = _init_state(h0, hs[:, 0], "vanilla_forward")
     for t in range(T):
         h = np.tanh(xw[:, t] + h @ params.U_h.T)
         hs[:, t + 1] = h
@@ -401,39 +411,41 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     elementwise work is done in place, with no per-step temporaries.  The
     outputs and the trace fields are (B, T, .) views of the time-major
     buffers; ``z`` and ``r`` are the column halves of the z|r blocks.  A
-    streamed call (given ``scratch``) keeps z|r and the candidate for one
-    step only, in ``scratch``: the loop indexes them modulo their length.
+    streamed call (given ``scratch``) takes z|r and the candidate from
+    ``scratch``: streamed one step per call, as the network's inference
+    does, a layer holds only h_0 and h_1 in ``buffers``, and the h_1 it
+    leaves is the next call's h_0.
     """
     A_zr, A_h = params.A_zr, params.A_h
     dtype = A_h.dtype
-    H, D = params.W_z.shape
+    H = A_h.shape[1]
+    D = len(A_zr) - H - 1
     x = _check_seq(x, D, "gru_forward")
     B, T, _ = x.shape
-    h0 = _init_state(h0, B, H, dtype, "gru_forward")
 
     xt = _time_major(x, dtype, scratch)
-    kept, held = (T, buffers) if scratch is None else (1, scratch)
+    held = buffers if scratch is None else scratch
 
     # without a workspace, scratch first and the states (they outlive the
     # call) last: freed scratch then lies below live memory, where the
     # allocator reuses it instead of returning it to the OS
     row = _empty(scratch, "row", (B, 2 * H + D + 1), dtype)   # [h_{t-1} | x_t | 1 | r_t * h_{t-1}]
-    zr = _empty(held, "zr", (kept, B, 2 * H), dtype)          # z_t | r_t
-    hc = _empty(held, "hc", (kept, B, H), dtype)
+    zr = _empty(held, "zr", (T, B, 2 * H), dtype)             # z_t | r_t
+    hc = _empty(held, "hc", (T, B, H), dtype)
     hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
+    _init_state(h0, hs[0], "gru_forward")
     h_row, x_row, rh = row[:, :H], row[:, H:H + D], row[:, H + D + 1:]
     zr_in, hc_in = row[:, :H + D + 1], row[:, H:]
     row[:, H + D] = 1.0
-    hs[0] = h0
     for t in range(T):
         h = hs[t]
         np.copyto(h_row, h)
         np.copyto(x_row, xt[t])
-        zr_t = np.matmul(zr_in, A_zr, out=zr[t % kept])
+        zr_t = np.matmul(zr_in, A_zr, out=zr[t])
         sigmoid(zr_t, out=zr_t)
         z_t, r_t = zr_t[:, :H], zr_t[:, H:]
         np.multiply(r_t, h, out=rh)
-        hc_t = np.matmul(hc_in, A_h, out=hc[t % kept])
+        hc_t = np.matmul(hc_in, A_h, out=hc[t])
         np.tanh(hc_t, out=hc_t)
         # h_t = h + z_t * (hc_t - h)
         h_t = np.subtract(hc_t, h, out=hs[t + 1])
@@ -550,30 +562,40 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     gate biases and sigmoids are applied in place; only the elementwise
     c_t scan is sequential, and it steps over contiguous (B, H) blocks.
     The outputs and the trace fields are (B, T, .) views of the time-major
-    buffers, or of ``scratch`` in a streamed call (given it).
+    buffers.
+
+    A streamed call (given ``scratch``) keeps nothing for a backward: it
+    scans c_t and takes tanh(c_t) in place in the slab's xhat plane, forms
+    r_t * tanh(c_t) in the r plane and copies the c_T it leaves into
+    ``buffers``, which its trace's ``cs`` holds alone.  Every elementwise
+    operation keeps its operands, so the outputs stay bit-identical.
     """
     W, b = params.W_stack, params.b_fr[:, None]
     k, D, H = W.shape
     dtype = W.dtype
     x = _check_seq(x, D, "sru_forward")
     B, T, _ = x.shape
-    c0 = _init_state(c0, B, H, dtype, "sru_forward")
     if k == 3 and D != H:
         raise ValueError(
             f"sru: highway needs input dim == hidden dim ({D} != {H}) "
             "or a projection matrix W_p")
 
     xt = _time_major(x, dtype, scratch)
-    held = buffers if scratch is None else scratch
+    streamed = scratch is not None
 
     # scratch first and the states last, as in gru_forward
-    tmp = _empty(scratch, "tmp", (min(BLOCK, T), B, H), dtype)
     fc = _empty(scratch, "fc", (B, H), dtype)              # f_t * c_{t-1}
-    slab = _empty(held, "slab", (k, T, B, H), dtype)       # xhat, f, r (, W_p x)
-    cs = _empty(held, "cs", (T + 1, B, H), dtype)
-    tanh_c = _empty(held, "tanh_c", (T, B, H), dtype)
+    if streamed:
+        slab = _empty(scratch, "slab", (k, T, B, H), dtype)   # xhat, f, r (, W_p x)
+        cs = _empty(buffers, "c", (1, B, H), dtype)         # c_T
+        c = _init_state(c0, fc, "sru_forward")
+    else:
+        tmp = np.empty((min(BLOCK, T), B, H), dtype)        # r_t * tanh(c_t)
+        slab = _empty(buffers, "slab", (k, T, B, H), dtype)
+        cs = _empty(buffers, "cs", (T + 1, B, H), dtype)    # c_0 ... c_T
+        tanh_c = _empty(buffers, "tanh_c", (T, B, H), dtype)
+        c = _init_state(c0, cs[0], "sru_forward")
     hs = _empty(buffers, "hs", (T, B, H), dtype)
-    cs[0] = c0
     for lo in range(0, T, BLOCK):
         n = min(BLOCK, T - lo)
         blk = slab[:, lo:lo + n]
@@ -583,25 +605,31 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
         sigmoid(gates, out=gates)
         xhat, f, r = blk[:3]
         xh = blk[3] if k == 4 else xt[lo:lo + n]
+        h = hs[lo:lo + n]
 
-        # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs
-        c = cs[lo:lo + n + 1]
-        np.subtract(1.0, f, out=tmp[:n])
-        np.multiply(tmp[:n], xhat, out=c[1:])
+        # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs,
+        # or in a streamed call in the xhat plane; 1 - f_t sits in h for now
+        cb = xhat if streamed else cs[lo + 1:lo + n + 1]
+        np.subtract(1.0, f, out=h)
+        np.multiply(h, xhat, out=cb)
         for j in range(n):
-            np.multiply(f[j], c[j], out=fc)
-            c[j + 1] += fc
+            np.multiply(f[j], c, out=fc)
+            cb[j] += fc
+            c = cb[j]
+        if streamed:   # tanh(c_t) overwrites the xhat plane
+            np.copyto(cs[0], c)
+            c = cs[0]
 
         # h_t = (1 - r_t) * xh_t + r_t * tanh(c_t)
-        th = np.tanh(c[1:], out=tanh_c[lo:lo + n])
-        h = np.subtract(1.0, r, out=hs[lo:lo + n])
+        th = np.tanh(cb, out=cb if streamed else tanh_c[lo:lo + n])
+        np.subtract(1.0, r, out=h)
         h *= xh
-        h += np.multiply(r, th, out=tmp[:n])
+        h += np.multiply(r, th, out=r if streamed else tmp[:n])
 
     xhat, f, r = (_batch_major(a) for a in slab[:3])
     xh = slab[3] if k == 4 else xt
     trace = SruTrace(x=_batch_major(xt), xhat=xhat, f=f, r=r, cs=_batch_major(cs),
-                     xh=_batch_major(xh), tanh_c=_batch_major(tanh_c))
+                     xh=_batch_major(xh), tanh_c=xhat if streamed else _batch_major(tanh_c))
     return _batch_major(hs), trace
 
 

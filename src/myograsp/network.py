@@ -10,12 +10,12 @@ back, which makes the feature extractor adversarial to the domain
 classifier.  Each network owns two workspaces of grow-only
 ``cells.Buffers``: for training, one per layer for the traced forward and
 the backward; for inference, one per layer for its block output and the
-state it carries, and one scratch shared by all layers.
+state it carries from call to call, and one scratch shared by all layers.
 
 The network computes in float32, the dtype of its parameters: the forward
 and the backward follow the predictor's dtype, and incoming windows and
 loss gradients (float64 from the data pipeline and the losses) are cast
-where they enter, windows one block at a time inside the cells.
+where they enter, windows one layer call's steps at a time inside the cells.
 """
 
 from __future__ import annotations
@@ -95,8 +95,9 @@ def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
 def _block_forward(layer, seq: np.ndarray, state, traces: list | None,
                    buffers: cells.Buffers | None = None, scratch: cells.Buffers | None = None):
     """One layer over one block from its carried state; returns the block's
-    outputs and the state it leaves.  The trace goes to ``traces`` if given,
-    else it is dropped here."""
+    outputs and the state it leaves, both views of the layer's ``buffers``
+    (fresh arrays without them) until its next call.  The trace goes to
+    ``traces`` if given, else it is dropped here."""
     out, trace = cells.cell_forward(layer, seq, state, buffers, scratch)
     if traces is not None:
         traces.append(trace)
@@ -186,21 +187,24 @@ class Network:
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
         or None, trace).  With ``keep_trace=False`` (inference) the trace is
-        None and the layer stack runs over one block of ``cells.BLOCK``
-        steps at a time, each layer carrying its state from block to block
-        and the feature reduction folded into the loop, so no (T, B, H)
-        buffer is built; the outputs are bit-identical to the traced pass,
-        which is the same loop over one block of T steps.
+        None and the layer stack streams over the time steps, each layer
+        carrying its state from call to call and the feature reduction
+        folded into the loop, so no (T, B, H) buffer is built.  A GRU stack
+        streams one step per layer call, as its work is all per step; an
+        SRU or vanilla stack one block of ``cells.BLOCK`` steps, the steps
+        of one input GEMM, because an SGEMM row's bits can depend on the
+        GEMM's row count.  The outputs are bit-identical to the traced
+        pass, which is the same loop over one block of T steps.
 
         The traced pass takes its trace arrays from the network's training
         workspace, ``self.buffers``, and :meth:`backward` its gradient
         arrays, so a trace stays valid until the network's next traced
         forward, and the ``dx`` its backward leaves until the next
         backward.  Inference runs in a workspace of its own, so it
-        changes no trace: every block call of every layer takes its
-        scratch from ``self.stream_scratch``, and writes its block output
-        to the layer's ``self.stream_buffers``, where the state it leaves
-        is copied too.
+        changes no trace: every call of every layer takes its scratch from
+        ``self.stream_scratch`` and writes its block output and the state
+        it leaves to the layer's ``self.stream_buffers``, where the layer's
+        next call reads that state.
 
         Windows beyond the parameters' dtype range (float32's 3.4e38) raise
         NumericError: cast, they would turn into infinities.
@@ -216,24 +220,21 @@ class Network:
             raise NumericError(f"windows exceed the {dtype} range of the network")
 
         B, T, _ = x.shape
-        H = self.config.hidden_size
-        pool = self.config.cell_type == "sru"
-        total = np.zeros((B, H), dtype)   # the pool's running sum
+        cell = self.config.cell_type
+        pool = cell == "sru"
+        if pool:
+            total = np.zeros((B, self.config.hidden_size), dtype)   # the pool's running sum
         if keep_trace:
             step, traces, buffers, scratch = T, [], self.buffers, None
-            states = [None] * len(self.layers)   # one call per layer
         else:
-            step, traces, buffers, scratch = (cells.BLOCK, None, self.stream_buffers,
-                                              self.stream_scratch)
-            states = [b.array("state", (B, H), dtype) for b in buffers]
-            for state in states:
-                state.fill(0.0)
+            step = 1 if cell == "gru" else cells.BLOCK
+            traces, buffers, scratch = None, self.stream_buffers, self.stream_scratch
+        states = [None] * len(self.layers)
         for lo in range(0, T, step):
             seq = x[:, lo:lo + step]
             for i, layer in enumerate(self.layers):
-                seq, final = _block_forward(layer, seq, states[i], traces, buffers[i], scratch)
-                if not keep_trace:   # copied out before the next call reuses the scratch
-                    np.copyto(states[i], final)
+                seq, states[i] = _block_forward(layer, seq, states[i], traces, buffers[i],
+                                                scratch)
             if pool:
                 _pool_sum(total, seq)
         feat = total / T if pool else seq[:, -1, :].copy()
@@ -298,13 +299,12 @@ class Network:
 
         B, T = feat.shape[0], trace.seq_len
         H = self.config.hidden_size
-        dseq = np.zeros((B, T, H), dtype)
-        if self.config.cell_type == "sru":
-            dseq += (dfeat / T)[:, None, :]
+        if self.config.cell_type == "sru":   # the pool's mean: one view, read only
+            upstream = np.broadcast_to((dfeat / T)[:, None, :], (B, T, H))
         else:
-            dseq[:, -1, :] = dfeat
+            upstream = np.zeros((B, T, H), dtype)
+            upstream[:, -1, :] = dfeat
 
-        upstream = dseq
         for i in range(len(self.layers) - 1, -1, -1):
             layer_grads, dx, _ = cells.cell_backward(   # nothing reads layer 0's dx
                 trace.cell_traces[i], self.layers[i], upstream, self.buffers[i], i > 0)

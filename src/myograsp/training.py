@@ -244,9 +244,11 @@ def predict(net: Network, x: np.ndarray, chunk: int = PREDICT_CHUNK) -> np.ndarr
     """Batched inference over (N, T, C) windows; returns (N, angles).
 
     Runs the untraced forward, which streams each chunk through the layer
-    stack one block of ``cells.BLOCK`` steps at a time in the network's
-    inference workspace, so peak memory is that workspace, sized by one
-    block of one chunk, whatever the window length and chunk count.
+    stack in the network's inference workspace, one step per layer call
+    for the GRU and one block of ``cells.BLOCK`` steps for the SRU and the
+    vanilla cell, so peak memory is that workspace, sized by one call of
+    one chunk plus each layer's carried state, whatever the window length
+    and chunk count.
     """
     outs = [net.forward(x[lo:lo + chunk], keep_trace=False)[0]
             for lo in range(0, len(x), chunk)]

@@ -418,18 +418,16 @@ def test_split_forward_from_carried_state_is_bit_identical(kind, k):
 
 def stream_untraced(params, x, state0):
     """Run one layer over ``x`` the way ``Network.forward(keep_trace=False)``
-    does: one block of BLOCK steps at a time in one reused workspace (a
-    Buffers for the block outputs, one for scratch), from the state copied
-    into an array of its own, no trace kept."""
+    does: one step per call for the GRU, one block of BLOCK steps for the
+    SRU, in one reused workspace (a Buffers for the block outputs and the
+    carried state, one for scratch), each call starting from the state the
+    one before left in the workspace, no trace kept."""
     buffers, scratch = cells.Buffers(), cells.Buffers()
-    H = next(iter(params.named()))[1].shape[0]
-    state = np.zeros((x.shape[0], H)) if state0 is None else state0.copy()
-    outs = []
-    for lo in range(0, x.shape[1], cells.BLOCK):
-        out, final = _block_forward(params, x[:, lo:lo + cells.BLOCK], state, None,
-                                    buffers, scratch)
-        outs.append(out.copy())   # the next block overwrites it
-        np.copyto(state, final)
+    step = 1 if isinstance(params, cells.GruParams) else cells.BLOCK
+    state, outs = state0, []
+    for lo in range(0, x.shape[1], step):
+        out, state = _block_forward(params, x[:, lo:lo + step], state, None, buffers, scratch)
+        outs.append(out.copy())   # the next call overwrites it
     return np.concatenate(outs, axis=1), state
 
 
