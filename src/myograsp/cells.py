@@ -46,8 +46,8 @@ readout GEMMs; the GRU's work is all per step.  So a call over a sequence
 computes bit for bit what a call per block of ``BLOCK`` steps does, each
 started from the ``final_state`` of the block before, and for the GRU what
 a call per step does: the network's inference streams its layer stack
-that way, the GRU one step per call and the other cells one block per
-call.  The SRU and the vanilla cell keep their blocks because an SGEMM
+that way, ``stream_step`` steps per call, the GRU one step and the other
+cells one block.  The SRU and the vanilla cell keep their blocks because an SGEMM
 row's bits can depend on how many rows the GEMM has, so their per-step
 products would differ from the traced pass's per-block ones.
 
@@ -55,7 +55,8 @@ Every forward and backward computes in its parameters' dtype: float32 for
 a network's (``numerics.init_params``), float64 for the tests' gradient
 checks and reference comparisons.  Inputs, initial states and upstream
 gradients are cast to it on entry (the GRU and SRU cast ``x`` in their
-time-major copy, so a streamed call casts only its own steps), and every
+time-major copy, a streamed SRU call one block of it, and a streamed GRU
+call casts its step straight into its row buffer), and every
 output, trace field, scratch array and gradient has it.
 
 Backward passes return exact gradients of the forward map and were written
@@ -76,7 +77,7 @@ every call allocates its own arrays.
 
 A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
-cast input block, the GRU's row buffer and gates, the SRU's gate slab and
+GRU's row buffer and gates, the SRU's cast input block, gate slab and
 f_t * c_{t-1}) come from it, so one scratch serves every layer of a
 network's inference, and ``buffers`` holds only the block output and the
 state the call leaves (the GRU's h_0 and h_T, the SRU's c_T: its c_t and
@@ -115,6 +116,7 @@ __all__ = [
     "cell_forward",
     "cell_backward",
     "final_state",
+    "stream_step",
 ]
 
 
@@ -261,17 +263,27 @@ class Buffers:
     view of that shape, so a smaller batch (an epoch's partial last one)
     reuses the memory of a larger one; asking for another dtype replaces
     the array.  Its contents are left as they are, like ``np.empty``'s.
+    The view handed out for a (name, shape, dtype) is kept and handed out
+    again until the name's array is replaced, so a streamed call, which
+    asks for the same arrays every step, builds no new view.
     """
 
     def __init__(self):
         self._flat = {}
+        self._views = {}
 
     def array(self, name: str, shape: tuple, dtype) -> np.ndarray:
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is not None:
+            return view
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size or flat.dtype != dtype:
             flat = self._flat[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+            self._views = {k: v for k, v in self._views.items() if k[0] != name}
+        view = self._views[key] = flat[:size].reshape(shape)
+        return view
 
 
 def _empty(buffers: Buffers | None, name: str, shape: tuple, dtype) -> np.ndarray:
@@ -412,9 +424,10 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     outputs and the trace fields are (B, T, .) views of the time-major
     buffers; ``z`` and ``r`` are the column halves of the z|r blocks.  A
     streamed call (given ``scratch``) takes z|r and the candidate from
-    ``scratch``: streamed one step per call, as the network's inference
-    does, a layer holds only h_0 and h_1 in ``buffers``, and the h_1 it
-    leaves is the next call's h_0.
+    ``scratch`` and makes no time-major copy of ``x``, whose steps it casts
+    straight into the row (its trace's ``x`` is ``x``): streamed one step
+    per call, as the network's inference does, a layer holds only h_0 and
+    h_1 in ``buffers``, and the h_1 it leaves is the next call's h_0.
     """
     A_zr, A_h = params.A_zr, params.A_h
     dtype = A_h.dtype
@@ -423,7 +436,8 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     x = _check_seq(x, D, "gru_forward")
     B, T, _ = x.shape
 
-    xt = _time_major(x, dtype, scratch)
+    # a streamed call reads its steps from x as given, cast into the row
+    xt = _time_major(x, dtype, None) if scratch is None else _batch_major(x)
     held = buffers if scratch is None else scratch
 
     # without a workspace, scratch first and the states (they outlive the
@@ -440,7 +454,7 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     for t in range(T):
         h = hs[t]
         np.copyto(h_row, h)
-        np.copyto(x_row, xt[t])
+        np.copyto(x_row, xt[t], casting="unsafe")
         zr_t = np.matmul(zr_in, A_zr, out=zr[t])
         sigmoid(zr_t, out=zr_t)
         z_t, r_t = zr_t[:, :H], zr_t[:, H:]
@@ -588,13 +602,12 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     if streamed:
         slab = _empty(scratch, "slab", (k, T, B, H), dtype)   # xhat, f, r (, W_p x)
         cs = _empty(buffers, "c", (1, B, H), dtype)         # c_T
-        c = _init_state(c0, fc, "sru_forward")
     else:
         tmp = np.empty((min(BLOCK, T), B, H), dtype)        # r_t * tanh(c_t)
         slab = _empty(buffers, "slab", (k, T, B, H), dtype)
         cs = _empty(buffers, "cs", (T + 1, B, H), dtype)    # c_0 ... c_T
         tanh_c = _empty(buffers, "tanh_c", (T, B, H), dtype)
-        c = _init_state(c0, cs[0], "sru_forward")
+    c = _init_state(c0, cs[0], "sru_forward")
     hs = _empty(buffers, "hs", (T, B, H), dtype)
     for lo in range(0, T, BLOCK):
         n = min(BLOCK, T - lo)
@@ -713,11 +726,11 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
 # dispatch helpers used by the network module
 # ---------------------------------------------------------------------------
 
-# parameter type -> (forward, backward, trace type)
+# parameter type -> (forward, backward, trace type, steps per streamed call)
 _CELLS = {
-    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace),
-    GruParams: (gru_forward, gru_backward, GruTrace),
-    SruParams: (sru_forward, sru_backward, SruTrace),
+    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace, BLOCK),
+    GruParams: (gru_forward, gru_backward, GruTrace, 1),
+    SruParams: (sru_forward, sru_backward, SruTrace, BLOCK),
 }
 
 
@@ -734,6 +747,15 @@ def cell_forward(params: CellParams, x: np.ndarray, state0=None,
     return _cell(params)[0](params, x, state0, buffers, scratch)
 
 
+def stream_step(params: CellParams) -> int:
+    """Time steps per call when a layer streams a sequence, as the network's
+    inference does: one for the GRU, whose work is all per step, and
+    ``BLOCK`` for the others, the steps of one input-side GEMM (an SGEMM
+    row's bits can depend on the GEMM's row count, so per-step products
+    would differ from the traced pass's)."""
+    return _cell(params)[3]
+
+
 def final_state(trace) -> np.ndarray:
     """The state a forward leaves, (B, H): c_T for the SRU, else h_T.  A
     call over the rest of the sequence started from it continues exactly."""
@@ -743,7 +765,7 @@ def final_state(trace) -> np.ndarray:
 def cell_backward(trace, params: CellParams, upstream: np.ndarray,
                   buffers: Buffers | None = None, input_grad: bool = True):
     """Dispatch to the matching backward pass; trace and params must pair up."""
-    _, backward, trace_type = _cell(params)
+    _, backward, trace_type, _ = _cell(params)
     if not isinstance(trace, trace_type):
         raise TypeError(f"trace/params mismatch: {type(params).__name__} "
                         f"need a {trace_type.__name__}")

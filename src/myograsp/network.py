@@ -189,12 +189,13 @@ class Network:
         or None, trace).  With ``keep_trace=False`` (inference) the trace is
         None and the layer stack streams over the time steps, each layer
         carrying its state from call to call and the feature reduction
-        folded into the loop, so no (T, B, H) buffer is built.  A GRU stack
-        streams one step per layer call, as its work is all per step; an
-        SRU or vanilla stack one block of ``cells.BLOCK`` steps, the steps
-        of one input GEMM, because an SGEMM row's bits can depend on the
-        GEMM's row count.  The outputs are bit-identical to the traced
-        pass, which is the same loop over one block of T steps.
+        folded into the loop, so no (T, B, H) buffer is built.  Each layer
+        call takes ``cells.stream_step`` steps: one for a GRU stack, as its
+        work is all per step; one block of ``cells.BLOCK`` steps, the steps
+        of one input GEMM, for an SRU or vanilla stack, because an SGEMM
+        row's bits can depend on the GEMM's row count.  The outputs are
+        bit-identical to the traced pass, which is the same loop over one
+        block of T steps.
 
         The traced pass takes its trace arrays from the network's training
         workspace, ``self.buffers``, and :meth:`backward` its gradient
@@ -220,15 +221,14 @@ class Network:
             raise NumericError(f"windows exceed the {dtype} range of the network")
 
         B, T, _ = x.shape
-        cell = self.config.cell_type
-        pool = cell == "sru"
+        pool = self.config.cell_type == "sru"
         if pool:
             total = np.zeros((B, self.config.hidden_size), dtype)   # the pool's running sum
         if keep_trace:
             step, traces, buffers, scratch = T, [], self.buffers, None
         else:
-            step = 1 if cell == "gru" else cells.BLOCK
-            traces, buffers, scratch = None, self.stream_buffers, self.stream_scratch
+            step, traces, buffers, scratch = (cells.stream_step(self.layers[0]), None,
+                                              self.stream_buffers, self.stream_scratch)
         states = [None] * len(self.layers)
         for lo in range(0, T, step):
             seq = x[:, lo:lo + step]

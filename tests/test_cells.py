@@ -423,7 +423,7 @@ def stream_untraced(params, x, state0):
     carried state, one for scratch), each call starting from the state the
     one before left in the workspace, no trace kept."""
     buffers, scratch = cells.Buffers(), cells.Buffers()
-    step = 1 if isinstance(params, cells.GruParams) else cells.BLOCK
+    step = cells.stream_step(params)
     state, outs = state0, []
     for lo in range(0, x.shape[1], step):
         out, state = _block_forward(params, x[:, lo:lo + step], state, None, buffers, scratch)

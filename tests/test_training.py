@@ -332,7 +332,8 @@ class TestPredict:
     def test_peak_memory_independent_of_chunk_count(self, cell):
         # no chunk's activations may outlive it: four chunks peak where one
         # does, plus the three more chunks' predictions, which are the
-        # result; each measured on a fresh network, whose inference
+        # result, and 2 KiB for the list that holds them and their array
+        # headers; each measured on a fresh network, whose inference
         # workspace grows inside the measurement
         x = make_rng(2).normal(size=(4 * 64, 48, 3))
 
@@ -347,7 +348,7 @@ class TestPredict:
 
         one, four = peak_bytes(64), peak_bytes(4 * 64)
         predictions = 3 * 64 * 15 * 4   # three chunks' float32 angles
-        assert four <= 1.1 * one + predictions, (one, four)
+        assert four <= one + predictions + 2 * 1024, (one, four)
 
     @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_reused_workspace_is_bit_identical_to_fresh(self, cell):
@@ -404,11 +405,12 @@ PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D = 64, 128, 32, 3
 
 def gru_workspace(B):
     """(scratch, layer) float32 elements of a streamed GRU call at batch B:
-    the scratch shared by both layers is one step's cast input, the one
-    (B, 2H+D+1) row [h | x | 1 | r*h], one step of z|r and one of the
-    candidate; a layer keeps h_0 and h_1, the second its carried state."""
+    the scratch shared by both layers is the one (B, 2H+D+1) row
+    [h | x | 1 | r*h], into which the step's input is cast, one step of z|r
+    and one of the candidate; a layer keeps h_0 and h_1, the second its
+    carried state."""
     H, D = PREDICT_H, PREDICT_D
-    return B * D + B * (2 * H + D + 1) + 3 * B * H, 2 * B * H
+    return B * (2 * H + D + 1) + 3 * B * H, 2 * B * H
 
 
 def sru_workspace(B):
