@@ -47,9 +47,9 @@ computes bit for bit what a call per block of ``BLOCK`` steps does, each
 started from the ``final_state`` of the block before, and for the GRU what
 a call per step does: the network's inference streams its layer stack
 that way, ``stream_step`` steps per call, the GRU one step and the other
-cells one block.  The SRU and the vanilla cell keep their blocks because an SGEMM
-row's bits can depend on how many rows the GEMM has, so their per-step
-products would differ from the traced pass's per-block ones.
+cells one block.  The SRU and the vanilla cell keep their blocks because
+an SGEMM row's bits can depend on how many rows the GEMM has, so their
+per-step products would differ from the traced pass's per-block ones.
 
 Every forward and backward computes in its parameters' dtype: float32 for
 a network's (``numerics.init_params``), float64 for the tests' gradient

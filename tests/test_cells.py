@@ -418,8 +418,8 @@ def test_split_forward_from_carried_state_is_bit_identical(kind, k):
 
 def stream_untraced(params, x, state0):
     """Run one layer over ``x`` the way ``Network.forward(keep_trace=False)``
-    does: one step per call for the GRU, one block of BLOCK steps for the
-    SRU, in one reused workspace (a Buffers for the block outputs and the
+    does: ``cells.stream_step`` steps per call (one for the GRU, a block of
+    BLOCK for the SRU), in one reused workspace (a Buffers for the block outputs and the
     carried state, one for scratch), each call starting from the state the
     one before left in the workspace, no trace kept."""
     buffers, scratch = cells.Buffers(), cells.Buffers()
@@ -469,6 +469,21 @@ def test_untraced_sru_matches_traced(T, with_c0, input_dim):
     assert_oracle_close(out, ref_out, "outputs")
     for name, arr in ref_trace.named():
         assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")
+
+
+@pytest.mark.parametrize("kind", ["gru-d5", "sru-dH", "sru-d5"])
+def test_streamed_call_over_no_steps_hands_on_its_state(kind):
+    # a streamed call over no steps leaves its initial state as its final
+    # state, not the state an earlier call left in the same buffers
+    init_fn, input_dim = SPLIT_SETUPS[kind]
+    rng = derive_rng(0, "no-steps", kind)
+    params = init_fn(input_dim, 6, rng)
+    buffers, scratch = cells.Buffers(), cells.Buffers()
+    cells.cell_forward(params, rng.normal(size=(3, 1, input_dim)), None, buffers, scratch)
+    s0 = rng.normal(size=(3, 6)).astype(np.float32)
+    out, trace = cells.cell_forward(params, np.zeros((3, 0, input_dim)), s0, buffers, scratch)
+    assert out.shape == (3, 0, 6)
+    np.testing.assert_array_equal(cells.final_state(trace), s0)
 
 
 @pytest.mark.parametrize("kind", list(CELL_SETUPS))
