@@ -77,14 +77,15 @@ every call allocates its own arrays.
 
 A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
-GRU's row buffer and gates, the SRU's cast input block, gate slab and
-f_t * c_{t-1}) come from it, so one scratch serves every layer of a
-network's inference, and ``buffers`` holds only the block output and the
-state the call leaves (the GRU's h_0 and h_T, the SRU's c_T: its c_t and
-tanh(c_t) live in the slab).  Its trace serves ``final_state``, a view of
-``buffers``, until the next call with those buffers, and no backward.
-A backward's ``input_grad=False`` skips ``dx``, which nothing reads below
-the bottom layer.
+GRU's row buffer and gates, the SRU's cast input block, two gate planes
+and f_t * c_{t-1}) come from it, so one scratch serves every layer of a
+network's inference, and ``buffers`` holds only the outputs and the state
+the call leaves (the GRU's h_t, which a one-step call writes over
+h_{t-1}; the SRU's block output and c_T: its c_t and tanh(c_t) live in a
+gate plane).  Its trace holds only ``x`` and the state and serves
+``final_state``, a view of ``buffers``, until the next call with those
+buffers, and no backward.  A backward's ``input_grad=False`` skips ``dx``,
+which nothing reads below the bottom layer.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ def _check_seq(x: np.ndarray, input_dim: int, who: str) -> np.ndarray:
 def _init_state(state, out: np.ndarray, who: str) -> np.ndarray:
     """Write the initial state (zeros if None) into the (B, H) array ``out``
     and return ``out``.  ``state`` may share memory with ``out``, as the
-    state a previous call left in the same buffers does."""
+    state a previous call left in the same buffers does; when it is a view
+    of ``out`` itself, ``np.copyto`` skips the copy."""
     if state is None:
         out.fill(0.0)
         return out
@@ -399,7 +401,8 @@ def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
 
 @dataclass
 class GruTrace(_ArrayFields):
-    # (B, T, .) views of time-major (T, B, .) buffers, see gru_forward
+    # (B, T, .) views of time-major (T, B, .) buffers, see gru_forward; a
+    # streamed call's holds x and its h buffer, and None for the gates
     x: np.ndarray     # (B, T, D)
     hs: np.ndarray    # (B, T+1, H)
     z: np.ndarray     # (B, T, H)
@@ -422,12 +425,18 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     recurrent products; ``params`` holds A_zr and A_h as they are.  The
     elementwise work is done in place, with no per-step temporaries.  The
     outputs and the trace fields are (B, T, .) views of the time-major
-    buffers; ``z`` and ``r`` are the column halves of the z|r blocks.  A
-    streamed call (given ``scratch``) takes z|r and the candidate from
+    buffers; ``z`` and ``r`` are the column halves of the z|r blocks.
+
+    A streamed call (given ``scratch``) takes z|r and the candidate from
     ``scratch`` and makes no time-major copy of ``x``, whose steps it casts
-    straight into the row (its trace's ``x`` is ``x``): streamed one step
-    per call, as the network's inference does, a layer holds only h_0 and
-    h_1 in ``buffers``, and the h_1 it leaves is the next call's h_0.
+    straight into the row (its trace's ``x`` is ``x``).  It keeps its
+    outputs h_1 ... h_T in a max(T, 1)-row buffer in ``buffers`` whose
+    first row starts as the initial state, which the first step updates in
+    place to h_1 as h + (hc_t - h) * z_t, the product formed in the
+    candidate; that rounds as the traced (hc_t - h) * z_t + h does.
+    Streamed one step per call, as the network's inference does, a layer
+    holds one h: the state a call leaves is the next call's initial state,
+    which ``_init_state`` then copies nowhere.
     """
     A_zr, A_h = params.A_zr, params.A_h
     dtype = A_h.dtype
@@ -435,10 +444,11 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     D = len(A_zr) - H - 1
     x = _check_seq(x, D, "gru_forward")
     B, T, _ = x.shape
+    streamed = scratch is not None
 
     # a streamed call reads its steps from x as given, cast into the row
-    xt = _time_major(x, dtype, None) if scratch is None else _batch_major(x)
-    held = buffers if scratch is None else scratch
+    xt = _batch_major(x) if streamed else _time_major(x, dtype, None)
+    held = scratch if streamed else buffers
 
     # without a workspace, scratch first and the states (they outlive the
     # call) last: freed scratch then lies below live memory, where the
@@ -446,13 +456,17 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     row = _empty(scratch, "row", (B, 2 * H + D + 1), dtype)   # [h_{t-1} | x_t | 1 | r_t * h_{t-1}]
     zr = _empty(held, "zr", (T, B, 2 * H), dtype)             # z_t | r_t
     hc = _empty(held, "hc", (T, B, H), dtype)
-    hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
-    _init_state(h0, hs[0], "gru_forward")
+    if streamed:   # h_1 ... h_T, the first row starting as h_0
+        hs = _empty(buffers, "h", (max(T, 1), B, H), dtype)
+        out = hs
+    else:          # h_0 ... h_T
+        hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
+        out = hs[1:]
+    h = _init_state(h0, hs[0], "gru_forward")
     h_row, x_row, rh = row[:, :H], row[:, H:H + D], row[:, H + D + 1:]
     zr_in, hc_in = row[:, :H + D + 1], row[:, H:]
     row[:, H + D] = 1.0
     for t in range(T):
-        h = hs[t]
         np.copyto(h_row, h)
         np.copyto(x_row, xt[t], casting="unsafe")
         zr_t = np.matmul(zr_in, A_zr, out=zr[t])
@@ -461,14 +475,18 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
         np.multiply(r_t, h, out=rh)
         hc_t = np.matmul(hc_in, A_h, out=hc[t])
         np.tanh(hc_t, out=hc_t)
-        # h_t = h + z_t * (hc_t - h)
-        h_t = np.subtract(hc_t, h, out=hs[t + 1])
-        h_t *= z_t
-        h_t += h
+        # h_t = h + (hc_t - h) * z_t, the product formed in hc_t when no
+        # trace keeps it, so that h_t can overwrite h
+        d = hc_t if streamed else out[t]
+        np.subtract(hc_t, h, out=d)
+        d *= z_t
+        h = np.add(h, d, out=out[t])
 
+    if streamed:
+        return _batch_major(hs[:T]), GruTrace(x=x, hs=_batch_major(hs), z=None, r=None, hc=None)
     trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, :, :H]),
                      r=_batch_major(zr[:, :, H:]), hc=_batch_major(hc))
-    return _batch_major(hs)[:, 1:], trace
+    return _batch_major(out), trace
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
@@ -555,6 +573,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
 
 @dataclass
 class SruTrace(_ArrayFields):
+    # a streamed call's holds x and c_T, and None for the rest
     x: np.ndarray      # (B, T, D)
     xhat: np.ndarray   # (B, T, H)
     f: np.ndarray      # (B, T, H)
@@ -578,11 +597,17 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     The outputs and the trace fields are (B, T, .) views of the time-major
     buffers.
 
-    A streamed call (given ``scratch``) keeps nothing for a backward: it
-    scans c_t and takes tanh(c_t) in place in the slab's xhat plane, forms
-    r_t * tanh(c_t) in the r plane and copies the c_T it leaves into
-    ``buffers``, which its trace's ``cs`` holds alone.  Every elementwise
-    operation keeps its operands, so the outputs stay bit-identical.
+    A streamed call (given ``scratch``) keeps nothing for a backward and
+    holds one block's gates in two scratch planes instead of a k-plane
+    slab: xhat and f first, from the batched GEMM over the stack's first
+    two matrices, with c_t scanned and tanh(c_t) taken in the xhat plane;
+    then r in f's plane, where r_t * tanh(c_t) goes to the xhat plane and
+    1 - r_t stays, and W_p x_t straight into the block output, each from a
+    GEMM of its own.  numpy's batched GEMM calls one SGEMM per matrix, so
+    every product has the traced pass's bits.  It copies the c_T it leaves
+    into ``buffers``, which its trace's ``cs`` holds alone.  Every
+    elementwise operation keeps its operands (products and sums commute
+    exactly), so the outputs stay bit-identical.
     """
     W, b = params.W_stack, params.b_fr[:, None]
     k, D, H = W.shape
@@ -599,8 +624,8 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
 
     # scratch first and the states last, as in gru_forward
     fc = _empty(scratch, "fc", (B, H), dtype)              # f_t * c_{t-1}
-    if streamed:
-        slab = _empty(scratch, "slab", (k, T, B, H), dtype)   # xhat, f, r (, W_p x)
+    if streamed:   # xhat_t, then c_t, then tanh(c_t) | f_t, then r_t
+        planes = _empty(scratch, "planes", (2, min(BLOCK, T), B, H), dtype)
         cs = _empty(buffers, "c", (1, B, H), dtype)         # c_T
     else:
         tmp = np.empty((min(BLOCK, T), B, H), dtype)        # r_t * tanh(c_t)
@@ -611,38 +636,59 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     hs = _empty(buffers, "hs", (T, B, H), dtype)
     for lo in range(0, T, BLOCK):
         n = min(BLOCK, T - lo)
-        blk = slab[:, lo:lo + n]
-        np.matmul(xt[lo:lo + n].reshape(n * B, D), W, out=blk.reshape(k, n * B, H))
-        gates = blk[1:3]
-        gates += b
-        sigmoid(gates, out=gates)
-        xhat, f, r = blk[:3]
-        xh = blk[3] if k == 4 else xt[lo:lo + n]
+        x2 = xt[lo:lo + n].reshape(n * B, D)
         h = hs[lo:lo + n]
-
-        # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned in place in cs,
-        # or in a streamed call in the xhat plane; 1 - f_t sits in h for now
+        # every gate, or in a streamed call xhat and f in its two planes
+        blk = planes[:, :n] if streamed else slab[:, lo:lo + n]
+        np.matmul(x2, W[:len(blk)], out=blk.reshape(len(blk), n * B, H))
+        gates = blk[1:3]
+        gates += b[:len(gates)]
+        sigmoid(gates, out=gates)
+        xhat, f = blk[:2]
         cb = xhat if streamed else cs[lo + 1:lo + n + 1]
+
+        # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned into cs, or in
+        # a streamed call into the xhat plane; 1 - f_t sits in h for now
         np.subtract(1.0, f, out=h)
         np.multiply(h, xhat, out=cb)
         for j in range(n):
             np.multiply(f[j], c, out=fc)
             cb[j] += fc
             c = cb[j]
-        if streamed:   # tanh(c_t) overwrites the xhat plane
-            np.copyto(cs[0], c)
-            c = cs[0]
 
         # h_t = (1 - r_t) * xh_t + r_t * tanh(c_t)
-        th = np.tanh(cb, out=cb if streamed else tanh_c[lo:lo + n])
-        np.subtract(1.0, r, out=h)
-        h *= xh
-        h += np.multiply(r, th, out=r if streamed else tmp[:n])
+        if streamed:   # r_t in f's plane, then 1 - r_t; W_p x_t in h
+            np.copyto(cs[0], c)   # tanh(c_t) overwrites the xhat plane
+            c = cs[0]
+            r = f
+            np.matmul(x2, W[2], out=r.reshape(n * B, H))   # the batched GEMM's SGEMM
+            r += b[1]
+            sigmoid(r, out=r)
+            th = np.tanh(cb, out=cb)
+            np.multiply(r, th, out=th)
+            np.subtract(1.0, r, out=r)
+            if k == 4:
+                np.matmul(x2, W[3], out=h.reshape(n * B, H))
+                h *= r
+            else:
+                np.multiply(r, xt[lo:lo + n], out=h)
+            h += th
+        else:
+            r = blk[2]
+            xh = blk[3] if k == 4 else xt[lo:lo + n]
+            th = np.tanh(cb, out=tanh_c[lo:lo + n])
+            np.subtract(1.0, r, out=h)
+            h *= xh
+            h += np.multiply(r, th, out=tmp[:n])
 
+    if streamed:
+        trace = SruTrace(x=_batch_major(xt), xhat=None, f=None, r=None, cs=_batch_major(cs),
+                         xh=None, tanh_c=None)
+        return _batch_major(hs), trace
     xhat, f, r = (_batch_major(a) for a in slab[:3])
     xh = slab[3] if k == 4 else xt
     trace = SruTrace(x=_batch_major(xt), xhat=xhat, f=f, r=r, cs=_batch_major(cs),
-                     xh=_batch_major(xh), tanh_c=xhat if streamed else _batch_major(tanh_c))
+                     xh=_batch_major(xh), tanh_c=_batch_major(tanh_c))
     return _batch_major(hs), trace
 
 

@@ -20,7 +20,6 @@ window over it, so they cost O(rows) however far the windows overlap.
 from __future__ import annotations
 
 import functools
-import io
 import json
 import logging
 import warnings
@@ -625,10 +624,8 @@ def save_archive(path, window_set: WindowSet, meta: dict) -> None:
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)
     payload["windows_rec_index"] = window_set.rec_index
     payload["windows_start_row"] = window_set.start_row
-    buf = io.BytesIO()
-    np.savez(buf, **payload)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with open(path, "wb") as fh:   # a file object: np.savez would append .npz to a path
+        np.savez(fh, **payload)
 
 
 def load_archive(path):

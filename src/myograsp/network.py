@@ -20,7 +20,6 @@ where they enter, windows one layer call's steps at a time inside the cells.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 
@@ -90,6 +89,17 @@ def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
     (``mean(axis=1)`` sums pairwise in degenerate shapes)."""
     for t in range(seq.shape[1]):
         total += seq[:, t]
+
+
+def _head_forward(head: HeadParams, feat: np.ndarray):
+    """(relu(feat @ W1.T + b1), that @ W2.T + b2), each formed in place in
+    its product."""
+    a1 = feat @ head.W1.T
+    a1 += head.b1
+    relu(a1, out=a1)
+    out = a1 @ head.W2.T
+    out += head.b2
+    return a1, out
 
 
 def _block_forward(layer, seq: np.ndarray, state, traces: list | None,
@@ -195,7 +205,10 @@ class Network:
         of one input GEMM, for an SRU or vanilla stack, because an SGEMM
         row's bits can depend on the GEMM's row count.  The outputs are
         bit-identical to the traced pass, which is the same loop over one
-        block of T steps.
+        block of T steps.  The feature is the pool's running sum, divided in
+        place, or the top layer's last output, a view of its buffers at
+        inference, and each head forms its hidden activations and outputs in
+        place in its matrix products.
 
         The traced pass takes its trace arrays from the network's training
         workspace, ``self.buffers``, and :meth:`backward` its gradient
@@ -237,19 +250,19 @@ class Network:
                                                 scratch)
             if pool:
                 _pool_sum(total, seq)
-        feat = total / T if pool else seq[:, -1, :].copy()
+        if pool:
+            feat = np.divide(total, T, out=total)
+        elif keep_trace:   # a view would keep the vanilla cell's whole output alive
+            feat = seq[:, -1, :].copy()
+        else:
+            feat = seq[:, -1, :]
 
-        p = self.predictor
-        pred_a1 = relu(feat @ p.W1.T + p.b1)
-        angles = pred_a1 @ p.W2.T + p.b2
-
+        pred_a1, angles = _head_forward(self.predictor, feat)
         domain_logits = None
         disc_a1 = None
         if self.discriminator is not None:
             # the gradient reversal layer is the identity going forward
-            d = self.discriminator
-            disc_a1 = relu(feat @ d.W1.T + d.b1)
-            domain_logits = disc_a1 @ d.W2.T + d.b2
+            disc_a1, domain_logits = _head_forward(self.discriminator, feat)
 
         trace = (NetworkTrace(cell_traces=traces, features=feat, seq_len=T,
                               pred_a1=pred_a1, disc_a1=disc_a1) if keep_trace else None)
@@ -355,10 +368,8 @@ def save_checkpoint(path, net: Network, meta: dict | None = None) -> None:
         json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8)}
     for name, arr in net.named_params():
         payload[name] = arr
-    buf = io.BytesIO()
-    np.savez(buf, **payload)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    with open(path, "wb") as fh:   # a file object: np.savez would append .npz to a path
+        np.savez(fh, **payload)
 
 
 def load_checkpoint(path):

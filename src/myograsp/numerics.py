@@ -46,10 +46,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.reciprocal(out, out=out)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """``max(x, 0)`` in ``x``'s floating dtype (float64 for other input)."""
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(x, 0)`` in ``x``'s floating dtype (float64 for other input),
+    written to ``out`` if given (``out`` may be ``x`` itself)."""
     x = np.asarray(x)
-    return np.maximum(x, 0.0, dtype=np.result_type(x.dtype, np.float32))
+    return np.maximum(x, 0.0, out=out, dtype=np.result_type(x.dtype, np.float32))
 
 
 def init_params(rows: int, cols: int, scheme: str, rng: np.random.Generator) -> np.ndarray:

@@ -486,6 +486,25 @@ def test_streamed_call_over_no_steps_hands_on_its_state(kind):
     np.testing.assert_array_equal(cells.final_state(trace), s0)
 
 
+@pytest.mark.parametrize("T", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["gru-d5", "gru-dH", "sru-d5", "sru-dH"])
+def test_streamed_call_from_given_state_matches_traced(kind, T):
+    # one streamed call updates its state in place in its own buffers: its
+    # outputs and final state equal the traced call's, and the caller's
+    # initial state, of the parameters' dtype and shape, is never written
+    init_fn, input_dim = SPLIT_SETUPS[kind]
+    rng = derive_rng(0, "streamed-call", kind, T)
+    params = randomized(init_fn(input_dim, 6, rng), rng)
+    x = rng.normal(size=(3, T, input_dim))
+    s0 = rng.normal(size=(3, 6)).astype(np.float32)
+    given = s0.copy()
+    bare, bare_trace = cells.cell_forward(params, x, s0, cells.Buffers(), cells.Buffers())
+    np.testing.assert_array_equal(s0, given)
+    out, trace = cells.cell_forward(params, x, s0)
+    np.testing.assert_array_equal(bare, out)
+    np.testing.assert_array_equal(cells.final_state(bare_trace), cells.final_state(trace))
+
+
 @pytest.mark.parametrize("kind", list(CELL_SETUPS))
 def test_untraced_cell_forward_returns_no_trace(kind):
     # a layer step without a trace list returns only (outputs, carried

@@ -21,6 +21,11 @@ class TestActivations:
         np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.5])),
                                       [0.0, 0.0, 2.5])
 
+    def test_relu_in_place(self):
+        x = np.array([-1.0, 0.0, 2.5], dtype=np.float32)
+        assert relu(x, out=x) is x
+        np.testing.assert_array_equal(x, [0.0, 0.0, 2.5])
+
     @given(st.floats(min_value=-500, max_value=500))
     @settings(max_examples=200, deadline=None)
     def test_sigmoid_complement(self, x):

@@ -400,62 +400,72 @@ def first_predict_peak(net, x):
         tracemalloc.stop()
 
 
-PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D = 64, 128, 32, 3
+# a batch at which the design's arrays outweigh numpy's transient iteration
+# buffers (at most 8192 elements an operand), so that a (B, H) array more
+# shows in the peak
+PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D = 512, 128, 32, 3
+PREDICT_PH, PREDICT_ANGLES = 8, 15
 
 
 def gru_workspace(B):
     """(scratch, layer) float32 elements of a streamed GRU call at batch B:
-    the scratch shared by both layers is the one (B, 2H+D+1) row
-    [h | x | 1 | r*h], into which the step's input is cast, one step of z|r
-    and one of the candidate; a layer keeps h_0 and h_1, the second its
-    carried state."""
-    H, D = PREDICT_H, PREDICT_D
-    return B * (2 * H + D + 1) + 3 * B * H, 2 * B * H
+    the scratch shared by both layers is the one (B, 2H+D_in+1) row
+    [h | x | 1 | r*h] at the top layer's width, D_in = H, into which the
+    step's input is cast, one step of z|r and one of the candidate; a layer
+    keeps one h, which each step updates in place."""
+    H = PREDICT_H
+    return B * (3 * H + 1) + 3 * B * H, B * H
 
 
 def sru_workspace(B):
     """(scratch, layer) float32 elements of a streamed SRU call at batch B:
-    the scratch shared by both layers is one block's cast input, its gate
-    slab (four gates in layer 0, which projects its highway input; c_t and
-    tanh(c_t) are scanned in its xhat plane) and f * c; a layer keeps its
+    the scratch shared by both layers is one block's cast input, two gate
+    planes (xhat, in which c_t and tanh(c_t) are scanned, and f, then r;
+    layer 0's W_p x goes to its block output) and f * c; a layer keeps its
     block output and the c it carries."""
     H, D, n = PREDICT_H, PREDICT_D, cells.BLOCK
-    return n * B * D + 4 * n * B * H + B * H, n * B * H + B * H
+    return n * B * D + 2 * n * B * H + B * H, n * B * H + B * H
 
 
-def design_bound(B, scratch, layer):
+def design_bound(B, scratch, layer, pooled):
     """Bytes the untraced forward holds by design at batch B, given its
     scratch and what one layer keeps in float32 elements: one set of
-    scratch shared by the two layers and each layer's own arrays, and no
-    copy of any parameter; 6 (B, H) cover the heads' few (B, .) arrays and
-    12 KiB the call's Python objects (array headers, views, traces)."""
-    return 4 * (scratch + 2 * layer + 6 * B * PREDICT_H) + 12 * 1024
+    scratch shared by the two layers, each layer's own arrays, no copy of
+    any parameter, and heads formed in place on a feature that is no copy:
+    the predictor's hidden activations and angles, ``predict``'s
+    concatenated angles and, when the cell is ``pooled``, the pool's
+    running sum, which becomes the feature.  12 KiB cover the call's Python
+    objects (array headers, views, traces) and numpy's iteration buffers."""
+    heads = B * (PREDICT_PH + 2 * PREDICT_ANGLES) + pooled * B * PREDICT_H
+    return 4 * (scratch + 2 * layer + heads) + 12 * 1024
 
 
 def predict_peak_and_bound(cell, B):
     T, H, D = PREDICT_T, PREDICT_H, PREDICT_D
     cfg = NetworkConfig(cell_type=cell, input_channels=D, hidden_size=H,
-                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
+                        num_recurrent_layers=2, predictor_hidden=PREDICT_PH,
+                        output_angles=PREDICT_ANGLES)
     net = Network.init(cfg, derive_rng(0, "predict-peak"))
     peak = first_predict_peak(net, make_rng(3).normal(size=(B, T, D)))
     workspace = gru_workspace if cell == "gru" else sru_workspace
-    return peak, design_bound(B, *workspace(B))
+    return peak, design_bound(B, *workspace(B), pooled=cell == "sru")
 
 
 def test_gru_predict_peak_bounded_by_layer_states():
-    # a streamed GRU layer keeps only h_0 and h_1 and shares one step's
-    # scratch with the other layer.  Scratch per layer, gates or block
-    # outputs kept for BLOCK steps, or an input slab of BLOCK steps break
-    # the bound
+    # a streamed GRU layer keeps one h, updated in place, and shares one
+    # step's scratch with the other layer; the heads read the top layer's h
+    # as it is.  A second h per layer, scratch per layer, gates or block
+    # outputs kept for BLOCK steps, or a copy of the feature break the bound
     peak, bound = predict_peak_and_bound("gru", PREDICT_B)
     assert peak <= bound, (peak, bound)
 
 
 def test_sru_predict_peak_bounded_by_layer_states():
     # a streamed SRU layer keeps its block output and its carried c and
-    # shares one block's scratch with the other layer.  Scratch per layer,
-    # or c_t, tanh(c_t) or r * tanh(c_t) in block arrays beside the slab,
-    # break the bound
+    # shares one block's scratch, two gate planes, with the other layer; the
+    # pool's mean is taken in its running sum.  A third gate plane, scratch
+    # per layer, c_t, tanh(c_t) or r * tanh(c_t) in block arrays beside the
+    # planes, or a copy of the feature break the bound
     peak, bound = predict_peak_and_bound("sru", PREDICT_B)
     assert peak <= bound, (peak, bound)
 
