@@ -39,24 +39,33 @@ contiguous (B, .) blocks instead of strided x[:, t] slices of a (B, T, .)
 array (the usual RNN layout, Appleyard et al., 2016).  Their outputs,
 ``dx`` and trace fields are (B, T, .) views of those buffers, so callers
 see the same shapes as for the vanilla cell, which stays batch-major
-because nothing here runs it at scale.  The SRU's input-side GEMMs run
-over blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM over
-groups of steps in the same way), and so do the vanilla cell's input and
-readout GEMMs; the GRU's work is all per step.  So a call over a sequence
-computes bit for bit what a call per block of ``BLOCK`` steps does, each
-started from the ``final_state`` of the block before, and for the GRU what
-a call per step does: the network's inference streams its layer stack
-that way, ``stream_step`` steps per call, the GRU one step and the other
-cells one block.  The SRU and the vanilla cell keep their blocks because
-an SGEMM row's bits can depend on how many rows the GEMM has, so their
-per-step products would differ from the traced pass's per-block ones.
+because nothing here runs it at scale.  Within a step the GRU computes
+feature-major, on (., B) columns: its gate GEMMs take the transposed
+augmented matrices (C-order, as the matrices are column-major) on the
+left, which BLAS runs faster than the batch-major product, and leave z
+and r as contiguous row blocks; the traced call writes each step's gates
+and state transposed into its (T, B, .) trace, so the backward stays
+batch-major, and the streamed call keeps its state as (H, B).  The two
+orientations round some products differently, so the streamed and the
+traced call share the one orientation.  The SRU's input-side GEMMs run
+over blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM
+over groups of steps in the same way), and so do the vanilla cell's input
+and readout GEMMs; the GRU's work is all per step.  So a call over a
+sequence computes bit for bit what a call per block of ``BLOCK`` steps
+does, each started from the ``final_state`` of the block before, and for
+the GRU what a call per step does: the network's inference streams its
+layer stack that way, ``stream_step`` steps per call, the GRU one step
+and the other cells one block.  The SRU and the vanilla cell keep their
+blocks because an SGEMM row's bits can depend on how many rows the GEMM
+has, so their per-step products would differ from the traced pass's
+per-block ones.
 
 Every forward and backward computes in its parameters' dtype: float32 for
 a network's (``numerics.init_params``), float64 for the tests' gradient
 checks and reference comparisons.  Inputs, initial states and upstream
 gradients are cast to it on entry (the GRU and SRU cast ``x`` in their
 time-major copy, a streamed SRU call one block of it, and a streamed GRU
-call casts its step straight into its row buffer), and every
+call casts its step straight into its column buffer), and every
 output, trace field, scratch array and gradient has it.
 
 Backward passes return exact gradients of the forward map and were written
@@ -77,15 +86,16 @@ every call allocates its own arrays.
 
 A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
-GRU's row buffer and gates, the SRU's cast input block, two gate planes
-and f_t * c_{t-1}) come from it, so one scratch serves every layer of a
-network's inference, and ``buffers`` holds only the outputs and the state
-the call leaves (the GRU's h_t, which a one-step call writes over
-h_{t-1}; the SRU's block output and c_T: its c_t and tanh(c_t) live in a
-gate plane).  Its trace holds only ``x`` and the state and serves
-``final_state``, a view of ``buffers``, until the next call with those
-buffers, and no backward.  A backward's ``input_grad=False`` skips ``dx``,
-which nothing reads below the bottom layer.
+GRU's column buffer and gate block, the SRU's cast input block, two gate
+planes and f_t * c_{t-1}) come from it, so one scratch serves every layer
+of a network's inference, and ``buffers`` holds only the outputs and the
+state the call leaves (the GRU's h_t, (H, B), which a one-step call
+writes over h_{t-1}; the SRU's block output and c_T: its c_t and
+tanh(c_t) live in a gate plane).  Its trace holds only ``x`` and the
+state and serves ``final_state``, a view of ``buffers``, until the next
+call with those buffers, and no backward.  A backward's
+``input_grad=False`` skips ``dx``, which nothing reads below the bottom
+layer.
 """
 
 from __future__ import annotations
@@ -118,6 +128,7 @@ __all__ = [
     "cell_backward",
     "final_state",
     "stream_step",
+    "row_major",
 ]
 
 
@@ -166,8 +177,10 @@ def _gru_view(name: str) -> property:
 class GruParams(_ArrayFields):
     """A GRU layer's two augmented matrices, every matrix in them transposed
     (see ``gru_forward``); the per-matrix names are views of them.  Both are
-    column-major, so W_z ... U_h are row-major, with strided rows; row-major
-    A_zr and A_h would round the forward's GEMMs differently at some sizes."""
+    column-major, so W_z ... U_h are row-major, with strided rows, and the
+    forward's feature-major GEMMs take A_zr.T and A_h.T as C-order left
+    operands; row-major A_zr and A_h would round those GEMMs differently at
+    some sizes."""
     A_zr: np.ndarray   # [U_z|U_r; W_z|W_r; b_z|b_r], (H+D_in+1, 2H)
     A_h: np.ndarray    # [W_h; b_h; U_h], (D_in+1+H, H)
 
@@ -282,8 +295,11 @@ class Buffers:
         size = math.prod(shape)
         flat = self._flat.get(name)
         if flat is None or flat.size < size or flat.dtype != dtype:
-            flat = self._flat[name] = np.empty(size, dtype)
+            # drop the old array before making the new one, so that the two
+            # are not both held here (a caller's view still keeps it alive)
             self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            flat = self._flat[name] = None
+            flat = self._flat[name] = np.empty(size, dtype)
         view = self._views[key] = flat[:size].reshape(shape)
         return view
 
@@ -414,29 +430,39 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
                 scratch: Buffers | None = None):
     """GRU over a sequence batch; returns (hidden states (B,T,H), trace).
 
-    The recurrence runs time-major: ``x`` is copied once into a (T, B, D)
-    array (no copy when it already is a view of one, as the output of a
-    GRU layer below is), and every per-step read and write is a contiguous
-    (B, .) block.  Each step fills one (B, 2H+D+1) row buffer
-    [h_{t-1} | x_t | 1 | r_t * h_{t-1}] and computes its gate
-    pre-activations with two GEMMs over column windows of it: [h | x | 1]
-    times A_zr gives z|r as one (B, 2H) block, and [x | 1 | r*h] times A_h
-    the candidate's, so the input projection and the biases ride in the
-    recurrent products; ``params`` holds A_zr and A_h as they are.  The
-    elementwise work is done in place, with no per-step temporaries.  The
-    outputs and the trace fields are (B, T, .) views of the time-major
-    buffers; ``z`` and ``r`` are the column halves of the z|r blocks.
+    The recurrence runs time-major and feature-major: ``x`` is copied once
+    into a (T, B, D) array (no copy when it already is a view of one, as
+    the output of a GRU layer below is), and each step works in one
+    (2H+D+1, B) column buffer [h_{t-1}; x_t; 1; r_t * h_{t-1}], into whose
+    x rows it copies its step transposed.  It computes its gate
+    pre-activations with two GEMMs over row windows of the column: A_zr.T
+    times [h; x; 1] gives z|r as one (2H, B) block whose halves z and r
+    are contiguous row blocks, and A_h.T times [x; 1; r*h] the
+    candidate's, into the r rows, which r * h has read by then; so the
+    input projection and the biases ride in the recurrent products.
+    ``params`` holds A_zr and A_h as they are, and their transposes are
+    C-order.  Each step copies h_{t-1} into the column's h rows (a traced
+    step after the first finds it there) and forms h_t as
+    h + (hc_t - h) * z_t with the product formed in the candidate, which
+    rounds as (hc_t - h) * z_t + h does since addition commutes: in place
+    in the h rows in a traced call, straight into the state buffer in a
+    streamed one.  The elementwise work is done in place, with no per-step
+    temporaries.  A traced step writes z|r, the candidate and h_t transposed
+    into the (T, B, .) trace buffers, so the outputs and the trace fields
+    are (B, T, .) views of those; ``z`` and ``r`` are the column halves of
+    the z|r blocks.
 
-    A streamed call (given ``scratch``) takes z|r and the candidate from
-    ``scratch`` and makes no time-major copy of ``x``, whose steps it casts
-    straight into the row (its trace's ``x`` is ``x``).  It keeps its
-    outputs h_1 ... h_T in a max(T, 1)-row buffer in ``buffers`` whose
-    first row starts as the initial state, which the first step updates in
-    place to h_1 as h + (hc_t - h) * z_t, the product formed in the
-    candidate; that rounds as the traced (hc_t - h) * z_t + h does.
-    Streamed one step per call, as the network's inference does, a layer
-    holds one h: the state a call leaves is the next call's initial state,
-    which ``_init_state`` then copies nowhere.
+    A streamed call (given ``scratch``) takes the column and the gate
+    block from ``scratch``, writes no trace buffer and makes no
+    time-major copy of ``x``, whose steps it casts straight into the
+    column (its trace's ``x`` is ``x``).  It keeps its outputs h_1 ... h_T
+    feature-major, in a max(T, 1)-block (., H, B) buffer in ``buffers``
+    whose first block starts as the initial state, and its outputs and
+    trace are (B, T, H) views of that; so a GRU layer above reads the
+    layer's h as its x rows, a contiguous (H, B) block.  Streamed one step
+    per call, as the network's inference does, a layer holds one h: the
+    state a call leaves is the next call's initial state, which
+    ``_init_state`` then copies nowhere.
     """
     A_zr, A_h = params.A_zr, params.A_h
     dtype = A_h.dtype
@@ -446,60 +472,72 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     B, T, _ = x.shape
     streamed = scratch is not None
 
-    # a streamed call reads its steps from x as given, cast into the row
+    # a streamed call reads its steps from x as given, cast into the column
     xt = _batch_major(x) if streamed else _time_major(x, dtype, None)
-    held = scratch if streamed else buffers
 
     # without a workspace, scratch first and the states (they outlive the
     # call) last: freed scratch then lies below live memory, where the
     # allocator reuses it instead of returning it to the OS
-    row = _empty(scratch, "row", (B, 2 * H + D + 1), dtype)   # [h_{t-1} | x_t | 1 | r_t * h_{t-1}]
-    zr = _empty(held, "zr", (T, B, 2 * H), dtype)             # z_t | r_t
-    hc = _empty(held, "hc", (T, B, H), dtype)
-    if streamed:   # h_1 ... h_T, the first row starting as h_0
-        hs = _empty(buffers, "h", (max(T, 1), B, H), dtype)
-        out = hs
-    else:          # h_0 ... h_T
+    col = _empty(scratch, "col", (2 * H + D + 1, B), dtype)   # [h_{t-1}; x_t; 1; r_t * h_{t-1}]
+    zr_t = _empty(scratch, "zr", (2 * H, B), dtype)           # z_t; r_t, then hc_t
+    if streamed:   # h_1 ... h_T, (H, B) each, the first starting as h_0
+        states = _empty(buffers, "h", (max(T, 1), H, B), dtype)
+        out = states
+    else:          # h_0 ... h_T, (B, H) each, and the gates
+        zr = _empty(buffers, "zr", (T, B, 2 * H), dtype)
+        hc = _empty(buffers, "hc", (T, B, H), dtype)
         hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
-        out = hs[1:]
-    h = _init_state(h0, hs[0], "gru_forward")
-    h_row, x_row, rh = row[:, :H], row[:, H:H + D], row[:, H + D + 1:]
-    zr_in, hc_in = row[:, :H + D + 1], row[:, H:]
-    row[:, H + D] = 1.0
+        states = hs.transpose(0, 2, 1)
+        out = states[1:]
+    h, x_col, rh = col[:H], col[H:H + D], col[H + D + 1:]
+    zr_in, hc_in = col[:H + D + 1], col[H:]
+    z_t, r_t = zr_t[:H], zr_t[H:]
+    hc_t = r_t   # the candidate takes r_t's rows once r_t * h is formed
+    prev = _init_state(h0, states[0].T, "gru_forward").T   # h_{t-1}
+    col[H + D] = 1.0
     for t in range(T):
-        np.copyto(h_row, h)
-        np.copyto(x_row, xt[t], casting="unsafe")
-        zr_t = np.matmul(zr_in, A_zr, out=zr[t])
+        np.copyto(h, prev)   # skipped when prev is h, as in a traced step after the first
+        np.copyto(x_col, xt[t].T, casting="unsafe")
+        np.matmul(A_zr.T, zr_in, out=zr_t)
         sigmoid(zr_t, out=zr_t)
-        z_t, r_t = zr_t[:, :H], zr_t[:, H:]
+        if not streamed:
+            np.copyto(zr[t], zr_t.T)
         np.multiply(r_t, h, out=rh)
-        hc_t = np.matmul(hc_in, A_h, out=hc[t])
+        np.matmul(A_h.T, hc_in, out=hc_t)
         np.tanh(hc_t, out=hc_t)
-        # h_t = h + (hc_t - h) * z_t, the product formed in hc_t when no
-        # trace keeps it, so that h_t can overwrite h
-        d = hc_t if streamed else out[t]
-        np.subtract(hc_t, h, out=d)
-        d *= z_t
-        h = np.add(h, d, out=out[t])
+        if not streamed:
+            np.copyto(hc[t], hc_t.T)
+        # h_t = h + (hc_t - h) * z_t, the product formed in hc_t; a streamed
+        # step adds straight into its state buffer, a traced one in place
+        # and then copies h_t transposed into the trace
+        np.subtract(hc_t, h, out=hc_t)
+        hc_t *= z_t
+        prev = np.add(h, hc_t, out=out[t] if streamed else h)
+        if not streamed:
+            np.copyto(out[t], h)
 
     if streamed:
-        return _batch_major(hs[:T]), GruTrace(x=x, hs=_batch_major(hs), z=None, r=None, hc=None)
+        hs = states.transpose(2, 0, 1)
+        return hs[:, :T], GruTrace(x=x, hs=hs, z=None, r=None, hc=None)
     trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, :, :H]),
                      r=_batch_major(zr[:, :, H:]), hc=_batch_major(hc))
-    return _batch_major(out), trace
+    return _batch_major(hs[1:]), trace
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
                  buffers: Buffers | None = None, input_grad: bool = True):
     """BPTT through the GRU; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
-    Returns (grads, dx, dh0).  Runs time-major like the forward: the trace
-    fields and ``dh_up`` are read as (T, B, .) views, and each step works
-    in place in its (B, 3H) block of the gate pre-activation gradient
-    buffer and a few reused (B, H) arrays.  After the loop, three GEMMs
-    fill the row blocks of the gradient's A_zr and A_h, and ``dx`` is a
-    (B, T, D) view, or None with ``input_grad=False``, which skips its
-    GEMM.
+    Returns (grads, dx, dh0).  Runs time-major like the forward but
+    batch-major within a step, on the (T, B, .) trace the forward writes
+    transposed: the trace fields and ``dh_up`` are read as (T, B, .)
+    views, and each step works in place in its (B, 3H) block of the gate
+    pre-activation gradient buffer and a few reused (B, H) arrays.  (A
+    feature-major backward would need (., T*B) operands for its weight
+    GEMMs, whose copies cost what its steps save.)  After the loop, three
+    GEMMs fill the row blocks of the gradient's A_zr and A_h, and ``dx``
+    is a (B, T, D) view, or None with ``input_grad=False``, which skips
+    its GEMM.
     """
     B, T, D = trace.x.shape
     H = trace.z.shape[2]
@@ -806,6 +844,19 @@ def final_state(trace) -> np.ndarray:
     """The state a forward leaves, (B, H): c_T for the SRU, else h_T.  A
     call over the rest of the sequence started from it continues exactly."""
     return (trace.cs if isinstance(trace, SruTrace) else trace.hs)[:, -1]
+
+
+def row_major(a: np.ndarray, scratch: Buffers) -> np.ndarray:
+    """A streamed layer's (B, H) output step ``a`` with contiguous rows: as
+    it is, or, a GRU's being a view of its (H, B) state, copied into the
+    z|r block of ``scratch``, which is idle between steps.  The heads'
+    GEMMs then see the traced pass's memory order; over a transposed
+    operand they can round differently."""
+    if a.strides[-1] == a.itemsize:
+        return a
+    out = scratch.array("zr", a.shape, a.dtype)
+    np.copyto(out, a)
+    return out
 
 
 def cell_backward(trace, params: CellParams, upstream: np.ndarray,

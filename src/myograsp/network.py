@@ -91,13 +91,13 @@ def _pool_sum(total: np.ndarray, seq: np.ndarray) -> None:
         total += seq[:, t]
 
 
-def _head_forward(head: HeadParams, feat: np.ndarray):
+def _head_forward(head: HeadParams, feat: np.ndarray, out: np.ndarray | None = None):
     """(relu(feat @ W1.T + b1), that @ W2.T + b2), each formed in place in
-    its product."""
+    its product, the second in ``out`` if given."""
     a1 = feat @ head.W1.T
     a1 += head.b1
     relu(a1, out=a1)
-    out = a1 @ head.W2.T
+    out = np.matmul(a1, head.W2.T, out=out)
     out += head.b2
     return a1, out
 
@@ -192,7 +192,8 @@ class Network:
 
     # -- forward / backward --------------------------------------------------
 
-    def forward(self, windows: np.ndarray, keep_trace: bool = True):
+    def forward(self, windows: np.ndarray, keep_trace: bool = True,
+                out: np.ndarray | None = None):
         """Map (B, T, C) input windows to angle predictions.
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
@@ -206,9 +207,14 @@ class Network:
         row's bits can depend on the GEMM's row count.  The outputs are
         bit-identical to the traced pass, which is the same loop over one
         block of T steps.  The feature is the pool's running sum, divided in
-        place, or the top layer's last output, a view of its buffers at
-        inference, and each head forms its hidden activations and outputs in
-        place in its matrix products.
+        place, or the top layer's last output: at inference a view of its
+        buffers, or for the GRU, whose state is feature-major, a copy in
+        scratch that is idle after the last step (``cells.row_major``), so
+        the heads see the traced pass's memory order.  Each head forms its
+        hidden activations and outputs in place in its matrix products, the
+        angles in ``out`` if given, a (B, output_angles) array of the
+        parameters' dtype (``training.predict`` passes a slice of its
+        result).
 
         The traced pass takes its trace arrays from the network's training
         workspace, ``self.buffers``, and :meth:`backward` its gradient
@@ -255,9 +261,9 @@ class Network:
         elif keep_trace:   # a view would keep the vanilla cell's whole output alive
             feat = seq[:, -1, :].copy()
         else:
-            feat = seq[:, -1, :]
+            feat = cells.row_major(seq[:, -1, :], scratch)
 
-        pred_a1, angles = _head_forward(self.predictor, feat)
+        pred_a1, angles = _head_forward(self.predictor, feat, out)
         domain_logits = None
         disc_a1 = None
         if self.discriminator is not None:

@@ -248,11 +248,14 @@ def predict(net: Network, x: np.ndarray, chunk: int = PREDICT_CHUNK) -> np.ndarr
     for the GRU and one block of ``cells.BLOCK`` steps for the SRU and the
     vanilla cell, so peak memory is that workspace, sized by one call of
     one chunk plus each layer's carried state, whatever the window length
-    and chunk count.
+    and chunk count.  Each chunk's angles go straight into the result, so
+    no second copy of the predictions is built, and no windows give a
+    (0, angles) result.
     """
-    outs = [net.forward(x[lo:lo + chunk], keep_trace=False)[0]
-            for lo in range(0, len(x), chunk)]
-    return np.concatenate(outs, axis=0)
+    out = np.empty((len(x), net.config.output_angles), net.predictor.W1.dtype)
+    for lo in range(0, len(x), chunk):
+        net.forward(x[lo:lo + chunk], keep_trace=False, out=out[lo:lo + chunk])
+    return out
 
 
 def predict_source(net: Network, source, target_stats: TargetStats):
@@ -261,11 +264,13 @@ def predict_source(net: Network, source, target_stats: TargetStats):
     The one way a split is scored: each ``PREDICT_CHUNK`` of windows is
     gathered, normalised and predicted before the next, so the split is
     never held whole, and the predictions equal ``predict`` over the whole
-    normalised split bit for bit.
+    normalised split bit for bit.  An empty source gathers one empty chunk,
+    whose targets give the empty result its width.
     """
+    n = len(source)
     preds, targets = [], []
-    for lo in range(0, len(source), PREDICT_CHUNK):
-        x, y, _ = source.batch(np.arange(lo, min(lo + PREDICT_CHUNK, len(source))))
+    for lo in range(0, max(n, 1), PREDICT_CHUNK):
+        x, y, _ = source.batch(np.arange(lo, min(lo + PREDICT_CHUNK, n)))
         preds.append(target_stats.denormalize(predict(net, x)))
         targets.append(y)
         del x   # else it lives on while the next chunk is gathered

@@ -101,7 +101,7 @@ class TestGruForward:
         assert np.all(np.abs(h) <= 1.0 + 1e-12)
 
     def test_time_major_layout(self):
-        # each step's z|r is one contiguous (B, 2H) GEMM output whose column
+        # each step's z|r is one contiguous (B, 2H) trace block whose column
         # halves are z and r, its states and candidate are contiguous (B, H)
         # blocks, and the output is a view of the stored states, not a copy
         rng = make_rng(5)
@@ -451,6 +451,22 @@ def test_untraced_gru_matches_traced(T, with_h0):
     assert_oracle_close(out, ref_out, "outputs")
     for name, arr in ref_trace.named():
         assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")
+
+
+@pytest.mark.parametrize("input_dim", [8, None], ids=["d8", "dH"])
+@pytest.mark.parametrize("B,H", [(7, 256), (16, 32)])
+def test_streamed_gru_rounds_as_traced_where_orientation_matters(B, H, input_dim):
+    # at these shapes a float32 gate GEMM over (B, .) rows rounds
+    # differently from one over (., B) columns, so a streamed or a traced
+    # call that computed its gates in the other orientation would differ
+    D = input_dim or H
+    rng = derive_rng(0, "orientation", B, H, D)
+    params = cells.init_gru(D, H, rng)
+    x = rng.normal(size=(B, 5, D))
+    out, trace = cells.gru_forward(params, x)
+    bare, state = stream_untraced(params, x, None)
+    np.testing.assert_array_equal(bare, out)
+    np.testing.assert_array_equal(state, cells.final_state(trace))
 
 
 @pytest.mark.parametrize("input_dim", [5, 6], ids=["projected", "highway"])
