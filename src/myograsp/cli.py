@@ -4,9 +4,11 @@ Configuration precedence per command: built-in defaults < config file
 (plain ``key = value`` lines) < environment variables prefixed MYOGRASP_
 < explicit command-line flags.  A field ``stride`` of the command's config
 dataclass is the key ``stride``, MYOGRASP_STRIDE and ``--stride`` (or the
-flag named in :data:`SHORT_FLAGS`).  Results accumulate in an append-only CSV
-keyed by (model, protocol, fold, ada, seed) so a full experiment grid can
-be assembled incrementally from independent processes.
+flag named in :data:`SHORT_FLAGS`).  The network's layer and channel
+counts and the ADA loss weight are constants, not fields.  Results
+accumulate in an append-only CSV keyed by (model, protocol, fold, ada,
+seed) so a full experiment grid can be assembled incrementally from
+independent processes.
 
 Exit codes: 0 success, 2 configuration error, 3 IO/data error, 4 numeric
 failure (NaN loss or test score).
@@ -81,7 +83,7 @@ def read_config_file(path) -> dict:
 # the fields whose flag is not their own name with '-' for '_'
 SHORT_FLAGS = {"n_subjects": "subjects", "sessions_per_subject": "sessions",
                "session_seconds": "seconds", "subject_mixing_perturbation": "perturbation",
-               "learning_rate": "lr", "max_epochs": "epochs", "disc_loss_weight": "disc-weight"}
+               "learning_rate": "lr", "max_epochs": "epochs"}
 _TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
 
@@ -217,10 +219,13 @@ def cmd_train(args) -> int:
     window_set, meta = datapipe.load_archive(args.archive)
     run = prepare_run(window_set, meta["sessions"], cfg)
     log.info("split %s fold %d: %s", run.plan.protocol, cfg.fold, run.plan.counts())
+    # written before training, so an unwritable path fails before any epoch
+    os.makedirs(args.out_dir, exist_ok=True)
+    if args.split_audit:
+        run.plan.to_csv(args.split_audit, window_set)
     net, report = train(run.net, run.train_src, run.val_src, run.train_config,
                         run.target_stats)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     stem = checkpoint_name(cfg.model, cfg.protocol, cfg.fold, cfg.seed, cfg.ada)
     ckpt_path = os.path.join(args.out_dir, stem + ".ckpt")
     save_checkpoint(ckpt_path, net, meta={
@@ -232,8 +237,6 @@ def cmd_train(args) -> int:
         "best_epoch": report.best_epoch,
         "best_val_nrmse": report.best_val_nrmse})
     report.to_csv(os.path.join(args.out_dir, stem + "_report.csv"))
-    if args.split_audit:
-        run.plan.to_csv(args.split_audit, window_set)
     log.info("best epoch %d (val NRMSE %.4f), stopped at epoch %d",
              report.best_epoch, report.best_val_nrmse, report.stopping_epoch)
     print(ckpt_path)
@@ -283,7 +286,7 @@ def evaluation_meta(meta, path, net) -> tuple[datapipe.NormStats, TargetStats]:
             raise DataError(f"checkpoint {path}: meta {key} must be a {kind.__name__}, "
                             f"got {meta[key]!r}")
     stats = []
-    for cls, prefix, size in ((datapipe.NormStats, "norm", net.config.input_channels),
+    for cls, prefix, size in ((datapipe.NormStats, "norm", datapipe.EMG_CHANNELS),
                               (TargetStats, "target", net.config.output_angles)):
         mean, std = (_meta_vector(meta, f"{prefix}_{part}", size, path)
                      for part in ("mean", "std"))

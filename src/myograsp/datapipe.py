@@ -52,6 +52,7 @@ __all__ = [
     "load_archive",
     "preprocess_session",
     "WINDOW_SIZE",
+    "EMG_CHANNELS",
     "EMG_CUTOFF_HZ",
     "ANGLE_CUTOFF_HZ",
     "MAX_GAP_MS",
@@ -62,6 +63,8 @@ __all__ = [
 ]
 
 WINDOW_SIZE = 128
+# the armband's channels: every emg stream, archive and network input has these
+EMG_CHANNELS = 8
 EMG_CUTOFF_HZ = 10.0
 ANGLE_CUTOFF_HZ = 4.0
 MAX_GAP_MS = 10.0
@@ -99,8 +102,8 @@ class RawStream:
         if np.any(np.diff(ts) <= 0):
             raise DataError("timestamps must be strictly increasing")
         if self.kind == "emg":
-            if fr.shape[1] != 8:
-                raise DataError(f"emg streams carry 8 channels, got {fr.shape[1]}")
+            if fr.shape[1] != EMG_CHANNELS:
+                raise DataError(f"emg streams carry {EMG_CHANNELS} channels, got {fr.shape[1]}")
             if np.any(np.abs(fr) > 128):
                 raise DataError("emg values must lie within [-128, +128]")
         self.timestamps_ms = ts
@@ -113,7 +116,7 @@ class AlignedRecording:
     subject_id: int
     session_id: int
     timestamps_ms: np.ndarray  # (M,)
-    emg: np.ndarray            # (M, 8)
+    emg: np.ndarray            # (M, EMG_CHANNELS)
     angles: np.ndarray         # (M, A)
 
     def __len__(self):
@@ -246,9 +249,9 @@ class WindowSet:
         return y
 
     def materialize(self, idx: np.ndarray):
-        """Gather (windows (k, WINDOW_SIZE, 8), targets (k, A)) for sample indices."""
+        """Gather (windows (k, WINDOW_SIZE, EMG_CHANNELS), targets (k, A)) for sample indices."""
         idx = np.asarray(idx)
-        x = np.empty((len(idx), WINDOW_SIZE, 8))
+        x = np.empty((len(idx), WINDOW_SIZE, EMG_CHANNELS))
         for j, (r, s) in enumerate(self._rows(idx)):
             x[j] = self.recordings[r].emg[s:s + WINDOW_SIZE]
         return x, self.targets(idx)
@@ -294,8 +297,8 @@ def concat_windows(sets: list) -> WindowSet:
 
 @dataclass
 class NormStats:
-    mean: np.ndarray  # (8,)
-    std: np.ndarray   # (8,)
+    mean: np.ndarray  # (EMG_CHANNELS,)
+    std: np.ndarray   # (EMG_CHANNELS,)
 
     def apply(self, windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(windows - mean) / std, written into ``out`` when given (may be ``windows``)."""
@@ -353,10 +356,10 @@ def channel_stats(window_set: WindowSet, indices: np.ndarray) -> NormStats:
     count = len(indices) * WINDOW_SIZE
     mean = sum(w @ emg for emg, w in runs) / count
     # the mean tiled to whole rows: a same-shape subtraction runs about
-    # twice as fast as one broadcasting (8,) over every row
+    # twice as fast as one broadcasting (EMG_CHANNELS,) over every row
     longest = max(len(w) for _, w in runs)
-    tiled, scratch = np.tile(mean, longest), np.empty(8 * longest)
-    dev, dev_sq = np.zeros(8), np.zeros(8)
+    tiled, scratch = np.tile(mean, longest), np.empty(EMG_CHANNELS * longest)
+    dev, dev_sq = np.zeros(EMG_CHANNELS), np.zeros(EMG_CHANNELS)
     for emg, w in runs:
         n = emg.size
         d = np.subtract(emg.reshape(-1), tiled[:n], out=scratch[:n]).reshape(emg.shape)
@@ -636,9 +639,9 @@ def load_archive(path):
     ``mode`` or ``n_angles`` breaks the manifest's rules, a session row
     without integer ids or whose ``t_start``/``t_end`` are not its
     recording's first and last timestamps, a recording whose emg or angle
-    rows disagree in number with its timestamps or that does not hold 8 emg
-    channels and ``n_angles`` angle columns, or a window index that runs
-    outside its recording is a DataError.
+    rows disagree in number with its timestamps or that does not hold
+    ``EMG_CHANNELS`` emg channels and ``n_angles`` angle columns, or a window
+    index that runs outside its recording is a DataError.
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
@@ -666,11 +669,11 @@ def load_archive(path):
                 if not len(rec.emg) == len(rec.angles) == len(rec):
                     raise DataError(f"recording {i} has {len(rec)} timestamps but "
                                     f"{len(rec.emg)} emg and {len(rec.angles)} angle rows")
-                if (rec.emg.ndim != 2 or rec.emg.shape[1] != 8 or rec.angles.ndim != 2
-                        or rec.angles.shape[1] != n_angles):
+                if (rec.emg.ndim != 2 or rec.emg.shape[1] != EMG_CHANNELS
+                        or rec.angles.ndim != 2 or rec.angles.shape[1] != n_angles):
                     raise DataError(f"recording {i} holds {rec.emg.shape} emg and "
-                                    f"{rec.angles.shape} angle values; windows need 8 "
-                                    f"channels and the meta's {n_angles} angles")
+                                    f"{rec.angles.shape} angle values; windows need "
+                                    f"{EMG_CHANNELS} channels and the meta's {n_angles} angles")
                 recordings.append(rec)
             ws = WindowSet(recordings, data["windows_rec_index"], data["windows_start_row"])
             meta = dict(header["meta"], sessions=header["sessions"])

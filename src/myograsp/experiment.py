@@ -39,13 +39,11 @@ class TrainRunConfig:
     ada: bool = NetworkConfig.use_discriminator
     seed: int = TrainConfig.seed
     hidden: int = NetworkConfig.hidden_size
-    layers: int = NetworkConfig.num_recurrent_layers
     predictor_hidden: int = NetworkConfig.predictor_hidden
     learning_rate: float = TrainConfig.learning_rate
     max_epochs: int = TrainConfig.max_epochs
     patience: int = TrainConfig.patience
     batch_size: int = TrainConfig.batch_size
-    disc_loss_weight: float = TrainConfig.disc_loss_weight
 
     def __post_init__(self):
         # ValueError becomes ConfigError (exit 2) in cli.resolve_config
@@ -55,7 +53,7 @@ class TrainRunConfig:
         if self.ada and protocol == "intra-session":
             raise ValueError("ada requires a multi-domain protocol "
                              "(inter-session or inter-subject)")
-        for name in ("hidden", "layers", "predictor_hidden"):
+        for name in ("hidden", "predictor_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.fold < 0:
@@ -66,8 +64,7 @@ class TrainRunConfig:
         """The training-loop settings; TrainConfig checks them."""
         return TrainConfig(
             learning_rate=self.learning_rate, max_epochs=self.max_epochs,
-            patience=self.patience, batch_size=self.batch_size,
-            disc_loss_weight=self.disc_loss_weight, seed=self.seed)
+            patience=self.patience, batch_size=self.batch_size, seed=self.seed)
 
 
 @dataclasses.dataclass
@@ -96,8 +93,7 @@ def prepare_run(window_set: datapipe.WindowSet, sessions: list,
     stats = datapipe.channel_stats(window_set, train_idx)
     domains = plan.domain_labels[train_idx] if cfg.ada else None
     net_cfg = NetworkConfig(
-        cell_type=cfg.model, hidden_size=cfg.hidden,
-        num_recurrent_layers=cfg.layers, predictor_hidden=cfg.predictor_hidden,
+        cell_type=cfg.model, hidden_size=cfg.hidden, predictor_hidden=cfg.predictor_hidden,
         output_angles=window_set.n_angles, use_discriminator=cfg.ada,
         num_domains=plan.num_domains if cfg.ada else 0)
     return Run(

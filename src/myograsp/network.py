@@ -1,16 +1,18 @@
 """Network assembly: stacked recurrent feature extractor plus heads.
 
-The architecture follows a fixed template: two recurrent layers (vanilla,
-GRU or SRU cells), a feature reduction set by the cell (global average
-pooling over time for sru, the last timestep for gru and vanilla), a
-two-layer predictor head (ReLU hidden, linear output over the joint
-angles) and, optionally, a two-layer domain discriminator behind a
-gradient reversal layer: the identity going forward, a negation going
-back, which makes the feature extractor adversarial to the domain
-classifier.  Each network owns two workspaces of grow-only
-``cells.Buffers``: for training, one per layer for the traced forward and
-the backward; for inference, one per layer for its block output and the
-state it carries from call to call, and one scratch shared by all layers.
+The architecture follows a fixed template, its layer and input counts
+constants: ``RECURRENT_LAYERS`` = 2 recurrent layers (vanilla, GRU or SRU
+cells) over the armband's ``datapipe.EMG_CHANNELS`` = 8 channels, a
+feature reduction set by the cell (global average pooling over time for
+sru, the last timestep for gru and vanilla), a two-layer predictor head
+(ReLU hidden, linear output over the joint angles) and, optionally, a
+two-layer domain discriminator behind a gradient reversal layer: the
+identity going forward, a negation going back, which makes the feature
+extractor adversarial to the domain classifier.  Each network owns two
+workspaces of grow-only ``cells.Buffers``: for training, one per layer for
+the traced forward and the backward; for inference, one per layer for its
+block output and the state it carries from call to call, and one scratch
+shared by all layers.
 
 The network computes in float32, the dtype of its parameters: the forward
 and the backward follow the predictor's dtype, and incoming windows and
@@ -26,6 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import cells
+from .datapipe import EMG_CHANNELS
 from .errors import NPZ_READ_ERRORS, ConfigError, DataError, NumericError
 from .numerics import init_params, relu
 
@@ -37,9 +40,11 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_FORMAT",
+    "RECURRENT_LAYERS",
 ]
 
-CHECKPOINT_FORMAT = "myograsp-checkpoint/3"
+CHECKPOINT_FORMAT = "myograsp-checkpoint/4"
+RECURRENT_LAYERS = 2
 
 CELL_TYPES = ("vanilla", "gru", "sru")
 
@@ -47,9 +52,7 @@ CELL_TYPES = ("vanilla", "gru", "sru")
 @dataclass
 class NetworkConfig:
     cell_type: str = "gru"
-    input_channels: int = 8
     hidden_size: int = 256
-    num_recurrent_layers: int = 2
     predictor_hidden: int = 256
     output_angles: int = 15
     use_discriminator: bool = False
@@ -62,8 +65,6 @@ class NetworkConfig:
             raise ConfigError(f"output_angles must be 15 or 18, got {self.output_angles}")
         if self.use_discriminator and self.num_domains < 2:
             raise ConfigError("use_discriminator requires num_domains >= 2")
-        if self.num_recurrent_layers < 1:
-            raise ConfigError("need at least one recurrent layer")
 
 
 @dataclass
@@ -148,8 +149,8 @@ class Network:
         the draws of the shared feature extractor and predictor.
         """
         net = cls(config=config)
-        in_dim = config.input_channels
-        for _ in range(config.num_recurrent_layers):
+        in_dim = EMG_CHANNELS
+        for _ in range(RECURRENT_LAYERS):
             if config.cell_type == "vanilla":
                 net.layers.append(cells.init_vanilla(in_dim, config.hidden_size,
                                                      config.hidden_size, rng))
@@ -194,7 +195,7 @@ class Network:
 
     def forward(self, windows: np.ndarray, keep_trace: bool = True,
                 out: np.ndarray | None = None):
-        """Map (B, T, C) input windows to angle predictions.
+        """Map (B, T, EMG_CHANNELS) input windows to angle predictions.
 
         Returns (angles (B, output_angles), domain_logits (B, num_domains)
         or None, trace).  With ``keep_trace=False`` (inference) the trace is
@@ -230,10 +231,9 @@ class Network:
         NumericError: cast, they would turn into infinities.
         """
         x = np.asarray(windows)
-        if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != self.config.input_channels:
+        if x.ndim != 3 or x.shape[1] == 0 or x.shape[2] != EMG_CHANNELS:
             raise ValueError(
-                f"forward expects (batch, time, {self.config.input_channels}) windows, "
-                f"got {x.shape}")
+                f"forward expects (batch, time, {EMG_CHANNELS}) windows, got {x.shape}")
         dtype = self.predictor.W1.dtype
         limit = np.finfo(dtype).max
         if x.size and (x.max() > limit or x.min() < -limit):
@@ -342,8 +342,8 @@ def _param_shapes(config: NetworkConfig):
     a checkpoint's arrays are checked against its header config before a
     network of that config is built."""
     H, ph = config.hidden_size, config.predictor_hidden
-    in_dim = config.input_channels
-    for i in range(config.num_recurrent_layers):
+    in_dim = EMG_CHANNELS
+    for i in range(RECURRENT_LAYERS):
         w, u, b = (H, in_dim), (H, H), (1, H)
         if config.cell_type == "vanilla":
             layer = {"W_h": w, "U_h": u, "b_h": b, "W_y": u, "b_y": b}
@@ -385,9 +385,9 @@ def load_checkpoint(path):
     config that does not match ``NetworkConfig``'s fields and their types, or
     a missing parameter or one that is not a float32 array of the shape the
     config implies is a DataError, found before anything of the config's
-    size is allocated; a readable file of another format (``/2`` and older
-    stored float64 parameters, and no converter reads them) is a
-    ConfigError.
+    size is allocated; a readable file of another format is a ConfigError,
+    and no converter reads one (``/3`` headers still held the layer and
+    channel counts, ``/2`` and older stored float64 parameters).
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:

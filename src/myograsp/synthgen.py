@@ -60,7 +60,6 @@ __all__ = [
 ]
 
 N_LATENTS = 7          # 5 fingers + 2 wrist axes
-N_CHANNELS = 8
 EMG_GAIN = 15.0
 CARRIER_DEPTH = 0.8
 CARRIER_BAND_HZ = (25.0, 45.0)
@@ -271,12 +270,12 @@ def _jittered_clock(rng: np.random.Generator, rate: float, seconds: float) -> np
 
 def _base_mixing() -> np.ndarray:
     rng = derive_rng(_MAP_SEED, "mixing")
-    return rng.uniform(0.25, 1.0, size=(N_CHANNELS, N_LATENTS))
+    return rng.uniform(0.25, 1.0, size=(datapipe.EMG_CHANNELS, N_LATENTS))
 
 
 def subject_mixing(cfg: SynthConfig, subject: int) -> np.ndarray:
     perturb = derive_rng(cfg.seed, "mixing-perturbation", subject).normal(
-        0.0, 1.0, size=(N_CHANNELS, N_LATENTS))
+        0.0, 1.0, size=(datapipe.EMG_CHANNELS, N_LATENTS))
     return _base_mixing() + cfg.subject_mixing_perturbation * perturb
 
 
@@ -330,8 +329,8 @@ def _subject_session(cfg: SynthConfig, subject: int, session: int,
     """One subject's streams over a session's shared signals: the subject's
     mixing, the carrier (cheaper to redraw than to keep), noise and clip."""
     carrier_rng = derive_rng(cfg.seed, "carrier", session)
-    freqs = carrier_rng.uniform(*CARRIER_BAND_HZ, size=N_CHANNELS)
-    phases = carrier_rng.uniform(0.0, 2.0 * np.pi, size=N_CHANNELS)
+    freqs = carrier_rng.uniform(*CARRIER_BAND_HZ, size=datapipe.EMG_CHANNELS)
+    phases = carrier_rng.uniform(0.0, 2.0 * np.pi, size=datapipe.EMG_CHANNELS)
     carrier = np.sin(2.0 * np.pi * np.outer(signals.emg_ts / 1000.0, freqs) + phases)
 
     base = signals.latents @ subject_mixing(cfg, subject).T

@@ -185,8 +185,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [
         ["--lr", "-1"], ["--lr", "0"], ["--lr", "nan"], ["--hidden", "0"],
-        ["--layers", "0"], ["--predictor-hidden", "0"], ["--batch-size", "0"],
-        ["--epochs", "0"], ["--epochs", "2", "--patience", "3"],
+        ["--predictor-hidden", "0"], ["--batch-size", "0"], ["--epochs", "0"],
         ["--protocol", "inter-subject", "--fold", "9"], ["--fold", "9"],
         ["--model", "lstm"], ["--protocol", "bootstrap"],
     ], ids=lambda flags: " ".join(flags))
@@ -200,7 +199,6 @@ class TestTrain:
 
     @pytest.mark.parametrize("flags", [
         ["--lr", "inf"], ["--patience", "0"], ["--seed", "-1"], ["--fold", "-1"],
-        ["--disc-weight", "nan"], ["--disc-weight", "-1"],
     ], ids=lambda flags: " ".join(flags))
     def test_unrunnable_values_exit_config(self, archive_path, tmp_path, capsys, flags):
         code = main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
@@ -244,6 +242,30 @@ class TestTrain:
                      "--split-audit", str(audit)]) == 0
         header = audit.read_text().splitlines()[0]
         assert header.startswith("sample_id,protocol,fold")
+
+    def test_unwritable_split_audit_fails_before_training(self, archive_path, tmp_path,
+                                                          monkeypatch):
+        # the split plan is known before the first epoch: an audit path in a
+        # missing directory exits 3 without training, and leaves no
+        # checkpoint or report that would look like a finished run
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+        out_dir = tmp_path / "out"
+        assert main(["train", "--archive", str(archive_path), "--out-dir", str(out_dir),
+                     "--model", "gru", "--protocol", "intra", "--hidden", "8",
+                     "--predictor-hidden", "8", "--epochs", "2", "--patience", "2",
+                     "--split-audit", str(tmp_path / "missing" / "plan.csv")]) == cli.EXIT_IO
+        assert not trained
+        assert not list(out_dir.iterdir())
+
+    def test_patience_beyond_epochs_runs_every_epoch(self, archive_path, tmp_path):
+        # the default patience (8) exceeds --epochs 2: no early stop, no error
+        assert main(["train", "--archive", str(archive_path), "--out-dir", str(tmp_path),
+                     "--model", "gru", "--protocol", "intra", "--hidden", "8",
+                     "--predictor-hidden", "8", "--epochs", "2",
+                     "--batch-size", "32"]) == cli.EXIT_OK
+        report = tmp_path / "gru_intra-session_fold0_seed0_report.csv"
+        assert len(report.read_text().strip().splitlines()) == 1 + 2
 
 
 @pytest.fixture(scope="module")
@@ -597,16 +619,12 @@ def test_truncated_npz_leaks_no_file_handle(archive_path, checkpoint_path, tmp_p
     assert [u.exc_value for u in unraisable] == []
 
 
-def test_checkpoint_of_format_1_exits_config(archive_path, checkpoint_path, tmp_path,
-                                             capsys):
-    # format 1 checkpoints carried grl_lambda and feature_reduction in their
-    # config; no converter reads them
-    def as_format_1(header):
-        header["format"] = "myograsp-checkpoint/1"
-        header["config"].update(grl_lambda=-1.0, feature_reduction="last-timestep")
-
+def assert_old_format_exits_config(edit, archive_path, checkpoint_path, tmp_path, capsys):
+    """The fixture checkpoint rewritten by the npz ``edit`` is refused as an
+    unsupported format by ``load_checkpoint`` and by ``evaluate`` (exit 2,
+    no result rows); no converter reads an older format."""
     old, results = tmp_path / "old.npz", tmp_path / "r.csv"
-    npz_edit(lambda arrays: rewrite_header(arrays, as_format_1))(checkpoint_path, old)
+    npz_edit(edit)(checkpoint_path, old)
     with pytest.raises(ConfigError, match="unsupported checkpoint format"):
         load_checkpoint(old)
     assert main(["evaluate", "--checkpoint", str(old), "--archive", str(archive_path),
@@ -615,24 +633,39 @@ def test_checkpoint_of_format_1_exits_config(archive_path, checkpoint_path, tmp_
     assert not results.exists()
 
 
+def test_checkpoint_of_format_1_exits_config(archive_path, checkpoint_path, tmp_path,
+                                             capsys):
+    # format 1 checkpoints carried grl_lambda and feature_reduction in their config
+    def as_format_1(header):
+        header["format"] = "myograsp-checkpoint/1"
+        header["config"].update(grl_lambda=-1.0, feature_reduction="last-timestep")
+
+    assert_old_format_exits_config(lambda arrays: rewrite_header(arrays, as_format_1),
+                                   archive_path, checkpoint_path, tmp_path, capsys)
+
+
 def test_checkpoint_of_format_2_exits_config(archive_path, checkpoint_path, tmp_path,
                                              capsys):
-    # format 2 stored float64 parameters under the config format 3 keeps;
-    # no converter reads them
+    # format 2 stored float64 parameters
     def as_format_2(arrays):
         rewrite_header(arrays, lambda header: header.update(format="myograsp-checkpoint/2"))
         for name in arrays:
             if name != "__header__":
                 arrays[name] = arrays[name].astype(np.float64)
 
-    old, results = tmp_path / "old.npz", tmp_path / "r.csv"
-    npz_edit(as_format_2)(checkpoint_path, old)
-    with pytest.raises(ConfigError, match="unsupported checkpoint format"):
-        load_checkpoint(old)
-    assert main(["evaluate", "--checkpoint", str(old), "--archive", str(archive_path),
-                 "--results", str(results)]) == cli.EXIT_CONFIG
-    assert "Traceback" not in capsys.readouterr().err
-    assert not results.exists()
+    assert_old_format_exits_config(as_format_2, archive_path, checkpoint_path, tmp_path,
+                                   capsys)
+
+
+def test_checkpoint_of_format_3_exits_config(archive_path, checkpoint_path, tmp_path,
+                                             capsys):
+    # format 3 headers carried the layer and channel counts, now constants
+    def as_format_3(header):
+        header["format"] = "myograsp-checkpoint/3"
+        header["config"].update(input_channels=8, num_recurrent_layers=2)
+
+    assert_old_format_exits_config(lambda arrays: rewrite_header(arrays, as_format_3),
+                                   archive_path, checkpoint_path, tmp_path, capsys)
 
 
 def test_non_finite_score_exits_numeric(archive_path, checkpoint_path, tmp_path, capsys):
@@ -732,8 +765,8 @@ def test_emg_rate_within_tolerance_preprocesses(tmp_path, gen_rate, manifest_rat
 # ---------------------------------------------------------------------------
 
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_IO, cli.EXIT_NUMERIC}
-TRAIN_FLAGS = ["--fold", "--seed", "--hidden", "--layers", "--predictor-hidden", "--lr",
-               "--epochs", "--patience", "--batch-size", "--disc-weight"]
+TRAIN_FLAGS = ["--fold", "--seed", "--hidden", "--predictor-hidden", "--lr", "--epochs",
+               "--patience", "--batch-size"]
 PREPROCESS_FLAGS = ["--stride"]
 GENERATE_FLAGS = ["--seed", "--subjects", "--sessions", "--seconds", "--noise-std",
                   "--emg-rate", "--angle-rate", "--perturbation"]
@@ -1124,12 +1157,18 @@ CLI_SURFACE = {
                    cli.PreprocessConfig(stride=16)),
     "train": (["--archive", "a.npz", "--out-dir", "c"],
               "--model sru --protocol inter-subject --fold 1 --ada --seed 3 --hidden 16 "
-              "--layers 1 --predictor-hidden 12 --lr 0.01 --epochs 5 --patience 4 "
-              "--batch-size 16 --disc-weight 0.5",
+              "--predictor-hidden 12 --lr 0.01 --epochs 5 --patience 4 --batch-size 16",
               TrainRunConfig(model="sru", protocol="inter-subject", fold=1, ada=True, seed=3,
-                             hidden=16, layers=1, predictor_hidden=12, learning_rate=0.01,
-                             max_epochs=5, patience=4, batch_size=16, disc_loss_weight=0.5)),
+                             hidden=16, predictor_hidden=12, learning_rate=0.01,
+                             max_epochs=5, patience=4, batch_size=16)),
 }
+
+
+def test_every_short_flag_names_a_config_field():
+    # an entry whose field is gone would sit in the table unnoticed
+    names = {f.name for _, _, expected in CLI_SURFACE.values()
+             for f in dataclasses.fields(expected)}
+    assert set(cli.SHORT_FLAGS) <= names, set(cli.SHORT_FLAGS) - names
 
 
 class Resolved(Exception):

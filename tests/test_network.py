@@ -6,6 +6,7 @@ import pytest
 
 from fdcheck import TOL, max_param_rel_err, to_float64
 from myograsp import cells
+from myograsp.datapipe import EMG_CHANNELS
 from myograsp.errors import ConfigError, DataError, NumericError
 from myograsp.network import (Network, NetworkConfig, _param_shapes, load_checkpoint,
                               save_checkpoint)
@@ -14,8 +15,7 @@ from myograsp.training import cross_entropy_batch, mse_loss
 
 
 def small_config(cell="gru", disc=False):
-    return NetworkConfig(cell_type=cell, input_channels=3, hidden_size=4,
-                         num_recurrent_layers=2, predictor_hidden=5,
+    return NetworkConfig(cell_type=cell, hidden_size=4, predictor_hidden=5,
                          output_angles=15, use_discriminator=disc,
                          num_domains=3 if disc else 0)
 
@@ -31,14 +31,14 @@ class TestConfigValidation:
     # the feature reduction is no setting: the cell type fixes it
     def test_sru_requires_pooling(self):
         net = Network.init(small_config("sru"), make_rng(8))
-        x = make_rng(9).normal(size=(2, 5, 3))
+        x = make_rng(9).normal(size=(2, 5, EMG_CHANNELS))
         np.testing.assert_allclose(net.forward(x)[2].features,
                                    layer_stack_output(net, x).mean(axis=1), rtol=1e-14)
 
     def test_gru_requires_last_timestep(self):
         for cell in ("gru", "vanilla"):
             net = Network.init(small_config(cell), make_rng(8))
-            x = make_rng(9).normal(size=(2, 5, 3))
+            x = make_rng(9).normal(size=(2, 5, EMG_CHANNELS))
             np.testing.assert_array_equal(net.forward(x)[2].features,
                                           layer_stack_output(net, x)[:, -1], err_msg=cell)
 
@@ -57,41 +57,44 @@ class TestForward:
         for _, arr in net.named_params():
             arr[...] = 0.0
         net.predictor.b2[...] = np.arange(15.0)
-        angles, logits, _ = net.forward(make_rng(1).normal(size=(4, 6, 3)))
+        angles, logits, _ = net.forward(make_rng(1).normal(size=(4, 6, EMG_CHANNELS)))
         np.testing.assert_array_equal(angles, np.tile(np.arange(15.0), (4, 1)))
         assert logits is None
 
-    def test_global_average_pool_of_constant_features(self):
-        # features constant over time pass through pooling unchanged;
-        # with r ~ 0 the sru output is the highway input itself
-        cfg = NetworkConfig(cell_type="sru", input_channels=1, hidden_size=1,
-                            num_recurrent_layers=1, predictor_hidden=1,
+    @staticmethod
+    def channel_zero_sru():
+        """A one-unit SRU network whose feature sequence is channel 0 of
+        its input: with r ~ 0 each layer's output is its highway input, the
+        bottom layer's projection picking channel 0 and the top layer's
+        input itself."""
+        cfg = NetworkConfig(cell_type="sru", hidden_size=1, predictor_hidden=1,
                             output_angles=15)
         net = Network.init(cfg, make_rng(0))
         for _, arr in net.named_params():
             arr[...] = 0.0
-        net.layers[0].b_r[...] = -40.0            # reset gate ~ 0 -> h_t = x_t
+        for layer in net.layers:
+            layer.b_r[...] = -40.0                # reset gate ~ 0 -> h_t = xh_t
+        net.layers[0].W_p[0, 0] = 1.0
+        return net
+
+    def test_global_average_pool_of_constant_features(self):
+        # features constant over time pass through pooling unchanged
+        net = self.channel_zero_sru()
         net.predictor.W1[...] = 1.0
         net.predictor.W2[0, 0] = 1.0
-        x = np.array([[[5.0], [5.0], [5.0]]])
-        angles, _, trace = net.forward(x)
+        angles, _, trace = net.forward(np.full((1, 3, EMG_CHANNELS), 5.0))
         np.testing.assert_allclose(trace.features, 5.0, atol=1e-12)
         np.testing.assert_allclose(angles[0, 0], 5.0, atol=1e-12)
 
     def test_pool_of_two_timesteps_is_mean(self):
-        cfg = NetworkConfig(cell_type="sru", input_channels=1, hidden_size=1,
-                            num_recurrent_layers=1, predictor_hidden=1,
-                            output_angles=15)
-        net = Network.init(cfg, make_rng(0))
-        for _, arr in net.named_params():
-            arr[...] = 0.0
-        net.layers[0].b_r[...] = -40.0
-        _, _, trace = net.forward(np.array([[[1.0], [3.0]]]))
+        x = np.zeros((1, 2, EMG_CHANNELS))
+        x[0, :, 0] = [1.0, 3.0]
+        _, _, trace = self.channel_zero_sru().forward(x)
         np.testing.assert_allclose(trace.features[0, 0], 2.0, atol=1e-12)
 
     def test_last_timestep_reduction(self):
         net = Network.init(small_config("gru"), make_rng(3))
-        x = make_rng(4).normal(size=(2, 5, 3))
+        x = make_rng(4).normal(size=(2, 5, EMG_CHANNELS))
         _, _, trace = net.forward(x)
         seq, _ = cells.gru_forward(net.layers[0], x)
         seq, _ = cells.gru_forward(net.layers[1], seq)
@@ -101,7 +104,7 @@ class TestForward:
         rng = make_rng(5)
         net = Network.init(small_config("gru", disc=True), rng)
         twin = Network.init(small_config("gru", disc=False), make_rng(5))
-        x = rng.normal(size=(3, 6, 3))
+        x = rng.normal(size=(3, 6, EMG_CHANNELS))
         a1, logits, _ = net.forward(x)
         a2, none_logits, _ = twin.forward(x)
         assert none_logits is None
@@ -113,20 +116,20 @@ class TestForward:
         with pytest.raises(ValueError):
             net.forward(np.zeros((2, 6, 5)))
         with pytest.raises(ValueError, match="windows"):   # one unbatched (T, C) window
-            net.forward(np.zeros((6, 3)))
+            net.forward(np.zeros((6, EMG_CHANNELS)))
 
     @pytest.mark.parametrize("keep_trace", [True, False])
     def test_empty_windows_rejected(self, keep_trace):
         net = Network.init(small_config(), make_rng(0))
         with pytest.raises(ValueError, match="windows"):
-            net.forward(np.zeros((2, 0, 3)), keep_trace=keep_trace)
+            net.forward(np.zeros((2, 0, EMG_CHANNELS)), keep_trace=keep_trace)
 
     @pytest.mark.parametrize("value", [1e39, -1e39])
     @pytest.mark.parametrize("keep_trace", [True, False])
     def test_windows_beyond_float32_rejected(self, keep_trace, value):
         # float64 windows past float32's range would be cast to infinities
         net = Network.init(small_config(), make_rng(0))
-        x = np.zeros((2, 4, 3))
+        x = np.zeros((2, 4, EMG_CHANNELS))
         x[1, 2, 0] = value
         with pytest.raises(NumericError, match="float32 range"):
             net.forward(x, keep_trace=keep_trace)
@@ -153,19 +156,21 @@ class TestUntracedForward:
     def test_matches_traced(self, cell, disc, T):
         # block edges on either side of T, and a partial last block
         net = Network.init(small_config(cell, disc), derive_rng(0, "untraced", cell, disc))
-        self.assert_matches_traced(net, derive_rng(1, "untraced", T).normal(size=(3, T, 3)))
+        x = derive_rng(1, "untraced", T).normal(size=(3, T, EMG_CHANNELS))
+        self.assert_matches_traced(net, x)
 
     @pytest.mark.parametrize("T", [cells.BLOCK, 128])
     def test_sru_pool_in_degenerate_shape(self, T):
         # at B = H = 1 a (B, T, H) mean sums pairwise, where the streamed
         # pool adds step by step: both passes must share one summation order
-        # (the two orders differ in the last bit for most draws, not all)
-        cfg = NetworkConfig(cell_type="sru", input_channels=1, hidden_size=1,
-                            num_recurrent_layers=2, predictor_hidden=3, output_angles=15)
-        for draw in range(8):
+        # (the two orders differ in the last bit for some draws, not all: at
+        # T = BLOCK the first to differ is draw 10)
+        cfg = NetworkConfig(cell_type="sru", hidden_size=1, predictor_hidden=3,
+                            output_angles=15)
+        for draw in range(16):
             net = Network.init(cfg, derive_rng(draw, "untraced-degenerate"))
             self.assert_matches_traced(net, derive_rng(draw, "untraced-degenerate", T)
-                                       .normal(size=(1, T, 1)))
+                                       .normal(size=(1, T, EMG_CHANNELS)))
 
 
 class TestBuffers:
@@ -189,7 +194,7 @@ class TestBuffers:
         T = 2 * cells.BLOCK + 3
         traces = []
         for b in (5, 2, 5):
-            x, labels = rng.normal(size=(b, T, 3)), rng.integers(0, 3, size=b)
+            x, labels = rng.normal(size=(b, T, EMG_CHANNELS)), rng.integers(0, 3, size=b)
             angles, logits, grads, trace = self.step(net, x, labels)
             twin = Network.init(cfg, derive_rng(0, "buffers", cell))
             fresh_angles, fresh_logits, fresh_grads, _ = self.step(twin, x, labels)
@@ -214,8 +219,9 @@ class TestBuffers:
         # gradient as they were
         cfg = small_config(cell, disc=True)
         rng = derive_rng(2, "stream-between", cell)
-        x, labels = rng.normal(size=(5, 2 * cells.BLOCK + 3, 3)), rng.integers(0, 3, size=5)
-        other = rng.normal(size=(7, 3 * cells.BLOCK + 1, 3))
+        x = rng.normal(size=(5, 2 * cells.BLOCK + 3, EMG_CHANNELS))
+        labels = rng.integers(0, 3, size=5)
+        other = rng.normal(size=(7, 3 * cells.BLOCK + 1, EMG_CHANNELS))
         net = Network.init(cfg, derive_rng(0, "stream-between", cell))
         angles, logits, trace = net.forward(x)
         net.forward(other, keep_trace=False)
@@ -233,7 +239,7 @@ class TestBackward:
     def setup_case(self, cell="gru", seed=7):
         rng = derive_rng(seed, "netcase", cell)
         net = Network.init(small_config(cell, disc=True), rng)
-        x = rng.normal(size=(2, 6, 3))
+        x = rng.normal(size=(2, 6, EMG_CHANNELS))
         y = rng.normal(size=(2, 15))
         labels = rng.integers(0, 3, size=2)
         return net, x, y, labels
@@ -273,7 +279,7 @@ class TestBackward:
 
     def test_domain_grad_without_discriminator_rejected(self):
         net = Network.init(small_config("gru", disc=False), make_rng(0))
-        _, _, trace = net.forward(np.zeros((1, 4, 3)))
+        _, _, trace = net.forward(np.zeros((1, 4, EMG_CHANNELS)))
         with pytest.raises(ValueError):
             net.backward(trace, np.zeros((1, 15)), np.zeros((1, 3)))
 
@@ -287,7 +293,7 @@ def run_network_gradcheck(cell: str, seed: int) -> float:
     """
     rng = derive_rng(seed, "netgrad", cell)
     net = to_float64(Network.init(small_config(cell, disc=True), rng))
-    x = rng.normal(size=(2, 6, 3))
+    x = rng.normal(size=(2, 6, EMG_CHANNELS))
     y = rng.normal(size=(2, 15))
     labels = rng.integers(0, 3, size=2)
 
@@ -312,7 +318,7 @@ def run_head_gradcheck(head: str, seed: int) -> float:
     """Finite differences for one fully-connected head in isolation."""
     rng = derive_rng(seed, "headgrad", head)
     net = to_float64(Network.init(small_config("gru", disc=True), rng))
-    x = rng.normal(size=(2, 6, 3))
+    x = rng.normal(size=(2, 6, EMG_CHANNELS))
     y = rng.normal(size=(2, 15))
     labels = rng.integers(0, 3, size=2)
     angles, logits, trace = net.forward(x)
@@ -354,7 +360,7 @@ class TestCheckpoint:
         for (n1, a1), (n2, a2) in zip(net.named_params(), loaded.named_params()):
             assert n1 == n2
             np.testing.assert_array_equal(a1, a2)
-        x = make_rng(2).normal(size=(3, 5, 3))
+        x = make_rng(2).normal(size=(3, 5, EMG_CHANNELS))
         np.testing.assert_array_equal(net.forward(x)[0], loaded.forward(x)[0])
 
     def test_resave_is_byte_identical(self, tmp_path):
@@ -371,11 +377,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("disc", [False, True])
-    @pytest.mark.parametrize("channels", [3, 4], ids=["projected", "square"])
+    @pytest.mark.parametrize("hidden", [4, EMG_CHANNELS], ids=["projected", "square"])
     @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
-    def test_param_shapes_are_those_init_builds(self, cell, channels, disc):
-        cfg = NetworkConfig(cell_type=cell, input_channels=channels, hidden_size=4,
-                            num_recurrent_layers=2, predictor_hidden=5,
+    def test_param_shapes_are_those_init_builds(self, cell, hidden, disc):
+        cfg = NetworkConfig(cell_type=cell, hidden_size=hidden, predictor_hidden=5,
                             use_discriminator=disc, num_domains=3 if disc else 0)
         net = Network.init(cfg, make_rng(0))
         assert list(_param_shapes(cfg)) == [(n, a.shape) for n, a in net.named_params()]
@@ -399,7 +404,7 @@ class TestCheckpoint:
         "float64 parameter": lambda h, a: a.update({"layer1.U_h": a["layer1.U_h"].astype(
             np.float64)}),
         "misshapen parameter": lambda h, a: a.update({"predictor.b2": a["predictor.b2"][:, :3]}),
-        "missing layer": lambda h, a: h["config"].update(num_recurrent_layers=3),
+        "missing layer": lambda h, a: [a.pop(k) for k in list(a) if k.startswith("layer1.")],
         "header hidden_size over 8-unit arrays": lambda h, a: h["config"].update(
             hidden_size=1000),
     }

@@ -6,6 +6,7 @@ import pytest
 
 from fdcheck import max_array_rel_err
 from myograsp import cells, datapipe, training
+from myograsp.datapipe import EMG_CHANNELS
 from myograsp.errors import NumericError
 from myograsp.network import Network, NetworkConfig
 from myograsp.numerics import derive_rng, make_rng
@@ -145,12 +146,11 @@ class TestEarlyStopper:
 
 def tiny_setup(cell="gru", disc=False, num_domains=2, seed=0, n=6):
     rng = derive_rng(seed, "train-setup", cell)
-    cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=4,
-                        num_recurrent_layers=2, predictor_hidden=8,
+    cfg = NetworkConfig(cell_type=cell, hidden_size=4, predictor_hidden=8,
                         output_angles=15, use_discriminator=disc,
                         num_domains=num_domains if disc else 0)
     net = Network.init(cfg, rng)
-    x = rng.normal(size=(n, 8, 3))
+    x = rng.normal(size=(n, 8, EMG_CHANNELS))
     y = rng.uniform(0, 1, size=(n, 15))
     domains = rng.integers(0, num_domains, size=n) if disc else None
     return net, ArraySource(x, y, domains)
@@ -160,7 +160,7 @@ class TestTrainLoop:
     def test_overfit_one_sample(self):
         net, _ = tiny_setup(seed=0, n=1)
         rng = derive_rng(0, "train-setup", "gru")  # fresh draws for data
-        x = rng.normal(size=(1, 8, 3))
+        x = rng.normal(size=(1, 8, EMG_CHANNELS))
         y = rng.uniform(0, 1, size=(1, 15))
         src = ArraySource(x, y)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=200, patience=200,
@@ -204,7 +204,7 @@ class TestTrainLoop:
 
     def test_empty_training_set(self):
         net, src = tiny_setup()
-        empty = ArraySource(np.zeros((0, 8, 3)), np.zeros((0, 15)))
+        empty = ArraySource(np.zeros((0, 8, EMG_CHANNELS)), np.zeros((0, 15)))
         with pytest.raises(ValueError, match="empty"):
             train(net, empty, src, TrainConfig(max_epochs=1, patience=1), RAW_TARGETS)
 
@@ -270,26 +270,32 @@ class TestTrainLoop:
     def test_missing_domain_labels_with_ada(self):
         net, _ = tiny_setup(disc=True)
         rng = make_rng(0)
-        src = ArraySource(rng.normal(size=(4, 8, 3)), rng.uniform(size=(4, 15)))
+        src = ArraySource(rng.normal(size=(4, 8, EMG_CHANNELS)), rng.uniform(size=(4, 15)))
         with pytest.raises(ValueError, match="domain label"):
             train(net, src, src, TrainConfig(max_epochs=1, patience=1), RAW_TARGETS)
 
-    def test_zero_disc_weight_equals_no_ada(self):
-        # identical shared-parameter trajectories given the same seed
-        net_ada, src = tiny_setup(disc=True, seed=9)
-        cfg = TrainConfig(max_epochs=4, patience=4, batch_size=3, seed=9,
-                          disc_loss_weight=0.0)
-        net_ada, _ = train(net_ada, src, src, cfg, RAW_TARGETS)
+    def test_ada_loss_is_mse_plus_unweighted_cross_entropy(self):
+        # a discriminator makes ADA active: one full-batch step reports
+        # mse + ce and updates the parameters by their gradients, the ce's
+        # reaching the feature extractor through the reversal layer
+        net, src = tiny_setup(disc=True, seed=9)
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=len(src), seed=9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # zero-range validation angles
+            net, report = train(net, src, src, cfg, RAW_TARGETS)
 
-        net_plain, _ = tiny_setup(disc=False, seed=9)
-        cfg2 = TrainConfig(max_epochs=4, patience=4, batch_size=3, seed=9)
-        net_plain, _ = train(net_plain, src, src, cfg2, RAW_TARGETS)
+        twin, _ = tiny_setup(disc=True, seed=9)
+        x, y, domains = src.batch(make_rng(cfg.seed).permutation(len(src)))
+        angles, logits, trace = twin.forward(x)
+        mse, dangles = mse_loss(angles, RAW_TARGETS.normalize(y))
+        ce, dlogits = cross_entropy_batch(logits, domains)
+        grads = twin.backward(trace, dangles, dlogits)
+        adam_step(twin.named_params(), grads, AdamState(), cfg.learning_rate)
 
-        plain = net_plain.copy_params()
-        for name, arr in net_ada.named_params():
-            if name.startswith("discriminator"):
-                continue
-            np.testing.assert_array_equal(arr, plain[name])
+        assert report.epochs[0].train_loss == pytest.approx(mse + ce, rel=1e-12)
+        expected = twin.copy_params()
+        for name, arr in net.named_params():
+            np.testing.assert_array_equal(arr, expected[name], err_msg=name)
 
     def test_report_csv(self, tmp_path):
         net, src = tiny_setup(seed=2)
@@ -304,8 +310,6 @@ class TestTrainLoop:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(patience=40, max_epochs=30)
 
 
 @pytest.mark.parametrize("name,value", UNRUNNABLE, ids=lambda v: str(v))
@@ -316,15 +320,14 @@ def test_config_rejects_unrunnable_values(name, value):
 
 class TestPredict:
     def net(self, cell, hidden):
-        cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=hidden,
-                            num_recurrent_layers=2, predictor_hidden=8,
+        cfg = NetworkConfig(cell_type=cell, hidden_size=hidden, predictor_hidden=8,
                             output_angles=15, use_discriminator=True, num_domains=2)
         return Network.init(cfg, derive_rng(0, "predict", cell))
 
     @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_bit_identical_to_forward_chunk_by_chunk(self, cell):
         net = self.net(cell, hidden=6)
-        x = make_rng(1).normal(size=(10, 7, 3))
+        x = make_rng(1).normal(size=(10, 7, EMG_CHANNELS))
         expected = np.concatenate([net.forward(x[lo:lo + 4])[0] for lo in range(0, 10, 4)])
         np.testing.assert_array_equal(predict(net, x, chunk=4), expected)
 
@@ -334,15 +337,15 @@ class TestPredict:
         # state, in the traced pass's memory order: at a batch of 2 a
         # feature-major operand rounds differently in the heads' GEMMs
         net = self.net("gru", hidden)
-        x = make_rng(9).normal(size=(2, 5, 3))
+        x = make_rng(9).normal(size=(2, 5, EMG_CHANNELS))
         np.testing.assert_array_equal(predict(net, x), net.forward(x)[0])
 
     @pytest.mark.parametrize("cell", ["gru", "sru"])
     def test_no_windows_give_empty_predictions(self, cell):
         net = self.net(cell, hidden=6)
-        preds = predict(net, np.zeros((0, 7, 3)))
+        preds = predict(net, np.zeros((0, 7, EMG_CHANNELS)))
         assert preds.shape == (0, 15) and preds.dtype == np.float32
-        source = ArraySource(np.zeros((0, 7, 3)), np.zeros((0, 15)))
+        source = ArraySource(np.zeros((0, 7, EMG_CHANNELS)), np.zeros((0, 15)))
         preds, ys = training.predict_source(net, source, RAW_TARGETS)
         assert preds.shape == ys.shape == (0, 15)
 
@@ -353,7 +356,7 @@ class TestPredict:
         # result, and 2 KiB for the list that holds them and their array
         # headers; each measured on a fresh network, whose inference
         # workspace grows inside the measurement
-        x = make_rng(2).normal(size=(4 * 64, 48, 3))
+        x = make_rng(2).normal(size=(4 * 64, 48, EMG_CHANNELS))
 
         def peak_bytes(n):
             net = self.net(cell, hidden=32)
@@ -373,7 +376,7 @@ class TestPredict:
         # one network's inference workspace serves chunks of 256, 7 and 256
         # windows (a partial last block each); a fresh network per call
         # gives the same bits
-        x = make_rng(5).normal(size=(256, 2 * cells.BLOCK + 3, 3))
+        x = make_rng(5).normal(size=(256, 2 * cells.BLOCK + 3, EMG_CHANNELS))
         net = self.net(cell, hidden=6)
         for n in (256, 7, 256):
             got = predict(net, x[:n])
@@ -384,8 +387,8 @@ class TestPredict:
         # 600 windows span three gathers of one predict chunk each, the last
         # partial; the whole split materialised, normalised and predicted at
         # once gives the same bits
-        cfg = NetworkConfig(cell_type=cell, hidden_size=6, num_recurrent_layers=2,
-                            predictor_hidden=8, output_angles=15)
+        cfg = NetworkConfig(cell_type=cell, hidden_size=6, predictor_hidden=8,
+                            output_angles=15)
         net = Network.init(cfg, derive_rng(0, "predict-source", cell))
         rows = 600 * 4 + datapipe.WINDOW_SIZE
         rng = make_rng(7)
@@ -421,7 +424,7 @@ def first_predict_peak(net, x):
 # a batch at which the design's arrays outweigh numpy's transient iteration
 # buffers (at most 8192 elements an operand), so that a (B, H) array more
 # shows in the peak
-PREDICT_B, PREDICT_T, PREDICT_H, PREDICT_D = 512, 128, 32, 3
+PREDICT_B, PREDICT_T, PREDICT_H = 512, 128, 32
 PREDICT_PH, PREDICT_ANGLES = 8, 15
 
 
@@ -442,7 +445,7 @@ def sru_workspace(B):
     planes (xhat, in which c_t and tanh(c_t) are scanned, and f, then r;
     layer 0's W_p x goes to its block output) and f * c; a layer keeps its
     block output and the c it carries."""
-    H, D, n = PREDICT_H, PREDICT_D, cells.BLOCK
+    H, D, n = PREDICT_H, EMG_CHANNELS, cells.BLOCK
     return n * B * D + 2 * n * B * H + B * H, n * B * H + B * H
 
 
@@ -462,12 +465,11 @@ def design_bound(B, scratch, layer, pooled):
 
 
 def predict_peak_and_bound(cell, B):
-    T, H, D = PREDICT_T, PREDICT_H, PREDICT_D
-    cfg = NetworkConfig(cell_type=cell, input_channels=D, hidden_size=H,
-                        num_recurrent_layers=2, predictor_hidden=PREDICT_PH,
+    cfg = NetworkConfig(cell_type=cell, hidden_size=PREDICT_H, predictor_hidden=PREDICT_PH,
                         output_angles=PREDICT_ANGLES)
     net = Network.init(cfg, derive_rng(0, "predict-peak"))
-    peak = first_predict_peak(net, make_rng(3).normal(size=(B, T, D)))
+    x = make_rng(3).normal(size=(B, PREDICT_T, EMG_CHANNELS))
+    peak = first_predict_peak(net, x)
     workspace = gru_workspace if cell == "gru" else sru_workspace
     return peak, design_bound(B, *workspace(B), pooled=cell == "sru")
 
@@ -502,7 +504,7 @@ def test_sru_predict_peak_bounded_by_layer_states():
 
 @pytest.mark.parametrize("cell", ["gru", "sru"])
 def test_predict_peak_holds_no_parameter_copy(cell):
-    # at a batch of 2 the layers' parameters (38,784 B for the GRU, 14,336
+    # at a batch of 2 the layers' parameters (40,704 B for the GRU, 16,896
     # for the SRU) outweigh the workspace, so a copy of them per forward
     # breaks the bound
     peak, bound = predict_peak_and_bound(cell, 2)
@@ -553,12 +555,11 @@ def test_predict_peak_independent_of_window_length(cell):
     # a workspace of one block, and builds no (T, B, H) buffer: on a fresh
     # network, windows eight times as long peak no higher
     B, H = 64, 32
-    cfg = NetworkConfig(cell_type=cell, input_channels=3, hidden_size=H,
-                        num_recurrent_layers=2, predictor_hidden=8, output_angles=15)
+    cfg = NetworkConfig(cell_type=cell, hidden_size=H, predictor_hidden=8, output_angles=15)
 
     def peak_bytes(T):
         net = Network.init(cfg, derive_rng(0, "predict-length", cell))
-        return first_predict_peak(net, make_rng(4).normal(size=(B, T, 3)))
+        return first_predict_peak(net, make_rng(4).normal(size=(B, T, EMG_CHANNELS)))
 
     short, long = peak_bytes(2 * cells.BLOCK), peak_bytes(16 * cells.BLOCK)
     assert long <= 1.1 * short, (short, long)

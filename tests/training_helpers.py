@@ -49,5 +49,4 @@ def cross_entropy_loss(logits: np.ndarray, label: int):
 # (TrainConfig field, a value the training loop cannot run with)
 UNRUNNABLE = [("learning_rate", 0.0), ("learning_rate", float("nan")),
               ("learning_rate", float("inf")), ("batch_size", 0), ("max_epochs", 0),
-              ("patience", 0), ("seed", -1), ("disc_loss_weight", -1.0),
-              ("disc_loss_weight", float("nan"))]
+              ("patience", 0), ("seed", -1)]
