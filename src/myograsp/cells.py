@@ -531,8 +531,13 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
     Returns (grads, dx, dh0).  Runs time-major like the forward but
     batch-major within a step, on the (T, B, .) trace the forward writes
     transposed: the trace fields and ``dh_up`` are read as (T, B, .)
-    views, and each step works in place in its (B, 3H) block of the gate
-    pre-activation gradient buffer and a few reused (B, H) arrays.  (A
+    views.  Each step does its elementwise work on contiguous (B, H)
+    blocks: it copies z_t and r_t out of the trace's row-strided z|r
+    halves into a (2, B, H) array, forms da_z, da_r and da_h in place in
+    a (3, B, H) one, both in ``buffers``, and writes them into its (B, 3H)
+    block of the gate pre-activation gradient buffer with one copy, from
+    which the recurrent GEMM reads [da_z|da_r].  (numpy runs a ufunc over
+    row-strided slices several times slower than over contiguous ones; a
     feature-major backward would need (., T*B) operands for its weight
     GEMMs, whose copies cost what its steps save.)  After the loop, three
     GEMMs fill the row blocks of the gradient's A_zr and A_h, and ``dx``
@@ -551,13 +556,17 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
 
     U_zr, U_h = A_zr[:H].T, A_h[D + 1:].T   # [U_z; U_r], (2H, H), and U_h
     da = _empty(buffers, "da", (T, B, 3 * H), dtype)   # da_z | da_r | da_h
+    z_t, r_t = _empty(buffers, "zr_t", (2, B, H), dtype)   # copied out of the trace
+    da_t = _empty(buffers, "da_t", (3, B, H), dtype)       # step t's da_z, da_r, da_h
+    da_z, da_r, da_h = da_t
     dh = np.zeros((B, H), dtype)          # dLoss/dh_t, then dLoss/dh_{t-1}
     drh = np.empty((B, H), dtype)         # dLoss/d(r_t * h_{t-1})
     one_minus_z = np.empty((B, H), dtype)
     tmp = np.empty((B, H), dtype)
     for t in range(T - 1, -1, -1):
-        h_prev, z_t, r_t, hc_t = hs[t], z[t], r[t], hc[t]
-        da_z, da_r, da_h = da[t, :, :H], da[t, :, H:2 * H], da[t, :, 2 * H:]
+        h_prev, hc_t = hs[t], hc[t]
+        np.copyto(z_t, z[t])
+        np.copyto(r_t, r[t])
         dh += dh_up[t]
 
         # da_h = dh * z_t * (1 - hc_t^2)
@@ -579,6 +588,7 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
         da_r *= r_t
         np.subtract(1.0, r_t, out=tmp)
         da_r *= tmp
+        np.copyto(da[t].reshape(B, 3, H), da_t.transpose(1, 0, 2))
 
         # dh_prev = dh * (1 - z_t) + drh * r_t + [da_z|da_r] @ [U_z;U_r]
         dh *= one_minus_z

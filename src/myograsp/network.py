@@ -197,25 +197,25 @@ class Network:
                 out: np.ndarray | None = None):
         """Map (B, T, EMG_CHANNELS) input windows to angle predictions.
 
-        Returns (angles (B, output_angles), domain_logits (B, num_domains)
-        or None, trace).  With ``keep_trace=False`` (inference) the trace is
-        None and the layer stack streams over the time steps, each layer
-        carrying its state from call to call and the feature reduction
-        folded into the loop, so no (T, B, H) buffer is built.  Each layer
-        call takes ``cells.stream_step`` steps: one for a GRU stack, as its
-        work is all per step; one block of ``cells.BLOCK`` steps, the steps
-        of one input GEMM, for an SRU or vanilla stack, because an SGEMM
-        row's bits can depend on the GEMM's row count.  The outputs are
-        bit-identical to the traced pass, which is the same loop over one
+        Returns (angles (B, output_angles), domain_logits (B, num_domains) or
+        None, trace).  With ``keep_trace=False`` (inference) the trace and the
+        domain logits are None: the discriminator serves only training, so its
+        head is not run.  The layer stack then streams over the time steps,
+        each layer carrying its state from call to call and the feature
+        reduction folded into the loop, so no (T, B, H) buffer is built.  Each
+        layer call takes ``cells.stream_step`` steps: one for a GRU stack, as
+        its work is all per step; one block of ``cells.BLOCK`` steps, the
+        steps of one input GEMM, for an SRU or vanilla stack, because an SGEMM
+        row's bits can depend on the GEMM's row count.  The angles are
+        bit-identical to the traced pass's, which is the same loop over one
         block of T steps.  The feature is the pool's running sum, divided in
         place, or the top layer's last output: at inference a view of its
         buffers, or for the GRU, whose state is feature-major, a copy in
-        scratch that is idle after the last step (``cells.row_major``), so
-        the heads see the traced pass's memory order.  Each head forms its
+        scratch that is idle after the last step (``cells.row_major``), so the
+        heads see the traced pass's memory order.  Each head run forms its
         hidden activations and outputs in place in its matrix products, the
         angles in ``out`` if given, a (B, output_angles) array of the
-        parameters' dtype (``training.predict`` passes a slice of its
-        result).
+        parameters' dtype (``training.predict`` passes a slice of its result).
 
         The traced pass takes its trace arrays from the network's training
         workspace, ``self.buffers``, and :meth:`backward` its gradient
@@ -266,7 +266,7 @@ class Network:
         pred_a1, angles = _head_forward(self.predictor, feat, out)
         domain_logits = None
         disc_a1 = None
-        if self.discriminator is not None:
+        if keep_trace and self.discriminator is not None:
             # the gradient reversal layer is the identity going forward
             disc_a1, domain_logits = _head_forward(self.discriminator, feat)
 

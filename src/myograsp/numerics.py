@@ -4,10 +4,13 @@ Parameters are plain 2-d ``numpy.ndarray`` objects in C (row-major) order
 with dtype float32, the one compute dtype of the network: every kernel
 downstream follows its parameters' dtype, so the same code also runs on
 float64 parameters (the tests' gradient checks do).  Biases are kept as
-1 x n row vectors so they broadcast over batches.  Everything downstream
-(cells, network, training) builds on these few functions, and every random
-draw in the package flows through :func:`make_rng` / :func:`derive_rng` so
-that a single 64-bit seed pins the whole pipeline.
+1 x n row vectors so they broadcast over batches.  The activations keep
+their input's dtype and can work in place; the sigmoid, which every gate
+of every cell runs through, takes its value from one ``tanh``, which
+cannot overflow.  Everything downstream (cells, network, training) builds
+on these few functions, and every random draw in the package flows
+through :func:`make_rng` / :func:`derive_rng` so that a single 64-bit
+seed pins the whole pipeline.
 """
 
 from __future__ import annotations
@@ -26,24 +29,26 @@ __all__ = [
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise logistic function ``1 / (1 + exp(-x))``, computed in place.
+    """Elementwise logistic function ``1 / (1 + exp(-x))``, computed in place
+    as ``0.5 * tanh(0.5 * x) + 0.5``: four passes (multiply, tanh, multiply,
+    add), none of which overflows.
 
     Without ``out`` the result goes to a fresh copy of ``x`` in its own
     floating dtype (float64 for other input), and ``x`` is left unchanged;
     with ``out`` it is written there (``out`` may be ``x`` itself, or any
-    view of matching shape).  ``exp(-x)`` overflows to inf for x below
-    about -88 in float32 (-709 in float64) and the result then saturates to
-    exactly 0; that overflow is expected and raises no warning.
+    view of matching shape).  The result saturates to exactly 0 or 1 where
+    tanh rounds to -1 or 1, beyond about |x| = 18 in float32 (37 in
+    float64).
     """
     if out is None:
         x = np.asarray(x)
         out = np.array(x, dtype=np.result_type(x.dtype, np.float32))
         x = out
-    with np.errstate(over="ignore"):
-        np.negative(x, out=out)
-        np.exp(out, out=out)
-    out += 1.0
-    return np.reciprocal(out, out=out)
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

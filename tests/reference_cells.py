@@ -5,7 +5,7 @@ forward and backward passes and of the logistic function: one matrix
 product per gate, a boolean-mask branch in the sigmoid, no in-place
 buffers.  ``sru_forward_naive`` also takes the SRU's gate products step
 by step rather than for all steps at once.  ``myograsp.cells`` computes
-the same maps with stacked gate GEMMs and an exp-form sigmoid computed in
+the same maps with stacked gate GEMMs and a tanh-form sigmoid computed in
 place; ``tests/test_cells.py`` asserts that both agree to float64
 round-off.  The references read the parameters by their per-matrix names
 and return their weight gradients as a dict keyed by those names, in

@@ -137,17 +137,15 @@ class TestForward:
 
 class TestUntracedForward:
     """Inference streams the layer stack one block of ``cells.BLOCK`` steps at
-    a time; its outputs must equal the traced pass's bit for bit."""
+    a time; its angles must equal the traced pass's bit for bit."""
 
     def assert_matches_traced(self, net, x):
         angles, logits, _ = net.forward(x)
         bare_angles, bare_logits, no_trace = net.forward(x, keep_trace=False)
         assert no_trace is None
         np.testing.assert_array_equal(bare_angles, angles)
-        if logits is None:
-            assert bare_logits is None
-        else:
-            np.testing.assert_array_equal(bare_logits, logits)
+        # inference runs no discriminator head
+        assert bare_logits is None
 
     @pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
                                    2 * cells.BLOCK + 3])

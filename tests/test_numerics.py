@@ -69,8 +69,9 @@ class TestActivations:
 
 
     def test_sigmoid_float32_saturates_without_warning(self):
-        # exp(-x) overflows float32 below about -88: the result saturates to
-        # exactly 0, in the input's dtype, with no RuntimeWarning
+        # tanh(x / 2) rounds to -1 or 1 in float32 beyond about |x| = 18: the
+        # result saturates to exactly 0 or 1, in the input's dtype, with no
+        # RuntimeWarning
         x = np.array([-1e4, -100.0, 100.0], dtype=np.float32)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -79,6 +80,22 @@ class TestActivations:
         assert out.dtype == np.float32 and x.dtype == np.float32
         np.testing.assert_array_equal(out, [0.0, 0.0, 1.0])
         np.testing.assert_array_equal(x, out)
+
+    def test_sigmoid_float32_matches_reference(self):
+        # float32 round-off of the float64 two-branch reference: 2**-23 is
+        # one float32 ulp at 1, the largest the result takes
+        x = np.linspace(-40.0, 40.0, 200_001, dtype=np.float32)
+        out = sigmoid(x)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, reference_cells.sigmoid(x), rtol=0, atol=2.0 ** -23)
+
+    def test_sigmoid_float32_exact_points(self):
+        assert sigmoid(np.float32(0)) == 0.5
+        x = np.array([-40.0, 40.0], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(x)
+        np.testing.assert_array_equal(out, [0.0, 1.0])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_activations_keep_the_input_dtype(self, dtype):

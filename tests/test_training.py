@@ -449,7 +449,7 @@ def sru_workspace(B):
     return n * B * D + 2 * n * B * H + B * H, n * B * H + B * H
 
 
-def design_bound(B, scratch, layer, pooled):
+def design_bound(B, scratch, layer, pooled, ph=PREDICT_PH):
     """Bytes the untraced forward holds by design at batch B, given its
     scratch and what one layer keeps in float32 elements: one set of
     scratch shared by the two layers, each layer's own arrays, no copy of
@@ -460,18 +460,22 @@ def design_bound(B, scratch, layer, pooled):
     through and, when the cell is ``pooled``, the pool's running sum,
     which becomes the feature.  12 KiB cover the call's Python objects
     (array headers, views, traces) and numpy's other iteration buffers."""
-    heads = B * (PREDICT_PH + 2 * PREDICT_ANGLES) + pooled * B * PREDICT_H
+    heads = B * (ph + 2 * PREDICT_ANGLES) + pooled * B * PREDICT_H
     return 4 * (scratch + 2 * layer + heads) + 12 * 1024
 
 
-def predict_peak_and_bound(cell, B):
-    cfg = NetworkConfig(cell_type=cell, hidden_size=PREDICT_H, predictor_hidden=PREDICT_PH,
-                        output_angles=PREDICT_ANGLES)
+def predict_peak_and_bound(cell, B, disc=False, ph=PREDICT_PH):
+    """The first predict's peak at batch B and the design bound, which has
+    no discriminator term: inference runs no discriminator head.  ``ph`` is
+    the heads' hidden width."""
+    cfg = NetworkConfig(cell_type=cell, hidden_size=PREDICT_H, predictor_hidden=ph,
+                        output_angles=PREDICT_ANGLES, use_discriminator=disc,
+                        num_domains=3 if disc else 0)
     net = Network.init(cfg, derive_rng(0, "predict-peak"))
     x = make_rng(3).normal(size=(B, PREDICT_T, EMG_CHANNELS))
     peak = first_predict_peak(net, x)
     workspace = gru_workspace if cell == "gru" else sru_workspace
-    return peak, design_bound(B, *workspace(B), pooled=cell == "sru")
+    return peak, design_bound(B, *workspace(B), pooled=cell == "sru", ph=ph)
 
 
 def test_gru_predict_peak_bounded_by_layer_states():
@@ -499,6 +503,16 @@ def test_sru_predict_peak_bounded_by_layer_states():
     # per layer, c_t, tanh(c_t) or r * tanh(c_t) in block arrays beside the
     # planes, or a copy of the feature break the bound
     peak, bound = predict_peak_and_bound("sru", PREDICT_B)
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("cell", ["gru", "sru"])
+def test_ada_predict_peak_has_no_discriminator_term(cell):
+    # an ADA network predicts in what its ADA-free twin does: the
+    # discriminator's hidden activations and domain logits are training-only.
+    # Behind 8-wide heads they would hide under the layer stack's transient
+    # peak; behind 64-wide ones they break the bound by about 125 KB
+    peak, bound = predict_peak_and_bound(cell, PREDICT_B, disc=True, ph=64)
     assert peak <= bound, (peak, bound)
 
 
