@@ -21,10 +21,14 @@ SRU:      xhat_t = W x_t
           f_t = sigm(W_f x_t + b_f)
           r_t = sigm(W_r x_t + b_r)
           c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t
+              = xhat_t + f_t * (c_{t-1} - xhat_t)       (as computed)
           h_t = r_t * tanh(c_t) + (1 - r_t) * xh_t
+              = xh_t + r_t * (tanh(c_t) - xh_t)         (as computed)
 
 where xh_t is x_t itself when D_in == hidden, else a learned projection
-W_p x_t.  The SRU gates depend only on x_t, so the matrix products for every
+W_p x_t.  The computed forms take fewer elementwise passes and round
+differently from the first ones, which the tests' reference cells keep.
+The SRU gates depend only on x_t, so the matrix products for every
 timestep are one batched GEMM over the stacked W|W_f|W_r(|W_p) before the
 light sequential scan over c_t (Lei et al., 2018).  The GRU's gates depend
 on h_{t-1}, so each step computes them with two GEMMs against augmented
@@ -87,15 +91,15 @@ every call allocates its own arrays.
 A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
 GRU's column buffer and gate block, the SRU's cast input block, two gate
-planes and f_t * c_{t-1}) come from it, so one scratch serves every layer
-of a network's inference, and ``buffers`` holds only the outputs and the
-state the call leaves (the GRU's h_t, (H, B), which a one-step call
-writes over h_{t-1}; the SRU's block output and c_T: its c_t and
-tanh(c_t) live in a gate plane).  Its trace holds only ``x`` and the
-state and serves ``final_state``, a view of ``buffers``, until the next
-call with those buffers, and no backward.  A backward's
-``input_grad=False`` skips ``dx``, which nothing reads below the bottom
-layer.
+planes and a (B, H) plane for the gate biases and the c scan) come from
+it, so one scratch serves every layer of a network's inference, and
+``buffers`` holds only the outputs and the state the call leaves (the
+GRU's h_t, (H, B), which a one-step call writes over h_{t-1}; the SRU's
+block output and c_T: its c_t and tanh(c_t) live in a gate plane).  Its
+trace holds only ``x`` and the state and serves ``final_state``, a view
+of ``buffers``, until the next call with those buffers, and no backward.
+A backward's ``input_grad=False`` skips ``dx``, which nothing reads below
+the bottom layer.
 """
 
 from __future__ import annotations
@@ -619,6 +623,15 @@ def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
 # SRU
 # ---------------------------------------------------------------------------
 
+def _add_bias(gate: np.ndarray, bias: np.ndarray, plane: np.ndarray) -> None:
+    """Add the (1, H) ``bias`` to the (n, B, H) ``gate`` block through the
+    (B, H) ``plane``, which it overwrites: broadcast from a contiguous plane
+    over the block's steps only, the add needs no iteration buffer, which a
+    (1, H) row broadcast over every row would."""
+    np.copyto(plane, bias)
+    gate += plane
+
+
 @dataclass
 class SruTrace(_ArrayFields):
     # a streamed call's holds x and c_T, and None for the rest
@@ -642,22 +655,31 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     ``BLOCK`` steps, written gate-major into (k, ., B, H) slab blocks whose
     gate biases and sigmoids are applied in place; only the elementwise
     c_t scan is sequential, and it steps over contiguous (B, H) blocks.
-    The outputs and the trace fields are (B, T, .) views of the time-major
-    buffers.
+    It scans c_t = xhat_t + f_t * (c_{t-1} - xhat_t) into ``cs``, three
+    (B, H) operations a step, and forms h_t = xh_t + r_t * (tanh(c_t) -
+    xh_t) in three passes, the difference in a one-block temporary, since
+    the backward reads ``tanh_c``.  The outputs and the trace fields are
+    (B, T, .) views of the time-major buffers.
+
+    ``fc``, a (B, H) array, serves each block twice: as the plane each
+    gate's bias is added from (see ``_add_bias``), then as the scan's
+    f_t * (c_{t-1} - xhat_t).
 
     A streamed call (given ``scratch``) keeps nothing for a backward and
     holds one block's gates in two scratch planes instead of a k-plane
-    slab: xhat and f first, from the batched GEMM over the stack's first
-    two matrices, with c_t scanned and tanh(c_t) taken in the xhat plane;
-    then r in f's plane, where r_t * tanh(c_t) goes to the xhat plane and
-    1 - r_t stays, and W_p x_t straight into the block output, each from a
-    GEMM of its own.  numpy's batched GEMM calls one SGEMM per matrix, so
-    every product has the traced pass's bits.  It copies the c_T it leaves
-    into ``buffers``, which its trace's ``cs`` holds alone.  Every
-    elementwise operation keeps its operands (products and sums commute
-    exactly), so the outputs stay bit-identical.
+    slab.  The first holds xhat_t, then c_t (the scan runs in it), then
+    tanh(c_t), then tanh(c_t) - xh_t.  The second holds f_t, then r_t.
+    xhat and f come from the batched GEMM over the stack's first two
+    matrices, r and W_p x_t each from a GEMM of its own, W_p x_t straight
+    into the block output, where h_t is then formed in place (with the
+    identity highway xh_t is the input block).  numpy's batched GEMM calls
+    one SGEMM per matrix, so every product has the traced pass's bits, and
+    every elementwise operation has the traced pass's operands (products
+    and sums commute exactly), so the outputs are bit-identical.  It
+    copies the c_T it leaves into ``buffers``, which its trace's ``cs``
+    holds alone, and allocates no array.
     """
-    W, b = params.W_stack, params.b_fr[:, None]
+    W, b = params.W_stack, params.b_fr
     k, D, H = W.shape
     dtype = W.dtype
     x = _check_seq(x, D, "sru_forward")
@@ -671,12 +693,12 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
     streamed = scratch is not None
 
     # scratch first and the states last, as in gru_forward
-    fc = _empty(scratch, "fc", (B, H), dtype)              # f_t * c_{t-1}
-    if streamed:   # xhat_t, then c_t, then tanh(c_t) | f_t, then r_t
+    fc = _empty(scratch, "fc", (B, H), dtype)   # a gate's bias, then f_t * (c_{t-1} - xhat_t)
+    if streamed:   # xhat_t, then c_t, then tanh(c_t) - xh_t | f_t, then r_t
         planes = _empty(scratch, "planes", (2, min(BLOCK, T), B, H), dtype)
         cs = _empty(buffers, "c", (1, B, H), dtype)         # c_T
     else:
-        tmp = np.empty((min(BLOCK, T), B, H), dtype)        # r_t * tanh(c_t)
+        tmp = np.empty((min(BLOCK, T), B, H), dtype)        # tanh(c_t) - xh_t
         slab = _empty(buffers, "slab", (k, T, B, H), dtype)
         cs = _empty(buffers, "cs", (T + 1, B, H), dtype)    # c_0 ... c_T
         tanh_c = _empty(buffers, "tanh_c", (T, B, H), dtype)
@@ -689,45 +711,41 @@ def sru_forward(params: SruParams, x: np.ndarray, c0=None, buffers: Buffers | No
         # every gate, or in a streamed call xhat and f in its two planes
         blk = planes[:, :n] if streamed else slab[:, lo:lo + n]
         np.matmul(x2, W[:len(blk)], out=blk.reshape(len(blk), n * B, H))
-        gates = blk[1:3]
-        gates += b[:len(gates)]
+        gates = blk[1:3]   # f, and in a traced call r
+        for gate, bias in zip(gates, b):
+            _add_bias(gate, bias, fc)
         sigmoid(gates, out=gates)
         xhat, f = blk[:2]
         cb = xhat if streamed else cs[lo + 1:lo + n + 1]
 
-        # c_t = f_t * c_{t-1} + (1 - f_t) * xhat_t, scanned into cs, or in
-        # a streamed call into the xhat plane; 1 - f_t sits in h for now
-        np.subtract(1.0, f, out=h)
-        np.multiply(h, xhat, out=cb)
+        # c_t = xhat_t + f_t * (c_{t-1} - xhat_t), scanned into cs, or in a
+        # streamed call into the xhat plane
         for j in range(n):
-            np.multiply(f[j], c, out=fc)
-            cb[j] += fc
-            c = cb[j]
+            np.subtract(c, xhat[j], out=fc)
+            fc *= f[j]
+            c = np.add(xhat[j], fc, out=cb[j])
 
-        # h_t = (1 - r_t) * xh_t + r_t * tanh(c_t)
-        if streamed:   # r_t in f's plane, then 1 - r_t; W_p x_t in h
+        # h_t = xh_t + r_t * (tanh(c_t) - xh_t), the difference formed in
+        # tmp, or in a streamed call in the xhat plane
+        if streamed:   # r_t in f's plane; W_p x_t in h
             np.copyto(cs[0], c)   # tanh(c_t) overwrites the xhat plane
             c = cs[0]
             r = f
             np.matmul(x2, W[2], out=r.reshape(n * B, H))   # the batched GEMM's SGEMM
-            r += b[1]
+            _add_bias(r, b[1], fc)
             sigmoid(r, out=r)
-            th = np.tanh(cb, out=cb)
-            np.multiply(r, th, out=th)
-            np.subtract(1.0, r, out=r)
             if k == 4:
                 np.matmul(x2, W[3], out=h.reshape(n * B, H))
-                h *= r
-            else:
-                np.multiply(r, xt[lo:lo + n], out=h)
-            h += th
+            xh = h if k == 4 else xt[lo:lo + n]
+            th = np.tanh(cb, out=cb)
+            diff = np.subtract(th, xh, out=th)
         else:
             r = blk[2]
             xh = blk[3] if k == 4 else xt[lo:lo + n]
             th = np.tanh(cb, out=tanh_c[lo:lo + n])
-            np.subtract(1.0, r, out=h)
-            h *= xh
-            h += np.multiply(r, th, out=tmp[:n])
+            diff = np.subtract(th, xh, out=tmp[:n])
+        diff *= r
+        np.add(xh, diff, out=h)
 
     if streamed:
         trace = SruTrace(x=_batch_major(xt), xhat=None, f=None, r=None, cs=_batch_major(cs),

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +520,27 @@ def test_streamed_call_from_given_state_matches_traced(kind, T):
     out, trace = cells.cell_forward(params, x, s0)
     np.testing.assert_array_equal(bare, out)
     np.testing.assert_array_equal(cells.final_state(bare_trace), cells.final_state(trace))
+
+
+@pytest.mark.parametrize("input_dim", [8, 64], ids=["d8", "dH"])
+def test_warm_streamed_sru_call_allocates_no_iteration_buffer(input_dim):
+    # a streamed call adds each gate's bias from a contiguous (B, H) plane,
+    # broadcast over the block's steps only; a (1, H) row broadcast over
+    # every row of a gate plane goes through numpy's buffered iterator,
+    # which allocates a buffer of up to 32 KB per add.  So a second call
+    # in the same workspace allocates only a few small objects
+    rng = derive_rng(0, "warm-sru", input_dim)
+    params = randomized(cells.init_sru(input_dim, 64, rng), rng)
+    x = rng.normal(size=(256, cells.BLOCK, input_dim)).astype(np.float32)
+    buffers, scratch = cells.Buffers(), cells.Buffers()
+    _, trace = cells.sru_forward(params, x, None, buffers, scratch)
+    tracemalloc.start()
+    try:
+        cells.sru_forward(params, x, cells.final_state(trace), buffers, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
 
 
 @pytest.mark.parametrize("kind", list(CELL_SETUPS))

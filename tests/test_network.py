@@ -147,6 +147,10 @@ class TestUntracedForward:
         # inference runs no discriminator head
         assert bare_logits is None
 
+    @staticmethod
+    def windows(T):
+        return derive_rng(1, "untraced", T).normal(size=(3, T, EMG_CHANNELS))
+
     @pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
                                    2 * cells.BLOCK + 3])
     @pytest.mark.parametrize("disc", [False, True], ids=["no-disc", "disc"])
@@ -154,8 +158,20 @@ class TestUntracedForward:
     def test_matches_traced(self, cell, disc, T):
         # block edges on either side of T, and a partial last block
         net = Network.init(small_config(cell, disc), derive_rng(0, "untraced", cell, disc))
-        x = derive_rng(1, "untraced", T).normal(size=(3, T, EMG_CHANNELS))
-        self.assert_matches_traced(net, x)
+        self.assert_matches_traced(net, self.windows(T))
+
+    @pytest.mark.parametrize("T", [1, cells.BLOCK - 1, cells.BLOCK, cells.BLOCK + 1,
+                                   2 * cells.BLOCK + 3])
+    @pytest.mark.parametrize("disc", [False, True], ids=["no-disc", "disc"])
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
+    def test_matches_traced_with_random_parameters(self, cell, disc, T):
+        # Network.init's biases are all zero; random ones make every gate
+        # and head add a bias
+        net = Network.init(small_config(cell, disc), derive_rng(0, "untraced", cell, disc))
+        rng = derive_rng(2, "untraced", cell, disc)
+        for _, arr in net.named_params():
+            arr[...] = rng.uniform(-0.6, 0.6, size=arr.shape)
+        self.assert_matches_traced(net, self.windows(T))
 
     @pytest.mark.parametrize("T", [cells.BLOCK, 128])
     def test_sru_pool_in_degenerate_shape(self, T):
