@@ -5,7 +5,8 @@ beat a regular RNN (Lei et al., 2018) and (3) gradient-reversal ADA
 (Ganin & Lempitsky, 2015) improves transfer between subjects.  For every
 wrist mode x model x table column (`experiment.PAPER_COLUMNS`) and seed this
 trains one run and records the test NRMSE of the trained and the untrained
-network next to the dataset's linear-baseline floor.
+network next to the dataset's linear-baseline floor, and the network's
+parameter count, since networks of one hidden size differ in size by cell.
 
 Progress goes to stdout line by line; the last line is one JSON record with
 the per-seed values and means of every cell and, per claim, the mean
@@ -27,7 +28,7 @@ from myograsp.metrics import angle_ranges, nrmse
 from myograsp.training import predict_source, train
 
 MODES = ("immobile", "mobile")
-MODELS = ("sru", "gru")
+MODELS = ("sru", "gru", "vanilla")
 
 
 def cell_key(mode, model, protocol, ada):
@@ -35,7 +36,7 @@ def cell_key(mode, model, protocol, ada):
 
 
 def run_cell(ws, sessions, cfg):
-    """(trained, untrained) test NRMSE of one run."""
+    """(trained, untrained) test NRMSE and parameter count of one run."""
     run = prepare_run(ws, sessions, cfg)
     test = datapipe.WindowSource(ws, run.plan.indices(splits.TEST), run.stats)
 
@@ -44,11 +45,12 @@ def run_cell(ws, sessions, cfg):
         return nrmse(preds, ys, angle_ranges(ys))
 
     untrained = score(run.net)
+    params = sum(a.size for _, a in run.net.named_params())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         net, _ = train(run.net, run.train_src, run.val_src, run.train_config,
                        run.target_stats)
-    return score(net), untrained
+    return score(net), untrained, params
 
 
 def summary(values):
@@ -62,7 +64,8 @@ def claims(cells, floors):
     def diff(a, b):
         return summary(np.subtract(a, b))
 
-    learns, sru_vs_gru, ada = {}, {}, {}
+    learns, ada = {}, {}
+    sru_vs = {"gru": {}, "vanilla": {}}
     for mode in MODES:
         keys = [cell_key(mode, m, p, a) for m in MODELS for _, p, a in PAPER_COLUMNS]
         trained = np.mean([cells[k]["trained"] for k in keys], axis=0)
@@ -70,16 +73,17 @@ def claims(cells, floors):
         learns[mode] = {"trained_minus_untrained": diff(trained, untrained),
                         "trained_minus_floor": diff(trained, floors[mode])}
         for _, protocol, with_ada in PAPER_COLUMNS:
-            sru, gru = (cells[cell_key(mode, m, protocol, with_ada)]["trained"]
-                        for m in MODELS)
-            sru_vs_gru[cell_key(mode, "sru-gru", protocol, with_ada)] = diff(sru, gru)
+            sru = cells[cell_key(mode, "sru", protocol, with_ada)]["trained"]
+            for other, claim in sru_vs.items():
+                claim[cell_key(mode, f"sru-{other}", protocol, with_ada)] = diff(
+                    sru, cells[cell_key(mode, other, protocol, with_ada)]["trained"])
             if with_ada:
                 for model in MODELS:
                     ada[cell_key(mode, model, protocol, False)] = diff(
                         cells[cell_key(mode, model, protocol, True)]["trained"],
                         cells[cell_key(mode, model, protocol, False)]["trained"])
-    return {"learns_in_both_modes": learns, "sru_beats_gru": sru_vs_gru,
-            "ada_minus_no_ada": ada}
+    return {"learns_in_both_modes": learns, "sru_beats_gru": sru_vs["gru"],
+            "sru_beats_vanilla": sru_vs["vanilla"], "ada_minus_no_ada": ada}
 
 
 def main():
@@ -104,7 +108,7 @@ def main():
             print(f"{mode} seed {seed}: {len(ws)} windows, floor {floor:.4f}", flush=True)
             for model in MODELS:
                 for _, protocol, ada in PAPER_COLUMNS:
-                    trained, untrained = run_cell(ws, sessions, TrainRunConfig(
+                    trained, untrained, params = run_cell(ws, sessions, TrainRunConfig(
                         model=model, protocol=protocol, ada=ada, seed=seed,
                         hidden=args.hidden, predictor_hidden=64,
                         max_epochs=args.epochs, patience=args.epochs, batch_size=128))
@@ -112,13 +116,15 @@ def main():
                     cell = cells.setdefault(key, {"trained": [], "untrained": []})
                     cell["trained"].append(trained)
                     cell["untrained"].append(untrained)
-                    print(f"  {key:32s} trained {trained:.4f}  untrained {untrained:.4f}",
-                          flush=True)
+                    cell["params"] = params
+                    print(f"  {key:36s} trained {trained:.4f}  untrained {untrained:.4f}  "
+                          f"params {params}", flush=True)
 
     print(json.dumps({
         "args": vars(args),
         "floor": {mode: summary(values) for mode, values in floors.items()},
-        "cells": {key: {name: summary(values) for name, values in cell.items()}
+        "cells": {key: {"trained": summary(cell["trained"]),
+                        "untrained": summary(cell["untrained"]), "params": cell["params"]}
                   for key, cell in cells.items()},
         "claims": claims(cells, floors)}))
 

@@ -31,7 +31,7 @@ def main():
                     help="paper-scale dataset and 256-unit networks")
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--folds", type=int, nargs="+", default=[0])
-    ap.add_argument("--models", nargs="+", default=["gru", "sru"])
+    ap.add_argument("--models", nargs="+", default=["vanilla", "gru", "sru"])
     args = ap.parse_args()
 
     workdir = args.workdir or tempfile.mkdtemp(prefix="myograsp-grid-")

@@ -1,16 +1,16 @@
 """Recurrent cells: vanilla RNN, GRU and SRU, with hand-derived BPTT.
 
 All forward functions take a batch of sequences ``x`` of shape (B, T, D_in)
-and return per-timestep outputs of shape (B, T, D_out) plus a trace holding
+and return per-timestep outputs of shape (B, T, H) plus a trace holding
 the cached activations the backward pass needs.  Weight matrices are named
 hidden x input (so the batched product is ``x @ W.T``) and biases as 1 x n
-row vectors; the GRU and the SRU store theirs stacked, input x hidden, in
-the matrices their kernels compute with, and serve those names as views.
+row vectors; every cell stores them stacked, input x hidden, in the
+matrices its kernels compute with, and the GRU and the SRU serve those
+names as views.
 
 Cell equations
 --------------
-vanilla:  h_t = tanh(W_h x_t + U_h h_{t-1} + b_h)
-          y_t = W_y h_t + b_y                      (linear readout)
+vanilla:  h_t = tanh(W_h x_t + U_h h_{t-1} + b_h)      (Elman)
 
 GRU:      z_t = sigm(W_z x_t + U_z h_{t-1} + b_z)
           r_t = sigm(W_r x_t + U_r h_{t-1} + b_r)
@@ -30,46 +30,44 @@ W_p x_t.  The computed forms take fewer elementwise passes and round
 differently from the first ones, which the tests' reference cells keep.
 The SRU gates depend only on x_t, so the matrix products for every
 timestep are one batched GEMM over the stacked W|W_f|W_r(|W_p) before the
-light sequential scan over c_t (Lei et al., 2018).  The GRU's gates depend
-on h_{t-1}, so each step computes them with two GEMMs against augmented
-matrices that hold the input projections and biases as well as U (see
-``gru_forward``; Appleyard et al., 2016, likewise stack gate matrices into
-fewer, larger GEMMs).  ``GruParams`` and ``SruParams`` hold exactly
-these stacks, so no call builds them.
+light sequential scan over c_t (Lei et al., 2018).  The GRU's and the
+vanilla cell's gates depend on h_{t-1}, so each step computes them with
+GEMMs against augmented matrices that hold the input projections and
+biases as well as U (see ``gru_forward``; Appleyard et al., 2016,
+likewise stack gate matrices into fewer, larger GEMMs).  The parameter
+classes hold exactly these stacks, so no call builds them.
 
-The GRU and the SRU store their recurrences time-major, in (T, B, .)
-buffers, so that each of their T sequential steps reads and writes
-contiguous (B, .) blocks instead of strided x[:, t] slices of a (B, T, .)
-array (the usual RNN layout, Appleyard et al., 2016).  Their outputs,
-``dx`` and trace fields are (B, T, .) views of those buffers, so callers
-see the same shapes as for the vanilla cell, which stays batch-major
-because nothing here runs it at scale.  Within a step the GRU computes
-feature-major, on (., B) columns: its gate GEMMs take the transposed
-augmented matrices (C-order, as the matrices are column-major) on the
-left, which BLAS runs faster than the batch-major product, and leave z
-and r as contiguous row blocks; the traced call writes each step's gates
-and state transposed into its (T, B, .) trace, so the backward stays
-batch-major, and the streamed call keeps its state as (H, B).  The two
-orientations round some products differently, so the streamed and the
-traced call share the one orientation.  The SRU's input-side GEMMs run
-over blocks of ``BLOCK`` time steps (Appleyard et al. batch that GEMM
-over groups of steps in the same way), and so do the vanilla cell's input
-and readout GEMMs; the GRU's work is all per step.  So a call over a
-sequence computes bit for bit what a call per block of ``BLOCK`` steps
-does, each started from the ``final_state`` of the block before, and for
-the GRU what a call per step does: the network's inference streams its
-layer stack that way, ``stream_step`` steps per call, the GRU one step
-and the other cells one block.  The SRU and the vanilla cell keep their
-blocks because an SGEMM row's bits can depend on how many rows the GEMM
-has, so their per-step products would differ from the traced pass's
-per-block ones.
+Every cell stores its recurrence time-major, in (T, B, .) buffers, so
+that each of its T sequential steps reads and writes contiguous (B, .)
+blocks instead of strided x[:, t] slices of a (B, T, .) array (the usual
+RNN layout, Appleyard et al., 2016).  Outputs, ``dx`` and trace fields
+are (B, T, .) views of those buffers.  Within a step the GRU and the
+vanilla cell compute feature-major, on (., B) columns: their GEMMs take
+the transposed augmented matrices (C-order, as the matrices are
+column-major) on the left, which BLAS runs faster than the batch-major
+product, and leave the GRU's z and r as contiguous row blocks; a traced
+call writes each step's gates and state transposed into its (T, B, .)
+trace, so the backward stays batch-major, and a streamed call keeps its
+state as (H, B).  The two orientations round some products differently,
+so the streamed and the traced call share the one orientation.  The
+SRU's input-side GEMMs run over blocks of ``BLOCK`` time steps
+(Appleyard et al. batch that GEMM over groups of steps in the same way);
+the other cells' work is all per step.  So a call over a sequence
+computes bit for bit what a call per block of ``BLOCK`` steps does, each
+started from the ``final_state`` of the block before, and for the GRU
+and the vanilla cell what a call per step does: the network's inference
+streams its layer stack that way, ``stream_step`` steps per call, the
+SRU one block and the other cells one step.  The SRU keeps its blocks
+because an SGEMM row's bits can depend on how many rows the GEMM has, so
+its per-step products would differ from the traced pass's per-block
+ones.
 
 Every forward and backward computes in its parameters' dtype: float32 for
 a network's (``numerics.init_params``), float64 for the tests' gradient
 checks and reference comparisons.  Inputs, initial states and upstream
-gradients are cast to it on entry (the GRU and SRU cast ``x`` in their
+gradients are cast to it on entry (a traced call casts ``x`` in its
 time-major copy, a streamed SRU call one block of it, and a streamed GRU
-call casts its step straight into its column buffer), and every
+or vanilla call its step, straight into its column buffer), and every
 output, trace field, scratch array and gradient has it.
 
 Backward passes return exact gradients of the forward map and were written
@@ -88,16 +86,17 @@ buffers: a forward's outputs and trace stay valid until the next
 forward, a backward's ``dx`` until the next backward.  Without buffers,
 every call allocates its own arrays.
 
-A GRU or SRU forward also takes an optional ``scratch`` :class:`Buffers`,
+Every forward also takes an optional ``scratch`` :class:`Buffers`,
 which makes it a streamed call: the arrays that die with the call (the
-GRU's column buffer and gate block, the SRU's cast input block, two gate
+column buffer, the GRU's gate block, the SRU's cast input block, two gate
 planes and a (B, H) plane for the gate biases and the c scan) come from
 it, so one scratch serves every layer of a network's inference, and
 ``buffers`` holds only the outputs and the state the call leaves (the
-GRU's h_t, (H, B), which a one-step call writes over h_{t-1}; the SRU's
-block output and c_T: its c_t and tanh(c_t) live in a gate plane).  Its
-trace holds only ``x`` and the state and serves ``final_state``, a view
-of ``buffers``, until the next call with those buffers, and no backward.
+GRU's and the vanilla cell's h_t, (H, B), which a one-step call writes
+over h_{t-1}; the SRU's block output and c_T: its c_t and tanh(c_t) live
+in a gate plane).  Its trace holds only ``x`` and the state and serves
+``final_state``, a view of ``buffers``, until the next call with those
+buffers, and no backward.
 A backward's ``input_grad=False`` skips ``dx``, which nothing reads below
 the bottom layer.
 """
@@ -152,11 +151,9 @@ class _ArrayFields:
 
 @dataclass
 class VanillaParams(_ArrayFields):
-    W_h: np.ndarray  # (H, D_in)
-    U_h: np.ndarray  # (H, H)
-    b_h: np.ndarray  # (1, H)
-    W_y: np.ndarray  # (D_out, H)
-    b_y: np.ndarray  # (1, D_out)
+    """A vanilla layer's augmented matrix (see ``vanilla_forward``),
+    column-major like the GRU's A_zr."""
+    A: np.ndarray   # [U_h; W_h; b_h], U_h and W_h transposed, (H+D_in+1, H)
 
 
 def _gru_view(name: str) -> property:
@@ -215,13 +212,15 @@ CellParams = VanillaParams | GruParams | SruParams
 
 def init_vanilla(input_dim: int, hidden: int, output_dim: int,
                  rng: np.random.Generator) -> VanillaParams:
-    return VanillaParams(
-        W_h=init_params(hidden, input_dim, "uniform-scaled", rng),
-        U_h=init_params(hidden, hidden, "uniform-scaled", rng),
-        b_h=init_params(1, hidden, "zeros", rng),
-        W_y=init_params(output_dim, hidden, "uniform-scaled", rng),
-        b_y=init_params(1, output_dim, "zeros", rng),
-    )
+    """W_h drawn first, then U_h, each as its own matrix; the bias zero.  A
+    layer outputs its state, so ``output_dim`` must equal ``hidden``."""
+    if output_dim != hidden:
+        raise ValueError(f"init_vanilla: a layer outputs its {hidden}-wide state, "
+                         f"not {output_dim} values")
+    A = np.zeros((hidden, hidden + input_dim + 1), np.float32).T
+    A[hidden:hidden + input_dim] = init_params(hidden, input_dim, "uniform-scaled", rng).T
+    A[:hidden] = init_params(hidden, hidden, "uniform-scaled", rng).T
+    return VanillaParams(A=A)
 
 
 def init_gru(input_dim: int, hidden: int, rng: np.random.Generator) -> GruParams:
@@ -268,9 +267,9 @@ def _init_state(state, out: np.ndarray, who: str) -> np.ndarray:
     return out
 
 
-# time steps per input-side GEMM of the SRU and the vanilla cell, per block
-# of the SRU's backward scan, and per call of their streamed inference in
-# the network (the GRU computes everything per step and does not use it)
+# time steps per input-side GEMM of the SRU, per block of its backward
+# scan, and per call of its streamed inference in the network (the other
+# cells compute everything per step and do not use it)
 BLOCK = 8
 
 
@@ -329,90 +328,111 @@ def _time_major(x: np.ndarray, dtype, scratch: Buffers | None) -> np.ndarray:
     return out
 
 
+def _h_states(h0, buffers: Buffers | None, streamed: bool, B: int, T: int, H: int, dtype,
+              who: str):
+    """The states of a GRU or vanilla call, from ``buffers``: streamed, h_1
+    ... h_T as a max(T, 1)-block (., H, B) buffer whose first block starts
+    as h_0; traced, h_0 ... h_T as a (T+1, B, H) one.  Returns (all of them
+    as a (B, ., H) view, h_1 ... h_T as a (B, T, H) view, the T (H, B)
+    blocks the steps write h_t to, h_0 as an (H, B) view, written)."""
+    if streamed:
+        states = out = _empty(buffers, "h", (max(T, 1), H, B), dtype)
+    else:
+        states = _empty(buffers, "hs", (T + 1, B, H), dtype).transpose(0, 2, 1)
+        out = states[1:]
+    hs = states.transpose(2, 0, 1)
+    ys = hs[:, :T] if streamed else hs[:, 1:]
+    return hs, ys, out, _init_state(h0, states[0].T, who).T
+
+
 # ---------------------------------------------------------------------------
 # vanilla RNN
 # ---------------------------------------------------------------------------
 
 @dataclass
 class VanillaTrace(_ArrayFields):
+    # (B, T, .) views of time-major (T, B, .) buffers, see vanilla_forward;
+    # a streamed call's hs is a view of its h buffer
     x: np.ndarray    # (B, T, D)
     hs: np.ndarray   # (B, T+1, H), hs[:,0] = h0
 
 
-def _blockwise_matmul(a: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """(B, T, K) @ W as one (B*n, K) GEMM per block of ``BLOCK`` steps."""
-    B, T, K = a.shape
-    out = np.empty((B, T, W.shape[1]), W.dtype)
-    for lo in range(0, T, BLOCK):
-        out[:, lo:lo + BLOCK] = (a[:, lo:lo + BLOCK].reshape(-1, K) @ W).reshape(B, -1, W.shape[1])
-    return out
-
-
 def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None,
                     buffers: Buffers | None = None, scratch: Buffers | None = None):
-    """Run the vanilla cell over a sequence batch.
+    """Elman layer over a sequence batch; returns (hidden states (B,T,H), trace).
 
-    Returns (outputs, trace) with outputs of shape (B, T, D_out).  As
-    nothing runs the vanilla cell at scale, it takes no ``scratch``: the
-    argument is accepted only to share the GRU's and the SRU's signature.
+    Runs as ``gru_forward`` does, time-major and feature-major, with one
+    GEMM a step: h_t = tanh(A.T @ [h_{t-1}; x_t; 1]) over a (H+D+1, B)
+    column buffer.  A traced step forms h_t in place in the column's h
+    rows and copies it transposed into the (T+1, B, H) trace buffer.  A
+    streamed call (given ``scratch``) takes the column from ``scratch``
+    and keeps its states in ``buffers`` as the GRU's streamed call does.
     """
-    dtype = params.W_h.dtype
-    x = _check_seq(x, params.W_h.shape[1], "vanilla_forward").astype(dtype, copy=False)
+    A = params.A
+    dtype = A.dtype
+    H = A.shape[1]
+    D = len(A) - H - 1
+    x = _check_seq(x, D, "vanilla_forward")
     B, T, _ = x.shape
-    H = params.W_h.shape[0]
+    streamed = scratch is not None
 
-    xw = _blockwise_matmul(x, params.W_h.T) + params.b_h
-
-    hs = _empty(buffers, "hs", (B, T + 1, H), dtype)
-    h = _init_state(h0, hs[:, 0], "vanilla_forward")
+    xt = _batch_major(x) if streamed else _time_major(x, dtype, None)
+    col = _empty(scratch, "col", (H + D + 1, B), dtype)   # [h_{t-1}; x_t; 1]
+    a_t = None if streamed else np.empty((H, B), dtype)  # a traced step's A.T @ col
+    hs, ys, out, prev = _h_states(h0, buffers, streamed, B, T, H, dtype, "vanilla_forward")
+    h, x_col = col[:H], col[H:H + D]
+    col[H + D] = 1.0
     for t in range(T):
-        h = np.tanh(xw[:, t] + h @ params.U_h.T)
-        hs[:, t + 1] = h
+        np.copyto(h, prev)   # skipped when prev is h, as in a traced step after the first
+        np.copyto(x_col, xt[t].T, casting="unsafe")
+        a = np.matmul(A.T, col, out=out[t] if streamed else a_t)
+        prev = np.tanh(a, out=a if streamed else h)
+        if not streamed:
+            np.copyto(out[t], h)
+    return ys, VanillaTrace(x=_batch_major(xt), hs=hs)
 
-    ys = _blockwise_matmul(hs[:, 1:], params.W_y.T) + params.b_y
-    return ys, VanillaTrace(x=x, hs=hs)
 
-
-def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dy: np.ndarray,
+def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dh_up: np.ndarray,
                      buffers: Buffers | None = None, input_grad: bool = True):
-    """BPTT through the vanilla cell.
+    """BPTT through the vanilla cell; ``dh_up`` is dLoss/dh_t, shape (B, T, H).
 
-    ``dy`` holds the loss gradient w.r.t. every output y_t, shape (B, T, O).
-    Returns (grads, dx, dh0), ``dx`` None with ``input_grad=False``.
+    Returns (grads, dx, dh0).  Runs time-major and batch-major within a
+    step, on the (T, B, .) trace: da_t = dh * (1 - h_t^2), the second
+    factor formed for every step before the loop, then dh <- da_t @ U_h.
+    After the loop, three GEMMs fill the row blocks of the gradient's A,
+    and ``dx`` is a (B, T, D) view, or None with ``input_grad=False``,
+    which skips its GEMM.
     """
-    x, hs = trace.x, trace.hs
-    B, T, D = x.shape
-    H = params.W_h.shape[0]
-    dtype = params.W_h.dtype
-    dy = np.asarray(dy, dtype=dtype)
-    if dy.shape[:2] != (B, T):
-        raise ValueError(f"vanilla_backward: upstream shape {dy.shape} mismatches trace ({B},{T},...)")
+    B, T, D = trace.x.shape
+    A = params.A
+    dtype = A.dtype
+    H = A.shape[1]
+    dh_up = np.asarray(dh_up, dtype=dtype)
+    if dh_up.shape != (B, T, H):
+        raise ValueError(f"vanilla_backward: upstream shape {dh_up.shape} != ({B},{T},{H})")
+    xt, hs, dh_up = (_batch_major(a) for a in (trace.x, trace.hs, dh_up))
 
-    h_out = hs[:, 1:]
-    dh_from_y = dy.reshape(B * T, -1) @ params.W_y
-    dh_from_y = dh_from_y.reshape(B, T, H)
-
-    da = _empty(buffers, "da", (B, T, H), dtype)
-    dh_next = np.zeros((B, H), dtype)
+    U_h = A[:H].T
+    da = _empty(buffers, "da", (T, B, H), dtype)   # 1 - h_t^2, then da_t
+    np.multiply(hs[1:], hs[1:], out=da)
+    np.subtract(1.0, da, out=da)
+    dh = np.zeros((B, H), dtype)          # dLoss/dh_t, then dLoss/dh_{t-1}
     for t in range(T - 1, -1, -1):
-        dh = dh_from_y[:, t] + dh_next
-        da_t = dh * (1.0 - h_out[:, t] ** 2)
-        da[:, t] = da_t
-        dh_next = da_t @ params.U_h
-    dh0 = dh_next
+        dh += dh_up[t]
+        da[t] *= dh
+        np.matmul(da[t], U_h, out=dh)
 
-    da2 = da.reshape(B * T, H)
-    x2 = x.reshape(B * T, D)
-    dy2 = dy.reshape(B * T, -1)
-    grads = VanillaParams(
-        W_h=da2.T @ x2,
-        U_h=da2.T @ hs[:, :-1].reshape(B * T, H),
-        b_h=da2.sum(axis=0, keepdims=True),
-        W_y=dy2.T @ h_out.reshape(B * T, H),
-        b_y=dy2.sum(axis=0, keepdims=True),
-    )
-    dx = (da2 @ params.W_h).reshape(B, T, D) if input_grad else None
-    return grads, dx, dh0
+    da2 = da.reshape(T * B, H)
+    grads = VanillaParams(A=np.empty_like(A))
+    dA = grads.A
+    np.matmul(da2.T, hs[:-1].reshape(T * B, H), out=dA[:H].T)   # dU_h
+    np.matmul(da2.T, xt.reshape(T * B, D), out=dA[H:H + D].T)   # dW_h
+    dA[H + D] = da2.sum(axis=0)
+    if not input_grad:
+        return grads, None, dh
+    dx = _empty(buffers, "dx", (T, B, D), dtype)
+    np.matmul(da2, A[H:H + D].T, out=dx.reshape(T * B, D))
+    return grads, _batch_major(dx), dh
 
 
 # ---------------------------------------------------------------------------
@@ -484,20 +504,14 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
     # allocator reuses it instead of returning it to the OS
     col = _empty(scratch, "col", (2 * H + D + 1, B), dtype)   # [h_{t-1}; x_t; 1; r_t * h_{t-1}]
     zr_t = _empty(scratch, "zr", (2 * H, B), dtype)           # z_t; r_t, then hc_t
-    if streamed:   # h_1 ... h_T, (H, B) each, the first starting as h_0
-        states = _empty(buffers, "h", (max(T, 1), H, B), dtype)
-        out = states
-    else:          # h_0 ... h_T, (B, H) each, and the gates
+    if not streamed:   # the gates
         zr = _empty(buffers, "zr", (T, B, 2 * H), dtype)
         hc = _empty(buffers, "hc", (T, B, H), dtype)
-        hs = _empty(buffers, "hs", (T + 1, B, H), dtype)
-        states = hs.transpose(0, 2, 1)
-        out = states[1:]
+    hs, ys, out, prev = _h_states(h0, buffers, streamed, B, T, H, dtype, "gru_forward")
     h, x_col, rh = col[:H], col[H:H + D], col[H + D + 1:]
     zr_in, hc_in = col[:H + D + 1], col[H:]
     z_t, r_t = zr_t[:H], zr_t[H:]
     hc_t = r_t   # the candidate takes r_t's rows once r_t * h is formed
-    prev = _init_state(h0, states[0].T, "gru_forward").T   # h_{t-1}
     col[H + D] = 1.0
     for t in range(T):
         np.copyto(h, prev)   # skipped when prev is h, as in a traced step after the first
@@ -521,11 +535,10 @@ def gru_forward(params: GruParams, x: np.ndarray, h0=None, buffers: Buffers | No
             np.copyto(out[t], h)
 
     if streamed:
-        hs = states.transpose(2, 0, 1)
-        return hs[:, :T], GruTrace(x=x, hs=hs, z=None, r=None, hc=None)
-    trace = GruTrace(x=_batch_major(xt), hs=_batch_major(hs), z=_batch_major(zr[:, :, :H]),
+        return ys, GruTrace(x=x, hs=hs, z=None, r=None, hc=None)
+    trace = GruTrace(x=_batch_major(xt), hs=hs, z=_batch_major(zr[:, :, :H]),
                      r=_batch_major(zr[:, :, H:]), hc=_batch_major(hc))
-    return _batch_major(hs[1:]), trace
+    return ys, trace
 
 
 def gru_backward(trace: GruTrace, params: GruParams, dh_up: np.ndarray,
@@ -840,7 +853,7 @@ def sru_backward(trace: SruTrace, params: SruParams, dh_up: np.ndarray,
 
 # parameter type -> (forward, backward, trace type, steps per streamed call)
 _CELLS = {
-    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace, BLOCK),
+    VanillaParams: (vanilla_forward, vanilla_backward, VanillaTrace, 1),
     GruParams: (gru_forward, gru_backward, GruTrace, 1),
     SruParams: (sru_forward, sru_backward, SruTrace, BLOCK),
 }
@@ -861,10 +874,10 @@ def cell_forward(params: CellParams, x: np.ndarray, state0=None,
 
 def stream_step(params: CellParams) -> int:
     """Time steps per call when a layer streams a sequence, as the network's
-    inference does: one for the GRU, whose work is all per step, and
-    ``BLOCK`` for the others, the steps of one input-side GEMM (an SGEMM
-    row's bits can depend on the GEMM's row count, so per-step products
-    would differ from the traced pass's)."""
+    inference does: ``BLOCK`` for the SRU, the steps of one input-side GEMM
+    (an SGEMM row's bits can depend on the GEMM's row count, so per-step
+    products would differ from the traced pass's), and one for the other
+    cells, whose work is all per step."""
     return _cell(params)[3]
 
 
@@ -875,14 +888,15 @@ def final_state(trace) -> np.ndarray:
 
 
 def row_major(a: np.ndarray, scratch: Buffers) -> np.ndarray:
-    """A streamed layer's (B, H) output step ``a`` with contiguous rows: as
-    it is, or, a GRU's being a view of its (H, B) state, copied into the
-    z|r block of ``scratch``, which is idle between steps.  The heads'
-    GEMMs then see the traced pass's memory order; over a transposed
-    operand they can round differently."""
+    """A layer's (B, H) output step ``a`` with contiguous rows: as it is, or,
+    a streamed GRU's or vanilla cell's being a view of its (H, B) state,
+    copied into the column buffer of ``scratch``, which is idle after the
+    step.  The heads' GEMMs then see the traced pass's memory order; over
+    a transposed operand they can round differently.  A traced layer's
+    rows are contiguous, so its call may pass no ``scratch``."""
     if a.strides[-1] == a.itemsize:
         return a
-    out = scratch.array("zr", a.shape, a.dtype)
+    out = scratch.array("col", a.shape, a.dtype)
     np.copyto(out, a)
     return out
 

@@ -229,8 +229,7 @@ def cmd_train(args) -> int:
     stem = checkpoint_name(cfg.model, cfg.protocol, cfg.fold, cfg.seed, cfg.ada)
     ckpt_path = os.path.join(args.out_dir, stem + ".ckpt")
     save_checkpoint(ckpt_path, net, meta={
-        "model": cfg.model, "protocol": run.plan.protocol, "fold": cfg.fold,
-        "seed": cfg.seed, "ada": cfg.ada, "mode": meta["mode"],
+        "protocol": run.plan.protocol, "fold": cfg.fold, "seed": cfg.seed, "mode": meta["mode"],
         "norm_mean": run.stats.mean.tolist(), "norm_std": run.stats.std.tolist(),
         "target_mean": run.target_stats.mean.tolist(),
         "target_std": run.target_stats.std.tolist(),
@@ -271,20 +270,28 @@ def evaluation_meta(meta, path, net) -> tuple[datapipe.NormStats, TargetStats]:
     """Check the checkpoint meta that ``evaluate`` reads, before any work.
 
     The split keys must be present and typed (``fold`` and ``seed``
-    integers), and the input and target statistics must hold one finite
+    integers, ``protocol`` one of ``splits.PROTOCOLS``, and not
+    intra-session for a network with a discriminator, which ``train``
+    refuses), and the input and target statistics must hold one finite
     mean and one positive std per channel and per angle.  Returns those
-    statistics; any violation is a DataError.
+    statistics; any violation is a DataError.  The model and ADA columns
+    of a result row come from the network itself.
     """
     if not isinstance(meta, dict):
         raise DataError(f"checkpoint {path}: meta is not a mapping")
-    missing = [key for key in ("model", "protocol", "fold", "seed", "ada", "norm_mean",
-                               "norm_std", "target_mean", "target_std") if key not in meta]
+    missing = [key for key in ("protocol", "fold", "seed", "norm_mean", "norm_std",
+                               "target_mean", "target_std") if key not in meta]
     if missing:
         raise DataError(f"checkpoint {path} misses meta keys {missing}")
-    for key, kind in (("model", str), ("protocol", str), ("fold", int), ("seed", int)):
+    for key, kind in (("protocol", str), ("fold", int), ("seed", int)):
         if type(meta[key]) is not kind:
             raise DataError(f"checkpoint {path}: meta {key} must be a {kind.__name__}, "
                             f"got {meta[key]!r}")
+    allowed = [name for name, canonical in splits.PROTOCOLS.items()
+               if canonical != "intra-session" or not net.config.use_discriminator]
+    if meta["protocol"] not in allowed:
+        raise DataError(f"checkpoint {path}: meta protocol {meta['protocol']!r} is not one "
+                        f"of {allowed}, the protocols its network trains on")
     stats = []
     for cls, prefix, size in ((datapipe.NormStats, "norm", datapipe.EMG_CHANNELS),
                               (TargetStats, "target", net.config.output_angles)):
@@ -333,9 +340,9 @@ def cmd_evaluate(args) -> int:
                                 ys[order], preds[order]])
         datapipe.write_csv(args.dump_trajectories, header, data)
 
-    ada = "true" if meta["ada"] else "false"
-    rows = [["rmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_rmse:.10g}"],
-            ["nrmse", meta["model"], plan.protocol, ada, fold, seed, f"{test_nrmse:.10g}"]]
+    ada = "true" if net.config.use_discriminator else "false"
+    rows = [[metric, net.config.cell_type, plan.protocol, ada, fold, seed, f"{value:.10g}"]
+            for metric, value in (("rmse", test_rmse), ("nrmse", test_nrmse))]
     append_results(args.results, rows)
     log.info("%s fold %d: rmse=%.4f nrmse=%.4f on %d test windows",
              plan.protocol, fold, test_rmse, test_nrmse, len(test_idx))

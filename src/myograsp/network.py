@@ -43,7 +43,7 @@ __all__ = [
     "RECURRENT_LAYERS",
 ]
 
-CHECKPOINT_FORMAT = "myograsp-checkpoint/4"
+CHECKPOINT_FORMAT = "myograsp-checkpoint/5"
 RECURRENT_LAYERS = 2
 
 CELL_TYPES = ("vanilla", "gru", "sru")
@@ -149,30 +149,28 @@ class Network:
         the draws of the shared feature extractor and predictor.
         """
         net = cls(config=config)
-        in_dim = EMG_CHANNELS
+        in_dim, H = EMG_CHANNELS, config.hidden_size
         for _ in range(RECURRENT_LAYERS):
             if config.cell_type == "vanilla":
-                net.layers.append(cells.init_vanilla(in_dim, config.hidden_size,
-                                                     config.hidden_size, rng))
+                net.layers.append(cells.init_vanilla(in_dim, H, H, rng))
             elif config.cell_type == "gru":
-                net.layers.append(cells.init_gru(in_dim, config.hidden_size, rng))
+                net.layers.append(cells.init_gru(in_dim, H, rng))
             else:
-                net.layers.append(cells.init_sru(in_dim, config.hidden_size, rng))
+                net.layers.append(cells.init_sru(in_dim, H, rng))
             net.buffers.append(cells.Buffers())
             net.stream_buffers.append(cells.Buffers())
-            in_dim = config.hidden_size
-        net.predictor = init_head(config.hidden_size, config.predictor_hidden,
-                                  config.output_angles, rng)
+            in_dim = H
+        net.predictor = init_head(H, config.predictor_hidden, config.output_angles, rng)
         if config.use_discriminator:
-            net.discriminator = init_head(config.hidden_size, config.predictor_hidden,
-                                          config.num_domains, rng)
+            net.discriminator = init_head(H, config.predictor_hidden, config.num_domains, rng)
         return net
 
     # -- parameter bookkeeping ---------------------------------------------
 
     def named_params(self):
         """Deterministically ordered (name, array) pairs over all parameters;
-        a GRU or SRU layer's are views of its fused arrays."""
+        a GRU or SRU layer's are views of its fused arrays, a vanilla
+        layer's is its one augmented matrix."""
         out = []
         for i, layer in enumerate(self.layers):
             out.extend((f"layer{i}.{n}", a) for n, a in layer.named())
@@ -203,16 +201,16 @@ class Network:
         head is not run.  The layer stack then streams over the time steps,
         each layer carrying its state from call to call and the feature
         reduction folded into the loop, so no (T, B, H) buffer is built.  Each
-        layer call takes ``cells.stream_step`` steps: one for a GRU stack, as
-        its work is all per step; one block of ``cells.BLOCK`` steps, the
-        steps of one input GEMM, for an SRU or vanilla stack, because an SGEMM
-        row's bits can depend on the GEMM's row count.  The angles are
+        layer call takes ``cells.stream_step`` steps: one for a GRU or vanilla
+        stack, as its work is all per step; one block of ``cells.BLOCK``
+        steps, the steps of one input GEMM, for an SRU stack, because an
+        SGEMM row's bits can depend on the GEMM's row count.  The angles are
         bit-identical to the traced pass's, which is the same loop over one
         block of T steps.  The feature is the pool's running sum, divided in
-        place, or the top layer's last output: at inference a view of its
-        buffers, or for the GRU, whose state is feature-major, a copy in
-        scratch that is idle after the last step (``cells.row_major``), so the
-        heads see the traced pass's memory order.  Each head run forms its
+        place, or the top layer's last output in the traced pass's memory
+        order (``cells.row_major``): traced, a view of its buffers; streamed,
+        where the state is feature-major, a copy in scratch that is idle
+        after the last step.  Each head run forms its
         hidden activations and outputs in place in its matrix products, the
         angles in ``out`` if given, a (B, output_angles) array of the
         parameters' dtype (``training.predict`` passes a slice of its result).
@@ -258,10 +256,8 @@ class Network:
                 _pool_sum(total, seq)
         if pool:
             feat = np.divide(total, T, out=total)
-        elif keep_trace:   # a view would keep the vanilla cell's whole output alive
-            feat = seq[:, -1, :].copy()
         else:
-            feat = cells.row_major(seq[:, -1, :], scratch)
+            feat = cells.row_major(seq[:, -1], scratch)
 
         pred_a1, angles = _head_forward(self.predictor, feat, out)
         domain_logits = None
@@ -346,7 +342,7 @@ def _param_shapes(config: NetworkConfig):
     for i in range(RECURRENT_LAYERS):
         w, u, b = (H, in_dim), (H, H), (1, H)
         if config.cell_type == "vanilla":
-            layer = {"W_h": w, "U_h": u, "b_h": b, "W_y": u, "b_y": b}
+            layer = {"A": (H + in_dim + 1, H)}
         elif config.cell_type == "gru":
             layer = {f"{m}_{g}": s for g in "zrh" for m, s in (("W", w), ("U", u), ("b", b))}
         else:
@@ -386,8 +382,9 @@ def load_checkpoint(path):
     a missing parameter or one that is not a float32 array of the shape the
     config implies is a DataError, found before anything of the config's
     size is allocated; a readable file of another format is a ConfigError,
-    and no converter reads one (``/3`` headers still held the layer and
-    channel counts, ``/2`` and older stored float64 parameters).
+    and no converter reads one (``/4`` vanilla layers held a linear
+    readout, ``/3`` headers the layer and channel counts, ``/2`` and older
+    stored float64 parameters).
     """
     try:
         with open(path, "rb") as fh, np.load(fh) as data:

@@ -240,9 +240,9 @@ def predict(net: Network, x: np.ndarray, chunk: int = PREDICT_CHUNK) -> np.ndarr
     """Batched inference over (N, T, C) windows; returns (N, angles).
 
     Runs the untraced forward, which streams each chunk through the layer
-    stack in the network's inference workspace, one step per layer call
-    for the GRU and one block of ``cells.BLOCK`` steps for the SRU and the
-    vanilla cell, so peak memory is that workspace, sized by one call of
+    stack in the network's inference workspace, one block of
+    ``cells.BLOCK`` steps per layer call for the SRU and one step for the
+    other cells, so peak memory is that workspace, sized by one call of
     one chunk plus each layer's carried state, whatever the window length
     and chunk count.  Each chunk's angles go straight into the result, so
     no second copy of the predictions is built, and no windows give a

@@ -1,20 +1,23 @@
 """Unstacked reference kernels: the oracles the stacked cells are tested against.
 
-These are the straightforward per-gate formulations of the GRU and SRU
-forward and backward passes and of the logistic function: one matrix
-product per gate, a boolean-mask branch in the sigmoid, no in-place
+These are the straightforward per-gate formulations of the vanilla (Elman),
+GRU and SRU forward and backward passes and of the logistic function: one
+matrix product per gate, a boolean-mask branch in the sigmoid, no in-place
 buffers.  ``sru_forward_naive`` also takes the SRU's gate products step
 by step rather than for all steps at once.  ``myograsp.cells`` computes
 the same maps with stacked gate GEMMs and a tanh-form sigmoid computed in
 place; ``tests/test_cells.py`` asserts that both agree to float64
 round-off.  The references read the parameters by their per-matrix names
 and return their weight gradients as a dict keyed by those names, in
-``named()`` order, so they do not depend on how the cells store them.
+``named()`` order, so they do not depend on how the cells store them; a
+vanilla layer names only its augmented matrix, so the vanilla reference
+slices U_h, W_h and b_h out of it and stacks their gradients back.
 """
 
 import numpy as np
 
-from myograsp.cells import GruParams, GruTrace, SruParams, SruTrace
+from myograsp.cells import (GruParams, GruTrace, SruParams, SruTrace, VanillaParams,
+                            VanillaTrace)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -30,6 +33,50 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _state(state, batch: int, hidden: int) -> np.ndarray:
     return np.zeros((batch, hidden)) if state is None else np.array(state, dtype=np.float64)
+
+
+def _vanilla_matrices(params: VanillaParams):
+    """(W_h (H, D), U_h (H, H), b_h (1, H)) of A = [U_h.T; W_h.T; b_h]."""
+    H = params.A.shape[1]
+    return params.A[H:-1].T, params.A[:H].T, params.A[-1:]
+
+
+def vanilla_forward(params: VanillaParams, x: np.ndarray, h0=None):
+    x = np.asarray(x, dtype=np.float64)
+    B, T, _ = x.shape
+    W_h, U_h, b_h = _vanilla_matrices(params)
+    h = _state(h0, B, U_h.shape[0])
+
+    hs = np.empty((B, T + 1, U_h.shape[0]))
+    hs[:, 0] = h
+    for t in range(T):
+        h = np.tanh(x[:, t] @ W_h.T + h @ U_h.T + b_h)
+        hs[:, t + 1] = h
+    return hs[:, 1:].copy(), VanillaTrace(x=x, hs=hs)
+
+
+def vanilla_backward(trace: VanillaTrace, params: VanillaParams, dh_up: np.ndarray):
+    x, hs = trace.x, trace.hs
+    B, T, D = x.shape
+    H = hs.shape[2]
+    W_h, U_h, _ = _vanilla_matrices(params)
+    dh_up = np.asarray(dh_up, dtype=np.float64)
+
+    da = np.empty((B, T, H))
+    dh_next = np.zeros((B, H))
+    for t in range(T - 1, -1, -1):
+        dh = dh_up[:, t] + dh_next
+        da[:, t] = dh * (1.0 - hs[:, t + 1] ** 2)
+        dh_next = da[:, t] @ U_h
+    dh0 = dh_next
+
+    da2 = da.reshape(B * T, H)
+    dW_h = da2.T @ x.reshape(B * T, D)
+    dU_h = da2.T @ hs[:, :-1].reshape(B * T, H)
+    db_h = da2.sum(axis=0, keepdims=True)
+    grads = dict(A=np.concatenate([dU_h.T, dW_h.T, db_h]))
+    dx = (da2 @ W_h).reshape(B, T, D)
+    return grads, dx, dh0
 
 
 def gru_forward(params: GruParams, x: np.ndarray, h0=None):

@@ -26,7 +26,7 @@ def randomized(params, rng, scale=0.6):
 
 class TestVanillaForward:
     def test_zero_params_zero_hidden(self):
-        p = cells.init_vanilla(2, 3, 2, make_rng(0))
+        p = cells.init_vanilla(2, 3, 3, make_rng(0))
         for _, arr in p.named():
             arr[...] = 0.0
         x = make_rng(1).normal(size=(2, 5, 2))
@@ -36,18 +36,17 @@ class TestVanillaForward:
 
     def test_constant_fixed_point(self):
         # W_h = U_h = 0 and tanh(b_h) = 0.5 per unit -> h_t constant 0.5
-        p = to_float64(cells.init_vanilla(2, 3, 1, make_rng(0)))
+        p = to_float64(cells.init_vanilla(2, 3, 3, make_rng(0)))
         for _, arr in p.named():
             arr[...] = 0.0
-        p.b_h[...] = np.arctanh(0.5)
+        p.A[-1] = np.arctanh(0.5)   # A = [U_h; W_h; b_h]
         x = make_rng(1).normal(size=(1, 6, 2))
         _, trace = cells.vanilla_forward(p, x)
         np.testing.assert_allclose(trace.hs[:, 1:], 0.5, atol=1e-15)
 
     def test_one_unit_direct_evaluation(self):
-        p = cells.VanillaParams(W_h=np.array([[1.0]]), U_h=np.zeros((1, 1)),
-                                b_h=np.zeros((1, 1)), W_y=np.array([[1.0]]),
-                                b_y=np.zeros((1, 1)))
+        # A = [U_h; W_h; b_h] = [0; 1; 0]: h_1 = tanh(x_1), the output itself
+        p = cells.VanillaParams(A=np.array([[0.0], [1.0], [0.0]]))
         x = np.array([[[0.5]]])
         ys, trace = cells.vanilla_forward(p, x)
         np.testing.assert_allclose(trace.hs[0, 1, 0], 0.46211715726000974,
@@ -56,9 +55,11 @@ class TestVanillaForward:
                                    rtol=0, atol=1e-15)
 
     def test_dimension_mismatch(self):
-        p = cells.init_vanilla(3, 4, 2, make_rng(0))
+        p = cells.init_vanilla(3, 4, 4, make_rng(0))
         with pytest.raises(ValueError):
             cells.vanilla_forward(p, np.zeros((1, 5, 2)))
+        with pytest.raises(ValueError, match="outputs its 4-wide state"):
+            cells.init_vanilla(3, 4, 2, make_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +198,7 @@ class TestSruForward:
 
 # kind -> (init, forward, backward, input_dim, hidden)
 CELL_SETUPS = {
-    "vanilla": (lambda rng: cells.init_vanilla(3, 4, 3, rng),
+    "vanilla": (lambda rng: cells.init_vanilla(3, 4, 4, rng),
                 cells.vanilla_forward, cells.vanilla_backward, 3, 4),
     "gru": (lambda rng: cells.init_gru(3, 4, rng),
             cells.gru_forward, cells.gru_backward, 3, 4),
@@ -278,6 +279,9 @@ def test_upstream_shape_mismatch():
 ORACLE_RTOL = 1e-12
 
 ORACLES = {
+    "vanilla": (lambda d, h, rng: cells.init_vanilla(d, h, h, rng), cells.vanilla_forward,
+                cells.vanilla_backward, reference_cells.vanilla_forward,
+                reference_cells.vanilla_backward),
     "gru": (cells.init_gru, cells.gru_forward, cells.gru_backward,
             reference_cells.gru_forward, reference_cells.gru_backward),
     "sru": (cells.init_sru, cells.sru_forward, cells.sru_backward,
@@ -343,10 +347,9 @@ def test_sru_blocked_scan_matches_reference_at_block_edges(wide_input, T):
 FLOAT32_RTOL = 1e-5
 
 # kind -> float64 (forward, backward) the float32 kernels are compared with:
-# the unstacked references, and for the vanilla cell its own kernel, which
-# the finite-difference checks above hold to the exact gradient
+# the unstacked references
 FLOAT64_REFERENCES = {
-    "vanilla": (cells.vanilla_forward, cells.vanilla_backward),
+    "vanilla": (reference_cells.vanilla_forward, reference_cells.vanilla_backward),
     "gru": (reference_cells.gru_forward, reference_cells.gru_backward),
     "sru-projected": (reference_cells.sru_forward, reference_cells.sru_backward),
     "sru-highway": (reference_cells.sru_forward, reference_cells.sru_backward),
@@ -372,11 +375,10 @@ def test_float32_kernels_match_float64_reference(kind):
     grads, dx, ds0 = bwd(trace, params, upstream)
     ref_grads, ref_dx, ref_ds0 = ref_bwd(ref_trace, wide, upstream)
 
-    ref_named = ref_grads if isinstance(ref_grads, dict) else dict(ref_grads.named())
     pairs = [("outputs", out, ref_out), ("dx", dx, ref_dx),
              ("initial-state gradient", ds0, ref_ds0)]
     pairs += [(f"trace.{n}", getattr(trace, n), a) for n, a in ref_trace.named()]
-    pairs += [(f"grad {n}", a, ref_named[n]) for n, a in grads.named()]
+    pairs += [(f"grad {n}", a, ref_grads[n]) for n, a in grads.named()]
     for what, actual, expected in pairs:
         assert actual.dtype == np.float32, what
         assert_oracle_close(actual, expected, what, rtol=FLOAT32_RTOL)
@@ -419,10 +421,11 @@ def test_split_forward_from_carried_state_is_bit_identical(kind, k):
 
 def stream_untraced(params, x, state0):
     """Run one layer over ``x`` the way ``Network.forward(keep_trace=False)``
-    does: ``cells.stream_step`` steps per call (one for the GRU, a block of
-    BLOCK for the SRU), in one reused workspace (a Buffers for the block outputs and the
-    carried state, one for scratch), each call starting from the state the
-    one before left in the workspace, no trace kept."""
+    does: ``cells.stream_step`` steps per call (a block of BLOCK for the
+    SRU, one for the other cells), in one reused workspace (a Buffers for
+    the block outputs and the carried state, one for scratch), each call
+    starting from the state the one before left in the workspace, no trace
+    kept."""
     buffers, scratch = cells.Buffers(), cells.Buffers()
     step = cells.stream_step(params)
     state, outs = state0, []
@@ -470,6 +473,24 @@ def test_streamed_gru_rounds_as_traced_where_orientation_matters(B, H, input_dim
     np.testing.assert_array_equal(state, cells.final_state(trace))
 
 
+@pytest.mark.parametrize("B,D,H", [(3, 8, 6), (64, 8, 32), (256, 32, 32), (16, 64, 64),
+                                   (7, 8, 256), (3, 32, 32)])
+def test_untraced_vanilla_matches_traced(B, D, H):
+    # streamed one step per call, a float32 layer computes each step's GEMM
+    # in the traced call's shape and orientation, so the bits agree; at
+    # (7, 8, 256) and (3, 32, 32) a GEMM over (B, .) rows rounds differently
+    # from one over (., B) columns, so a streamed call in the other
+    # orientation would differ
+    rng = derive_rng(0, "untraced-vanilla", B, D, H)
+    params = randomized(cells.init_vanilla(D, H, H, rng), rng, scale=1 / np.sqrt(H))
+    x = rng.normal(size=(B, 2 * cells.BLOCK + 3, D))
+    h0 = rng.normal(size=(B, H))
+    out, trace = cells.vanilla_forward(params, x, h0)
+    bare, state = stream_untraced(params, x, h0)
+    np.testing.assert_array_equal(bare, out)
+    np.testing.assert_array_equal(state, cells.final_state(trace))
+
+
 @pytest.mark.parametrize("input_dim", [5, 6], ids=["projected", "highway"])
 @pytest.mark.parametrize("with_c0", [False, True], ids=["c0-zero", "c0-given"])
 @pytest.mark.parametrize("T", UNTRACED_LENGTHS)
@@ -488,7 +509,7 @@ def test_untraced_sru_matches_traced(T, with_c0, input_dim):
         assert_oracle_close(getattr(trace, name), arr, f"trace.{name}")
 
 
-@pytest.mark.parametrize("kind", ["gru-d5", "sru-dH", "sru-d5"])
+@pytest.mark.parametrize("kind", ["vanilla-d5", "gru-d5", "sru-dH", "sru-d5"])
 def test_streamed_call_over_no_steps_hands_on_its_state(kind):
     # a streamed call over no steps leaves its initial state as its final
     # state, not the state an earlier call left in the same buffers
@@ -504,7 +525,8 @@ def test_streamed_call_over_no_steps_hands_on_its_state(kind):
 
 
 @pytest.mark.parametrize("T", [0, 1, 3])
-@pytest.mark.parametrize("kind", ["gru-d5", "gru-dH", "sru-d5", "sru-dH"])
+@pytest.mark.parametrize("kind", ["vanilla-d5", "vanilla-dH", "gru-d5", "gru-dH", "sru-d5",
+                                  "sru-dH"])
 def test_streamed_call_from_given_state_matches_traced(kind, T):
     # one streamed call updates its state in place in its own buffers: its
     # outputs and final state equal the traced call's, and the caller's

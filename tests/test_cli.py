@@ -283,7 +283,7 @@ def long_split(tmp_path_factory):
         model="sru", protocol="inter-subject", hidden=4, predictor_hidden=4))
     checkpoint = root / "sru.ckpt"
     save_checkpoint(checkpoint, run.net, meta={
-        "model": "sru", "protocol": run.plan.protocol, "fold": 0, "seed": 0, "ada": False,
+        "protocol": run.plan.protocol, "fold": 0, "seed": 0,
         "mode": meta["mode"], "norm_mean": run.stats.mean.tolist(),
         "norm_std": run.stats.std.tolist(), "target_mean": run.target_stats.mean.tolist(),
         "target_std": run.target_stats.std.tolist()})
@@ -301,6 +301,19 @@ class TestEvaluate:
         assert len(lines) == 3
         assert lines[1].startswith("rmse,gru,intra-session,false,0,1,")
         assert lines[2].startswith("nrmse,gru,intra-session,false,0,1,")
+
+    def test_rows_name_the_networks_cell_and_ada(self, archive_path, checkpoint_path,
+                                                 tmp_path):
+        # a result row's model and ADA columns are the network's own: meta
+        # keys that say otherwise are not read
+        stale, results = tmp_path / "stale.npz", tmp_path / "r.csv"
+        header_edit("meta", "model", lambda _: "lstm")(checkpoint_path, stale)
+        header_edit("meta", "ada", lambda _: True)(stale, stale)
+        assert main(["evaluate", "--checkpoint", str(stale), "--archive", str(archive_path),
+                     "--results", str(results)]) == 0
+        rows = results.read_text().strip().splitlines()[1:]
+        assert [r.split(",")[:4] for r in rows] == [["rmse", "gru", "intra-session", "false"],
+                                                    ["nrmse", "gru", "intra-session", "false"]]
 
     def test_trajectory_dump(self, archive_path, checkpoint_path, tmp_path):
         results = tmp_path / "r.csv"
@@ -507,6 +520,13 @@ def without_target_stats(src, dst):
                                if k not in ("target_mean", "target_std")})
 
 
+def with_discriminator(src, dst):
+    """Copy a checkpoint with its network given a discriminator, meta kept."""
+    net, meta = load_checkpoint(src)
+    cfg = dataclasses.replace(net.config, use_discriminator=True, num_domains=2)
+    save_checkpoint(dst, Network.init(cfg, np.random.default_rng(0)), meta)
+
+
 def central_directory_field(offset, value):
     """Copy a zip container with a 2-byte field of every central directory
     entry (flags at offset 8, compression method at 10) set to ``value``."""
@@ -547,6 +567,8 @@ CORRUPT = {
     "target_std of 3 entries": ("checkpoint", header_edit("meta", "target_std", lambda v: v[:3])),
     "norm_mean null": ("checkpoint", header_edit("meta", "norm_mean", lambda _: None)),
     "fold not an integer": ("checkpoint", header_edit("meta", "fold", lambda _: "x")),
+    "meta protocol unknown": ("checkpoint", header_edit("meta", "protocol", lambda _: "bogus")),
+    "ADA network with an intra-session split": ("checkpoint", with_discriminator),
     "norm_std all zero": ("checkpoint", header_edit("meta", "norm_std",
                                                      lambda v: [0.0] * len(v))),
     "emg rows fewer than timestamps": ("archive", npz_edit(drop_emg_rows)),
@@ -665,6 +687,18 @@ def test_checkpoint_of_format_3_exits_config(archive_path, checkpoint_path, tmp_
         header["config"].update(input_channels=8, num_recurrent_layers=2)
 
     assert_old_format_exits_config(lambda arrays: rewrite_header(arrays, as_format_3),
+                                   archive_path, checkpoint_path, tmp_path, capsys)
+
+
+def test_checkpoint_of_format_4_exits_config(archive_path, checkpoint_path, tmp_path,
+                                             capsys):
+    # format 4 vanilla layers ended in a linear readout, and its meta named
+    # the model and ADA, which evaluate now reads from the network
+    def as_format_4(header):
+        header["format"] = "myograsp-checkpoint/4"
+        header["meta"].update(model="gru", ada=False)
+
+    assert_old_format_exits_config(lambda arrays: rewrite_header(arrays, as_format_4),
                                    archive_path, checkpoint_path, tmp_path, capsys)
 
 
@@ -867,7 +901,7 @@ JSON_VALUES = st.recursive(
               st.floats(), st.sampled_from([0.0, -1.0, 1e-300, 1e300])),
     lambda inner: st.lists(inner, max_size=9), max_leaves=12)
 STAT_KEYS = ["norm_mean", "norm_std", "target_mean", "target_std"]
-META_KEYS = ["model", "protocol", "fold", "seed", "ada"] + STAT_KEYS
+META_KEYS = ["protocol", "fold", "seed"] + STAT_KEYS
 
 
 def meta_edits():

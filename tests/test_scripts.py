@@ -38,17 +38,18 @@ def claims_record():
 # tests check those two halves of its record under the names they had then.
 def test_calibrate_trends(claims_record):
     keys = {f"{mode}/{model}/{protocol}" + ("+ada" if ada else "")
-            for mode in ("immobile", "mobile") for model in ("sru", "gru")
+            for mode in ("immobile", "mobile") for model in ("sru", "gru", "vanilla")
             for _, protocol, ada in PAPER_COLUMNS}
-    assert len(keys) == 20 and set(claims_record["cells"]) == keys
+    assert len(keys) == 30 and set(claims_record["cells"]) == keys
     assert set(claims_record["claims"]) == {"learns_in_both_modes", "sru_beats_gru",
-                                            "ada_minus_no_ada"}
+                                            "sru_beats_vanilla", "ada_minus_no_ada"}
 
 
 def test_calibrate_endtoend(claims_record):
     for cell in claims_record["cells"].values():
         for name in ("trained", "untrained"):
             assert len(cell[name]["values"]) == 1 and math.isfinite(cell[name]["mean"])
+        assert type(cell["params"]) is int and cell["params"] > 0
     for mode in ("immobile", "mobile"):
         floor = claims_record["floor"][mode]["values"]
         assert len(floor) == 1 and 0 < floor[0] < 1

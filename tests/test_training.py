@@ -340,7 +340,7 @@ class TestPredict:
         x = make_rng(9).normal(size=(2, 5, EMG_CHANNELS))
         np.testing.assert_array_equal(predict(net, x), net.forward(x)[0])
 
-    @pytest.mark.parametrize("cell", ["gru", "sru"])
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_no_windows_give_empty_predictions(self, cell):
         net = self.net(cell, hidden=6)
         preds = predict(net, np.zeros((0, 7, EMG_CHANNELS)))
@@ -382,7 +382,7 @@ class TestPredict:
             got = predict(net, x[:n])
             np.testing.assert_array_equal(got, predict(self.net(cell, hidden=6), x[:n]))
 
-    @pytest.mark.parametrize("cell", ["gru", "sru"])
+    @pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
     def test_source_scored_chunk_by_chunk_equals_whole_split(self, cell):
         # 600 windows span three gathers of one predict chunk each, the last
         # partial; the whole split materialised, normalised and predicted at
@@ -428,13 +428,24 @@ PREDICT_B, PREDICT_T, PREDICT_H = 512, 128, 32
 PREDICT_PH, PREDICT_ANGLES = 8, 15
 
 
+def vanilla_workspace(B):
+    """(scratch, layer) float32 elements of a streamed vanilla call at batch
+    B: the scratch shared by both layers is the one (H+D_in+1, B) column
+    [h; x; 1] at the top layer's width, D_in = H, into which the step's
+    input is cast (and after the last step the heads' feature is copied);
+    a layer keeps one h, which each step's GEMM writes."""
+    H = PREDICT_H
+    return B * (2 * H + 1), B * H
+
+
 def gru_workspace(B):
     """(scratch, layer) float32 elements of a streamed GRU call at batch B:
     the scratch shared by both layers is the one (2H+D_in+1, B) column
     [h; x; 1; r*h] at the top layer's width, D_in = H, into which the
-    step's input is cast, and one step's z|r block, whose r rows then take
-    the candidate (and after the last step the heads' feature); a layer
-    keeps one h, which each step writes from the column's h rows."""
+    step's input is cast (and after the last step the heads' feature is
+    copied), and one step's z|r block, whose r rows then take the
+    candidate; a layer keeps one h, which each step writes from the
+    column's h rows."""
     H = PREDICT_H
     return B * (3 * H + 1) + 2 * B * H, B * H
 
@@ -474,7 +485,7 @@ def predict_peak_and_bound(cell, B, disc=False, ph=PREDICT_PH):
     net = Network.init(cfg, derive_rng(0, "predict-peak"))
     x = make_rng(3).normal(size=(B, PREDICT_T, EMG_CHANNELS))
     peak = first_predict_peak(net, x)
-    workspace = gru_workspace if cell == "gru" else sru_workspace
+    workspace = {"vanilla": vanilla_workspace, "gru": gru_workspace, "sru": sru_workspace}[cell]
     return peak, design_bound(B, *workspace(B), pooled=cell == "sru", ph=ph)
 
 
@@ -506,7 +517,7 @@ def test_sru_predict_peak_bounded_by_layer_states():
     assert peak <= bound, (peak, bound)
 
 
-@pytest.mark.parametrize("cell", ["gru", "sru"])
+@pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
 def test_ada_predict_peak_has_no_discriminator_term(cell):
     # an ADA network predicts in what its ADA-free twin does: the
     # discriminator's hidden activations and domain logits are training-only.
@@ -516,11 +527,11 @@ def test_ada_predict_peak_has_no_discriminator_term(cell):
     assert peak <= bound, (peak, bound)
 
 
-@pytest.mark.parametrize("cell", ["gru", "sru"])
+@pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
 def test_predict_peak_holds_no_parameter_copy(cell):
-    # at a batch of 2 the layers' parameters (40,704 B for the GRU, 16,896
-    # for the SRU) outweigh the workspace, so a copy of them per forward
-    # breaks the bound
+    # at a batch of 2 the layers' parameters (13,568 B for the vanilla
+    # cell, 40,704 for the GRU, 16,896 for the SRU) outweigh the workspace,
+    # so a copy of them per forward breaks the bound
     peak, bound = predict_peak_and_bound(cell, 2)
     assert peak <= bound, (peak, bound)
 
@@ -557,13 +568,12 @@ def test_training_and_inference_stay_float32(cell, monkeypatch):
     arrays += [("features", trace.features), ("predictor hidden", trace.pred_a1),
                ("discriminator hidden", trace.disc_a1), ("predictions", preds)]
     assert len(states[0].m) == len(net.named_params())
-    used = workspace[:-1] if cell == "vanilla" else workspace   # vanilla takes no scratch
-    assert all(b._flat for _, b in used), "a workspace stayed empty"
+    assert all(b._flat for _, b in workspace), "a workspace stayed empty"
     for what, a in arrays:
         assert a.dtype == np.float32, what
 
 
-@pytest.mark.parametrize("cell", ["gru", "sru"])
+@pytest.mark.parametrize("cell", ["vanilla", "gru", "sru"])
 def test_predict_peak_independent_of_window_length(cell):
     # inference streams the layer stack one block of BLOCK steps at a time in
     # a workspace of one block, and builds no (T, B, H) buffer: on a fresh
